@@ -14,11 +14,9 @@ oracles; sampled frequencies are never used for hard-bound assertions.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +46,6 @@ __all__ = [
     "distinguisher_experiment",
     "EquivalenceReport",
     "definition_equivalence_check",
-    "write_audit_csv",
 ]
 
 
@@ -383,19 +380,25 @@ def hoeffding_bound(nu: float, d: float) -> float:
     return math.exp(-((nu - 32.0) ** 2) / (32.0 * d))
 
 
+def _tail_check(exceeds: np.ndarray, bound: float) -> TailCheck:
+    """Rate of the sampled tail events ``exceeds`` against ``bound``."""
+    trials = exceeds.size
+    if trials == 0:
+        raise ValueError("a tail check needs at least one sample")
+    rate = float(np.mean(exceeds))
+    stderr = math.sqrt(rate * (1.0 - rate) / trials)
+    return TailCheck(empirical_rate=rate, bound=bound, stderr=stderr, trials=trials)
+
+
 def hoeffding_tail_check(log_totals: np.ndarray, nu: float, d: float) -> TailCheck:
     """Check how often the view ratio exceeds e^(nu/d) on planted inputs.
 
     ``log_totals`` are per-view log ratios of planted-input views; the
     audit passes when the empirical exceedance rate is within three
-    standard errors of the analytic tail bound.
+    standard errors of the analytic tail bound.  This is the one-round
+    case of ``view_probability_transfer``.
     """
-    bound = hoeffding_bound(nu, d)
-    log_totals = np.asarray(log_totals, dtype=float)
-    trials = log_totals.size
-    rate = float(np.mean(log_totals > nu / d))
-    stderr = math.sqrt(rate * (1.0 - rate) / trials) if trials else 0.0
-    return TailCheck(empirical_rate=rate, bound=bound, stderr=stderr, trials=trials)
+    return view_probability_transfer(log_totals, nu, d, ell=1)
 
 
 def view_probability_transfer(
@@ -406,16 +409,12 @@ def view_probability_transfer(
     ``log_totals`` must be exact per-view log ratios of an ``ell``-round
     protocol whose per-round answer maps are each 2*eps-private.  The
     violation rate is checked against ell times the single-round bound.
-    With ell=1 this is exactly ``hoeffding_tail_check``.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     bound = ell * hoeffding_bound(nu, d)
     log_totals = np.asarray(log_totals, dtype=float)
-    trials = log_totals.size
-    rate = float(np.mean(log_totals > ell * nu / d))
-    stderr = math.sqrt(rate * (1.0 - rate) / trials) if trials else 0.0
-    return TailCheck(empirical_rate=rate, bound=bound, stderr=stderr, trials=trials)
+    return _tail_check(log_totals > ell * nu / d, bound)
 
 
 def empirical_log_ratios(
@@ -462,10 +461,7 @@ def chernoff_tail_check(
     """Check the planted input sum's lower tail against its Chernoff bound."""
     bound = chernoff_lower_tail_bound(p, gamma)
     sums = np.asarray(input_sums)
-    trials = sums.size
-    rate = float(np.mean(sums <= (1.0 - gamma) * p.expected_sum))
-    stderr = math.sqrt(rate * (1.0 - rate) / trials) if trials else 0.0
-    return TailCheck(empirical_rate=rate, bound=bound, stderr=stderr, trials=trials)
+    return _tail_check(sums <= (1.0 - gamma) * p.expected_sum, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +506,8 @@ def distinguisher_experiment(
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if tau is None:
         tau = p.expected_sum / 2.0
     zeros = np.zeros(p.n, dtype=np.uint8)
@@ -583,33 +581,3 @@ def definition_equivalence_check(sanitizers: Sequence[SanitizerSpec]) -> Equival
                     return EquivalenceReport(collective=math.inf, individual=individual)
                 collective = max(collective, math.log(px / py))
     return EquivalenceReport(collective=collective, individual=individual)
-
-
-# ---------------------------------------------------------------------------
-# Report serialization
-# ---------------------------------------------------------------------------
-
-
-def write_audit_csv(
-    path: str,
-    experiment_id: str,
-    params: Dict[str, Any],
-    rows: Sequence[Tuple[str, float, Optional[float], bool]],
-) -> None:
-    """Write audit rows: experiment id, parameter columns, then
-    (statistic, value, bound, pass/fail) per row."""
-    names = sorted(params)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", *names, "statistic", "value", "bound", "passed"])
-        for statistic, value, bound, passed in rows:
-            writer.writerow(
-                [
-                    experiment_id,
-                    *(json.dumps(params[k]) for k in names),
-                    statistic,
-                    f"{value:.17g}",
-                    "" if bound is None else f"{bound:.17g}",
-                    "pass" if passed else "fail",
-                ]
-            )

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
+import typing
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
@@ -31,9 +31,17 @@ __all__ = ["main", "run_experiment", "list_experiments", "render_csv"]
 
 CSV_HEADER = ["experiment", "trial", "param_json", "metric", "value"]
 
-_INT_FIELDS = {"n", "t", "rounds", "kappa", "trials", "seed"}
-_FLOAT_FIELDS = {"eps", "delta", "tau", "d", "nu", "alpha_exp"}
-_STR_FIELDS = {"experiment", "out"}
+# The flag and config-key schema: every ExperimentConfig field, with the
+# type its value is parsed as (int, float or str).
+_FIELD_TYPES = {
+    name: next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
+_FLAG_HELP = {
+    "experiment": "experiment name (see `dpdist list`)",
+    "seed": "64-bit master seed (default 0)",
+    "out": "output CSV path (default: stdout)",
+}
 
 
 def _format_value(v: Any) -> str:
@@ -91,16 +99,12 @@ def parse_config_file(path: str) -> Dict[str, Any]:
 
 
 def _coerce(key: str, value: str, path: str, lineno: int) -> Any:
-    if key in _STR_FIELDS:
-        return value
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
     try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
+        return _FIELD_TYPES[key](value)
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
-    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,21 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list registered experiments")
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("--experiment", help="experiment name (see `dpdist list`)")
     run.add_argument("--config", help="flat key = value config file")
-    run.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
-    run.add_argument("--trials", type=int)
-    run.add_argument("--out", help="output CSV path (default: stdout)")
-    run.add_argument("--n", type=int)
-    run.add_argument("--eps", type=float)
-    run.add_argument("--delta", type=float)
-    run.add_argument("--t", type=int)
-    run.add_argument("--rounds", type=int)
-    run.add_argument("--tau", type=float)
-    run.add_argument("--kappa", type=int)
-    run.add_argument("--d", type=float)
-    run.add_argument("--nu", type=float)
-    run.add_argument("--alpha-exp", type=float, dest="alpha_exp")
+    for name, kind in _FIELD_TYPES.items():
+        run.add_argument("--" + name.replace("_", "-"), type=kind, help=_FLAG_HELP.get(name))
     return parser
 
 
@@ -143,14 +135,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"dpdist: {exc}", file=sys.stderr)
         return 2
-    for name in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, name.name, None)
+    for name in _FIELD_TYPES:
+        value = getattr(args, name)
         if value is not None:
-            settings[name.name] = value
+            settings[name] = value
     if "experiment" not in settings:
         print("dpdist: --experiment is required (or set it in the config file)", file=sys.stderr)
         return 2
-    settings.setdefault("seed", 0)
 
     try:
         cfg = ExperimentConfig(**settings)

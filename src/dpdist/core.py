@@ -42,11 +42,12 @@ class BitVector:
 
     def __init__(self, bits: Iterable[int]):
         arr = np.asarray(list(bits) if not hasattr(bits, "__len__") else bits)
-        arr = np.array(arr, dtype=np.uint8, copy=True)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
+        # validate before the uint8 cast, which would truncate 1.7 to 1 and wrap 256 to 0
         if arr.size and not np.isin(arr, (0, 1)).all():
             raise ValueError("every element must be 0 or 1")
+        arr = np.array(arr, dtype=np.uint8, copy=True)
         arr.setflags(write=False)
         self._bits = arr
 

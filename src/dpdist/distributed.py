@@ -16,11 +16,10 @@ shared windowed-minimum protocol.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +38,7 @@ __all__ = [
     "complete_topology",
     "ObliviousnessViolationError",
     "Protocol",
+    "FlipTapeProtocol",
     "Execution",
     "run_protocol",
     "run_protocol_with_tapes",
@@ -103,9 +103,6 @@ class Topology:
         for a, b in norm:
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"channel ({a},{b}) out of range for n={self.n}")
-
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.channels if i in (a, b))
 
 
 def star_topology(n: int, center: int = 0) -> Topology:
@@ -196,6 +193,25 @@ class Protocol:
         raise NotImplementedError
 
 
+class FlipTapeProtocol(Protocol):
+    """Protocol whose every tape is one keep/swap decision on the party's bit.
+
+    The tape is True (keep) with probability ``keep_prob``; ``_report``
+    applies it, giving the randomized-response report of the bit.
+    """
+
+    keep_prob: float = 1.0
+
+    def draw_tape(self, i: int, rng: np.random.Generator) -> bool:
+        return bool(rng.random() < self.keep_prob)
+
+    def tape_space(self, i: int) -> List[Tuple[bool, float]]:
+        return [(True, self.keep_prob), (False, 1.0 - self.keep_prob)]
+
+    def _report(self, x_i: int, keep: bool) -> int:
+        return int(x_i) if keep else 1 - int(x_i)
+
+
 @dataclass(frozen=True)
 class Execution:
     """Complete record of one protocol run.
@@ -213,11 +229,6 @@ class Execution:
     n_messages: int
     transcript: Optional[Tuple[Message, ...]] = None
     tapes: Optional[Tuple[Any, ...]] = None
-
-    def transcript_key(self) -> Tuple:
-        if self.transcript is None:
-            raise ValueError("execution was run without transcript recording")
-        return tuple(self.transcript)
 
 
 def message_count(e: Execution) -> int:
@@ -298,44 +309,36 @@ def run_protocol(
     return run_protocol_with_tapes(protocol, topology, x, tapes, record=record)
 
 
-def _enumerate_runs(protocol: Protocol, topology: Topology, x: Bits):
-    """Yield (probability, execution) over all joint tape assignments."""
+def _tape_distribution(
+    protocol: Protocol, topology: Topology, x: Bits, key: Callable[[Execution], Any]
+) -> Dict[Any, float]:
+    """Exact distribution of ``key(execution)`` over all joint tape assignments."""
     spaces = []
     for i in range(protocol.n):
         space = protocol.tape_space(i)
         if space is None:
             raise ValueError(f"party {i} has no finite tape space")
         spaces.append(space)
-    for combo in itertools.product(*spaces):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        if prob == 0.0:
-            continue
-        tapes = [tape for tape, _ in combo]
-        yield prob, run_protocol_with_tapes(protocol, topology, x, tapes)
+    out: Dict[Any, float] = {}
+    for tapes, prob in local_model.joint_tapes(spaces):
+        k = key(run_protocol_with_tapes(protocol, topology, x, tapes))
+        out[k] = out.get(k, 0.0) + prob
+    return out
 
 
 def enumerate_executions(protocol: Protocol, topology: Topology, x: Bits) -> Dict[Tuple, float]:
-    """Exact transcript distribution: ``{transcript_key: probability}``.
+    """Exact transcript distribution: ``{transcript: probability}``.
 
     Requires finite tape spaces for every party.  Tapes that influence
     only the output, not the messages, collapse into the same transcript,
     so outputs are enumerated separately by ``output_distribution``.
     """
-    out: Dict[Tuple, float] = {}
-    for prob, e in _enumerate_runs(protocol, topology, x):
-        key = e.transcript_key()
-        out[key] = out.get(key, 0.0) + prob
-    return out
+    return _tape_distribution(protocol, topology, x, lambda e: e.transcript)
 
 
 def output_distribution(protocol: Protocol, topology: Topology, x: Bits) -> Dict[Any, float]:
     """Exact distribution of the protocol output, by tape enumeration."""
-    out: Dict[Any, float] = {}
-    for prob, e in _enumerate_runs(protocol, topology, x):
-        out[e.output] = out.get(e.output, 0.0) + prob
-    return out
+    return _tape_distribution(protocol, topology, x, lambda e: e.output)
 
 
 def consistent_probability(
@@ -358,19 +361,14 @@ def consistent_probability(
         if m.sender == i:
             sent_by_round[m.round - 1][m.receiver] = m.symbol
     recv = tuple(tuple(sorted(r)) for r in recv_by_round)
-    total = 0.0
-    for tape, prob in space:
-        if prob == 0.0:
-            continue
-        ok = True
-        for rnd in range(1, protocol.rounds + 1):
-            sends = protocol.send(i, x_i, tape, rnd, recv[: rnd - 1])
-            if sends != sent_by_round[rnd - 1]:
-                ok = False
-                break
-        if ok:
-            total += prob
-    return total
+
+    def reproduces(tape: Any) -> bool:
+        return all(
+            protocol.send(i, x_i, tape, rnd, recv[: rnd - 1]) == sent_by_round[rnd - 1]
+            for rnd in range(1, protocol.rounds + 1)
+        )
+
+    return local_model.tape_mass(space, reproduces)
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +412,7 @@ def coalition_view_distribution(
 ) -> Dict[Tuple, float]:
     """Exact distribution over coalition views, by tape enumeration."""
     members = tuple(sorted(set(int(i) for i in coalition)))
-    spaces = []
-    for i in range(protocol.n):
-        space = protocol.tape_space(i)
-        if space is None:
-            raise ValueError(f"party {i} has no finite tape space")
-        spaces.append(space)
-    out: Dict[Tuple, float] = {}
-    for combo in itertools.product(*spaces):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        if prob == 0.0:
-            continue
-        tapes = [tape for tape, _ in combo]
-        e = run_protocol_with_tapes(protocol, topology, x, tapes)
-        key = coalition_view(e, members).key()
-        out[key] = out.get(key, 0.0) + prob
-    return out
+    return _tape_distribution(protocol, topology, x, lambda e: coalition_view(e, members).key())
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +514,7 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
 # ---------------------------------------------------------------------------
 
 
-class RRStarProtocol(Protocol):
+class RRStarProtocol(FlipTapeProtocol):
     """Randomized response with party 0 playing the curator's role.
 
     Round 1: every other party sends its flipped bit to party 0 (party 0
@@ -548,20 +529,11 @@ class RRStarProtocol(Protocol):
         self.rounds = 2
         self.eps = eps
         self.params = flip_bias_for(eps)
+        self.keep_prob = self.params.keep_prob
         self.name = f"rr-star(n={n},eps={eps:g})"
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset((0, i) for i in range(1, self.n))
-
-    def draw_tape(self, i: int, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.params.keep_prob)
-
-    def tape_space(self, i: int) -> List[Tuple[bool, float]]:
-        keep = self.params.keep_prob
-        return [(True, keep), (False, 1.0 - keep)]
-
-    def _report(self, x_i: int, keep: bool) -> int:
-        return int(x_i) if keep else 1 - int(x_i)
 
     def _estimate(self, x_0: int, tape_0: bool, received: Tuple[Tuple, ...]) -> float:
         count = self._report(x_0, tape_0) + sum(sym for _, sym in received[0])

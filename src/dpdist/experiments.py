@@ -37,9 +37,7 @@ class ExperimentConfig:
     eps: Optional[float] = None
     delta: Optional[float] = None
     t: Optional[int] = None
-    rounds: Optional[int] = None
     tau: Optional[float] = None
-    kappa: Optional[int] = None
     d: Optional[float] = None
     nu: Optional[float] = None
     alpha_exp: Optional[float] = None
@@ -78,6 +76,12 @@ def _unit_float(name: str, value, default: float) -> float:
     if not 0.0 < v < 1.0:
         raise ValueError(f"{name}: expected a value in (0, 1), got {v!r}")
     return v
+
+
+def _batches(seed: int, trials: int):
+    """Yield (index b, size, derive_rng(seed, b)) per batch of at most ``_BATCH`` trials."""
+    for b, start in enumerate(range(0, trials, _BATCH)):
+        yield b, min(_BATCH, trials - start), derive_rng(seed, b)
 
 
 def _half_ones(n: int) -> np.ndarray:
@@ -128,16 +132,10 @@ def _laplace_tails(cfg: ExperimentConfig):
     spec = SensitivitySpec(1.0)
     params = {"trials": trials, "eps": eps, "gs": 1.0, "seed": cfg.seed, "batch": _BATCH}
     exceed = {1: 0, 2: 0, 3: 0}
-    done = 0
-    batch_idx = 0
-    while done < trials:
-        m = min(_BATCH, trials - done)
-        rng = derive_rng(cfg.seed, batch_idx)
+    for _, m, rng in _batches(cfg.seed, trials):
         err = np.abs(laplace_mechanism(0.0, spec, eps, rng, size=m))
         for k in exceed:
             exceed[k] += int(np.count_nonzero(err > k / eps))
-        done += m
-        batch_idx += 1
     rows: List[Row] = []
     for k in sorted(exceed):
         rate = exceed[k] / trials
@@ -183,16 +181,6 @@ def _panel_params(cfg: ExperimentConfig):
     return dist, flip_bias_for(eps), trials
 
 
-def _panel_batches(cfg: ExperimentConfig, dist, flip, trials):
-    done = 0
-    batch_idx = 0
-    while done < trials:
-        m = min(_BATCH, trials - done)
-        yield batch_idx, audit.flip_panel(dist, flip, m, derive_rng(cfg.seed, batch_idx))
-        done += m
-        batch_idx += 1
-
-
 def _v_bounds(cfg: ExperimentConfig):
     dist, flip, trials = _panel_params(cfg)
     params = {
@@ -207,7 +195,8 @@ def _v_bounds(cfg: ExperimentConfig):
         "batch": _BATCH,
     }
     rows: List[Row] = []
-    for b, panel in _panel_batches(cfg, dist, flip, trials):
+    for b, m, rng in _batches(cfg.seed, trials):
+        panel = audit.flip_panel(dist, flip, m, rng)
         rows.append((b, "views", panel.trials))
         rows.append((b, "hard_violations", panel.hard_violations))
         rows.append((b, "max_abs_v", panel.max_abs))
@@ -234,7 +223,8 @@ def _hoeffding_tail(cfg: ExperimentConfig):
         "batch": _BATCH,
     }
     rows: List[Row] = []
-    for b, panel in _panel_batches(cfg, dist, flip, trials):
+    for b, m, rng in _batches(cfg.seed, trials):
+        panel = audit.flip_panel(dist, flip, m, rng)
         rows.append((b, "views", panel.trials))
         rows.append((b, "exceed_count", int(np.count_nonzero(panel.log_totals > nu / dist.d))))
     return params, rows
@@ -260,17 +250,12 @@ def _chernoff_tail(cfg: ExperimentConfig):
         "batch": _BATCH,
     }
     rows: List[Row] = []
-    done = 0
-    b = 0
-    while done < trials:
-        m = min(_BATCH, trials - done)
-        sums = audit.sample_sparse_sums(dist, m, derive_rng(cfg.seed, b))
+    for b, m, rng in _batches(cfg.seed, trials):
+        sums = audit.sample_sparse_sums(dist, m, rng)
         rows.append((b, "draws", m))
         rows.append(
             (b, "low_count", int(np.count_nonzero(sums <= (1.0 - gamma) * dist.expected_sum)))
         )
-        done += m
-        b += 1
     return params, rows
 
 

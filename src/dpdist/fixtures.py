@@ -7,12 +7,11 @@ enumerated exhaustively.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
-from .distributed import Protocol, Topology
+from .distributed import FlipTapeProtocol, Protocol, Topology
 from .mechanisms import FlipParams
 
 __all__ = [
@@ -29,11 +28,7 @@ def fixture_topology(protocol: Protocol) -> Topology:
     return Topology(protocol.n, protocol.channels())
 
 
-def _flip_tape_space(keep_prob: float) -> List[Tuple[bool, float]]:
-    return [(True, keep_prob), (False, 1.0 - keep_prob)]
-
-
-class RelayProtocol(Protocol):
+class RelayProtocol(FlipTapeProtocol):
     """Two parties, one round: party 0 sends its (noisy) bit to party 1.
 
     Party 1 outputs the received bit.  With ``keep_prob=1`` this is plain
@@ -50,22 +45,16 @@ class RelayProtocol(Protocol):
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset({(0, 1)})
 
-    def draw_tape(self, i: int, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.keep_prob)
-
-    def tape_space(self, i: int) -> List[Tuple[bool, float]]:
-        return _flip_tape_space(self.keep_prob)
-
     def send(self, i, x_i, tape, rnd, received) -> Dict[int, Any]:
         if i == 0:
-            return {1: x_i if tape else 1 - x_i}
+            return {1: self._report(x_i, tape)}
         return {}
 
     def output(self, x_i, tape, received) -> int:
         return received[0][0][1]
 
 
-class NoisyParityProtocol(Protocol):
+class NoisyParityProtocol(FlipTapeProtocol):
     """Three parties, two rounds: noisy bits to party 0, parity back out.
 
     Round 1: parties 1 and 2 send their flipped bits to party 0.  Round 2:
@@ -77,20 +66,11 @@ class NoisyParityProtocol(Protocol):
         self.n = 3
         self.rounds = 2
         self.output_party = 0
-        self.params = params
+        self.keep_prob = params.keep_prob
         self.name = f"noisy-parity(bias={params.flip_bias:g})"
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset({(0, 1), (0, 2)})
-
-    def draw_tape(self, i: int, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.params.keep_prob)
-
-    def tape_space(self, i: int) -> List[Tuple[bool, float]]:
-        return _flip_tape_space(self.params.keep_prob)
-
-    def _report(self, x_i: int, tape: bool) -> int:
-        return int(x_i) if tape else 1 - int(x_i)
 
     def _parity(self, x_i: int, tape: bool, received) -> int:
         bit = self._report(x_i, tape)
@@ -110,7 +90,7 @@ class NoisyParityProtocol(Protocol):
         return self._parity(x_i, tape, received)
 
 
-class ChainProtocol(Protocol):
+class ChainProtocol(FlipTapeProtocol):
     """Four parties on a path 0-1-2-3; party 0 is lonely for t=1.
 
     Round 1: party 0 reports its flipped bit to party 1, and party 3 to
@@ -124,20 +104,11 @@ class ChainProtocol(Protocol):
         self.n = 4
         self.rounds = 2
         self.output_party = 2
-        self.params = params
+        self.keep_prob = params.keep_prob
         self.name = f"chain(bias={params.flip_bias:g})"
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset({(0, 1), (1, 2), (2, 3)})
-
-    def draw_tape(self, i: int, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.params.keep_prob)
-
-    def tape_space(self, i: int) -> List[Tuple[bool, float]]:
-        return _flip_tape_space(self.params.keep_prob)
-
-    def _report(self, x_i: int, tape: bool) -> int:
-        return int(x_i) if tape else 1 - int(x_i)
 
     def send(self, i, x_i, tape, rnd, received) -> Dict[int, Any]:
         if rnd == 1:
@@ -188,7 +159,7 @@ class SharedModularSumProtocol(Protocol):
 
     def tape_space(self, i: int) -> List[Tuple[Tuple[int, int], float]]:
         q = self.modulus
-        return [((a, b), 1.0 / (q * q)) for a, b in itertools.product(range(q), range(q))]
+        return [((a, b), 1.0 / (q * q)) for a in range(q) for b in range(q)]
 
     def _shares(self, i: int, x_i: int, tape: Tuple[int, int]) -> Dict[int, int]:
         """Shares for the two other parties; the closing share stays local."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,8 @@ __all__ = [
     "CuratorView",
     "run_noninteractive",
     "enumerate_noninteractive",
+    "joint_tapes",
+    "tape_mass",
     "InteractiveParty",
     "Curator",
     "flip_party",
@@ -243,16 +245,49 @@ def enumerate_noninteractive(
     the per-party output probabilities.
     """
     bits = as_bits(x)
-    dists = [s.distribution(int(b)) for s, b in zip(sanitizers, bits)]
+    spaces = [s.distribution(int(b)).items() for s, b in zip(sanitizers, bits)]
     out: Dict[Tuple[Any, ...], float] = {}
-    for combo in itertools.product(*(d.items() for d in dists)):
+    for c, prob in joint_tapes(spaces):
+        out[c] = out.get(c, 0.0) + prob
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Finite tapes: joint enumeration and transcript replay
+# ---------------------------------------------------------------------------
+
+
+def joint_tapes(
+    spaces: Sequence[Iterable[Tuple[Any, float]]],
+) -> Iterator[Tuple[Tuple[Any, ...], float]]:
+    """Every joint assignment of independent finite tapes, with its probability.
+
+    ``spaces[i]`` lists the (tape, probability) pairs of the i-th tape (a
+    party's, or one round's of a party).  Assignments
+    come in ``itertools.product`` order as (tapes, probability); the
+    probability is the product of the parties' probabilities taken left to
+    right from 1.0, and assignments of probability zero are skipped.
+    """
+    for combo in itertools.product(*spaces):
         prob = 1.0
         for _, p in combo:
             prob *= p
         if prob > 0.0:
-            c = tuple(sym for sym, _ in combo)
-            out[c] = out.get(c, 0.0) + prob
-    return out
+            yield tuple(tape for tape, _ in combo), prob
+
+
+def tape_mass(space: Iterable[Tuple[Any, float]], reproduces: Callable[[Any], bool]) -> float:
+    """Total probability of the tapes in ``space`` for which ``reproduces`` holds.
+
+    Zero-probability tapes are skipped without being replayed.  This is the
+    probability that a party behaves exactly as in a fixed transcript, when
+    ``reproduces`` replays the party's program on one tape.
+    """
+    total = 0.0
+    for tape, prob in space:
+        if prob != 0.0 and reproduces(tape):
+            total += prob
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +340,7 @@ def flip_party(round_params: Sequence[FlipParams]) -> InteractiveParty:
         return tuple(bool(rng.random() < p.keep_prob) for p in params)
 
     def tape_space() -> Iterable[Tuple[Tuple[bool, ...], float]]:
-        options = [((True, p.keep_prob), (False, 1.0 - p.keep_prob)) for p in params]
-        for combo in itertools.product(*options):
-            prob = 1.0
-            for _, pr in combo:
-                prob *= pr
-            yield tuple(flag for flag, _ in combo), prob
+        return joint_tapes([((True, p.keep_prob), (False, 1.0 - p.keep_prob)) for p in params])
 
     return InteractiveParty(answer=answer, draw_tape=draw_tape, tape_space=tape_space)
 
@@ -383,15 +413,9 @@ def enumerate_interactive(
     for i, party in enumerate(parties):
         if party.tape_space is None:
             raise ValueError(f"party {i} has no finite tape space")
-        spaces.append(list(party.tape_space()))
+        spaces.append(party.tape_space())
     out: Dict[Tuple, Tuple[float, Any]] = {}
-    for combo in itertools.product(*spaces):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        if prob == 0.0:
-            continue
-        tapes = [tape for tape, _ in combo]
+    for tapes, prob in joint_tapes(spaces):
         output, view = run_interactive_with_tapes(parties, curator, x, rounds, tapes)
         key = view.key()
         if key in out:
@@ -414,20 +438,14 @@ def party_consistent_probability(
     """
     if party.tape_space is None:
         raise ValueError("party has no finite tape space")
-    total = 0.0
-    rounds = len(answers)
-    for tape, prob in party.tape_space():
-        if prob == 0.0:
-            continue
-        ok = True
-        for j in range(rounds):
-            a = party.answer(int(x_i), tuple(queries[: j + 1]), tape)
-            if _plain(a) != _plain(answers[j]):
-                ok = False
-                break
-        if ok:
-            total += prob
-    return total
+
+    def reproduces(tape: Any) -> bool:
+        return all(
+            _plain(party.answer(int(x_i), tuple(queries[: j + 1]), tape)) == _plain(a)
+            for j, a in enumerate(answers)
+        )
+
+    return tape_mass(party.tape_space(), reproduces)
 
 
 # ---------------------------------------------------------------------------
@@ -557,35 +575,19 @@ def gapk_to_gap0(
     if not 0 <= kappa <= n - tau:
         raise ValueError("kappa must lie in [0, n - tau]")
     half = n // 2
-
-    if kappa <= half:
-        pad = np.concatenate(
-            [np.ones(kappa, dtype=np.uint8), np.zeros(half - kappa, dtype=np.uint8)]
-        )
-
-        def reduced(x_half: Bits, rng: np.random.Generator) -> Tuple[int, Any]:
-            bits = as_bits(x_half)
-            if bits.size != half:
-                raise ValueError(f"reduced protocol expects {half} parties")
-            out, aux = _as_result(gap_protocol(np.concatenate([bits, pad]), rng))
-            return int(out), aux
-
-        return reduced
-
-    # Flipping every input bit swaps sum s for n - s, so the given protocol
-    # run on the complement decides the threshold n - kappa - tau; flipping
-    # its answer yields the original orientation.
-    kappa2 = n - kappa - tau
-    pad = np.concatenate(
-        [np.ones(kappa2, dtype=np.uint8), np.zeros(half - kappa2, dtype=np.uint8)]
-    )
+    # Flipping every input bit swaps sum s for n - s, so for kappa > n/2 the
+    # given protocol run on the complement decides the threshold
+    # n - kappa - tau; flipping its answer yields the original orientation.
+    flipped = kappa > half
+    ones = n - kappa - tau if flipped else kappa
+    pad = np.concatenate([np.ones(ones, dtype=np.uint8), np.zeros(half - ones, dtype=np.uint8)])
 
     def reduced(x_half: Bits, rng: np.random.Generator) -> Tuple[int, Any]:
         bits = as_bits(x_half)
         if bits.size != half:
             raise ValueError(f"reduced protocol expects {half} parties")
-        y = np.concatenate([1 - bits, 1 - pad]).astype(np.uint8)
-        out, aux = _as_result(gap_protocol(y, rng))
-        return 1 - int(out), aux
+        y = np.concatenate([bits, pad])
+        out, aux = _as_result(gap_protocol(1 - y if flipped else y, rng))
+        return (1 - int(out) if flipped else int(out)), aux
 
     return reduced

@@ -22,7 +22,6 @@ from dpdist.audit import (
     sample_sparse_sums,
     v_statistics,
     view_probability_transfer,
-    write_audit_csv,
 )
 from dpdist.core import GapParams
 from dpdist.local_model import (
@@ -286,6 +285,13 @@ class TestTailChecks:
         assert one.empirical_rate == base.empirical_rate
         assert one.bound == base.bound
 
+    def test_rejects_empty_sample(self):
+        p = SparseBernoulli(n=400, eps=1.0, d=4.0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            hoeffding_tail_check(np.array([]), nu=64, d=4)
+        with pytest.raises(ValueError, match="at least one sample"):
+            chernoff_tail_check(np.array([]), p, gamma=0.5)
+
     def test_two_round_transfer(self):
         # two rounds of flips, each round comfortably 2*eps-private; the
         # per-view log ratio uses the exact oracle, vectorized over parties
@@ -405,6 +411,11 @@ class TestDistinguisher:
         with pytest.raises(ValueError):
             distinguisher_experiment(lambda x, rng: 0, p, trials=1)
 
+    def test_rejects_zero_trials(self):
+        p = SparseBernoulli(n=4, eps=1.0, d=9.0)
+        with pytest.raises(ValueError, match="trials"):
+            distinguisher_experiment(lambda x, rng: 0, p, trials=0, rng=derive_rng(0))
+
 
 class TestDefinitionEquivalence:
     def test_two_flips(self):
@@ -432,18 +443,3 @@ class TestDefinitionEquivalence:
         assert math.isinf(report.collective) and math.isinf(report.individual)
         assert report.passed
 
-
-class TestAuditCsv:
-    def test_schema(self, tmp_path):
-        path = tmp_path / "audit.csv"
-        write_audit_csv(
-            str(path),
-            "demo",
-            {"n": 4, "eps": 1.0},
-            [("tail_rate", 0.001, 0.002, True), ("violations", 0.0, None, True)],
-        )
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "experiment,eps,n,statistic,value,bound,passed"
-        assert lines[1].startswith("demo,1.0,4,tail_rate,")
-        assert lines[1].endswith(",pass")
-        assert ",," in lines[2]  # empty bound column

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from dpdist import cli
 from dpdist.cli import main, parse_config_file, render_csv, run_experiment
 from dpdist.experiments import EXPERIMENTS, ExperimentConfig, run_rows
 
@@ -127,6 +129,73 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
         assert main(["run", "--config", str(cfg), "--experiment", "rr-sum-error"]) == 2
+
+
+# One sample per ExperimentConfig field: (text on the command line or in a
+# config file, the value it must parse to).
+FIELD_SAMPLES = {
+    "experiment": ("rr-sum-error", "rr-sum-error"),
+    "seed": ("7", 7),
+    "trials": ("5", 5),
+    "n": ("12", 12),
+    "eps": ("0.25", 0.25),
+    "delta": ("0.01", 0.01),
+    "t": ("3", 3),
+    "tau": ("2.5", 2.5),
+    "d": ("9.0", 9.0),
+    "nu": ("64.5", 64.5),
+    "alpha_exp": ("0.5", 0.5),
+    "out": ("result.csv", "result.csv"),
+}
+
+
+class TestConfigSchema:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """Stub out the experiment run; collect the config main() resolved."""
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            return ""
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        return seen
+
+    def test_every_field_has_a_sample(self):
+        assert set(FIELD_SAMPLES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("field", sorted(FIELD_SAMPLES))
+    def test_field_accepted_as_flag(self, field, captured):
+        text, value = FIELD_SAMPLES[field]
+        flag = "--" + field.replace("_", "-")
+        assert main(["run", "--experiment", "rr-sum-error", flag, text]) == 0
+        assert getattr(captured[0], field) == value
+        assert type(getattr(captured[0], field)) is type(value)
+
+    @pytest.mark.parametrize("field", sorted(FIELD_SAMPLES))
+    def test_field_accepted_as_config_key(self, field, captured, tmp_path):
+        text, value = FIELD_SAMPLES[field]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = rr-sum-error\n{field.replace('_', '-')} = {text}\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert getattr(captured[0], field) == value
+        assert type(getattr(captured[0], field)) is type(value)
+
+    @pytest.mark.parametrize("flag", ["--rounds", "--kappa"])
+    def test_unread_knobs_are_not_flags(self, flag, captured, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--experiment", "rr-sum-error", flag, "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert captured == []
+
+    def test_unread_knob_is_not_a_config_key(self, tmp_path, captured, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment = rr-sum-error\nrounds = 3\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert captured == []
 
 
 class TestErrors:

@@ -64,6 +64,18 @@ class TestBitVector:
     def test_as_bits_accepts_sequences(self):
         assert np.array_equal(as_bits([1, 0, 1]), np.array([1, 0, 1], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "bad", [[0.5, 1.7], np.array([0.9, 0.2]), [256]], ids=["floats", "float-array", "256"]
+    )
+    def test_as_bits_validates_before_casting(self, bad):
+        # a uint8 cast first would truncate 0.5 to 0 and wrap 256 to 0
+        with pytest.raises(ValueError):
+            as_bits(bad)
+
+    @pytest.mark.parametrize("good", [[True, False], [1.0, 0.0]], ids=["bools", "whole-floats"])
+    def test_as_bits_accepts_exact_bits_of_any_dtype(self, good):
+        assert np.array_equal(as_bits(good), np.array([1, 0], dtype=np.uint8))
+
 
 class TestSum:
     def test_all_zero(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dpdist.core import GapParams, GapValue, gap_threshold
+from dpdist.fixtures import RelayProtocol
 from dpdist.local_model import (
     Curator,
     CuratorView,
@@ -17,6 +18,7 @@ from dpdist.local_model import (
     flip_sanitizer,
     gapk_to_gap0,
     identity_sanitizer,
+    joint_tapes,
     laplace_submission_sum,
     party_consistent_probability,
     randomized_response_sum,
@@ -257,6 +259,25 @@ class TestInteractive:
         curator = Curator(query=lambda j, hist: (None,), output=lambda view: None)
         with pytest.raises(ValueError):
             run_interactive(parties, curator, [1, 0], 1, derive_rng(0))
+
+
+class TestJointTapes:
+    def test_product_order_and_left_to_right_probability(self):
+        spaces = [[("a", 0.3), ("b", 0.7)], [(0, 0.1), (1, 0.5), (2, 0.4)], [(None, 0.9)]]
+        expected = []
+        for combo in itertools.product(*spaces):
+            prob = 1.0
+            for _, p in combo:
+                prob *= p
+            expected.append((tuple(tape for tape, _ in combo), prob))
+        # exact equality: the probabilities must be bit-identical
+        assert list(joint_tapes(spaces)) == expected
+        assert list(joint_tapes([iter(space) for space in spaces])) == expected
+
+    def test_zero_probability_assignments_dropped(self):
+        relay = RelayProtocol(keep_prob=1.0)
+        spaces = [relay.tape_space(i) for i in range(relay.n)]
+        assert list(joint_tapes(spaces)) == [((True, True), 1.0)]
 
 
 class TestMultiplicativeTranscriptLaw:

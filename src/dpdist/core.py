@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 
+def _check_bits(arr: np.ndarray) -> None:
+    # runs before any uint8 cast, which would truncate 1.7 to 1 and wrap 256 to 0
+    if arr.size and arr.dtype != np.bool_:
+        ok = arr.max() <= 1 if arr.dtype == np.uint8 else np.isin(arr, (0, 1)).all()
+        if not ok:
+            raise ValueError("every element must be 0 or 1")
+
+
 class BitVector:
     """Immutable vector of bits, one per party.
 
@@ -44,9 +52,7 @@ class BitVector:
         arr = np.asarray(list(bits) if not hasattr(bits, "__len__") else bits)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        # validate before the uint8 cast, which would truncate 1.7 to 1 and wrap 256 to 0
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            raise ValueError("every element must be 0 or 1")
+        _check_bits(arr)
         arr = np.array(arr, dtype=np.uint8, copy=True)
         arr.setflags(write=False)
         self._bits = arr
@@ -102,9 +108,13 @@ Bits = Union[BitVector, Sequence[int], np.ndarray]
 
 
 def as_bits(x: Bits) -> np.ndarray:
-    """Coerce a bit vector argument to a validated uint8 array."""
+    """Coerce to a validated read-only uint8 array; one that owns its memory is not copied."""
     if isinstance(x, BitVector):
         return x.bits
+    if isinstance(x, np.ndarray) and x.dtype == np.uint8 and x.ndim == 1:
+        if x.flags.owndata and not x.flags.writeable:
+            _check_bits(x)
+            return x
     return BitVector(x).bits
 
 

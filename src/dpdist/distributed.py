@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, O
 import numpy as np
 
 from .core import Bits, as_bits
-from .local_model import Curator, CuratorView, InteractiveParty, run_interactive, enumerate_interactive
+from .local_model import Curator, CuratorView, InteractiveParty, enumerate_interactive
 from .mechanisms import flip_bias_for
 from . import local_model
 
@@ -248,9 +248,9 @@ def run_protocol_with_tapes(
     record: bool = True,
 ) -> Execution:
     """Deterministic synchronous execution with all tapes fixed."""
-    bits = as_bits(x)
+    xs = as_bits(x).tolist()
     n = protocol.n
-    if bits.size != n or topology.n != n:
+    if len(xs) != n or topology.n != n:
         raise ValueError("protocol, topology, and input sizes must agree")
     declared = protocol.channels()
     if not declared <= topology.channels:
@@ -263,7 +263,7 @@ def run_protocol_with_tapes(
     for rnd in range(1, protocol.rounds + 1):
         round_sends: List[Tuple[int, int, Any]] = []
         for i in range(n):
-            sends = protocol.send(i, int(bits[i]), tapes[i], rnd, tuple(received[i]))
+            sends = protocol.send(i, xs[i], tapes[i], rnd, tuple(received[i]))
             for receiver in sorted(sends):
                 pair = _norm_pair(i, receiver)
                 if pair not in declared:
@@ -284,12 +284,12 @@ def run_protocol_with_tapes(
         missing = sorted(declared - used)
         raise ObliviousnessViolationError(f"declared channels never used: {missing}")
     p = protocol.output_party
-    output = protocol.output(int(bits[p]), tapes[p], tuple(received[p]))
+    output = protocol.output(xs[p], tapes[p], tuple(received[p]))
     return Execution(
         protocol=protocol.name,
         n=n,
         rounds=protocol.rounds,
-        inputs=tuple(bits.tolist()),
+        inputs=tuple(xs),
         output=output,
         n_messages=n_messages,
         transcript=tuple(transcript) if record else None,
@@ -313,6 +313,7 @@ def _tape_distribution(
     protocol: Protocol, topology: Topology, x: Bits, key: Callable[[Execution], Any]
 ) -> Dict[Any, float]:
     """Exact distribution of ``key(execution)`` over all joint tape assignments."""
+    bits = as_bits(x)
     spaces = []
     for i in range(protocol.n):
         space = protocol.tape_space(i)
@@ -321,7 +322,7 @@ def _tape_distribution(
         spaces.append(space)
     out: Dict[Any, float] = {}
     for tapes, prob in local_model.joint_tapes(spaces):
-        k = key(run_protocol_with_tapes(protocol, topology, x, tapes))
+        k = key(run_protocol_with_tapes(protocol, topology, bits, tapes))
         out[k] = out.get(k, 0.0) + prob
     return out
 
@@ -435,9 +436,6 @@ class CompiledLocalProtocol:
     curator: Curator
     rounds: int
     n: int
-
-    def run(self, x: Bits, rng: np.random.Generator):
-        return run_interactive(self.parties, self.curator, x, self.rounds, rng)
 
     def enumerate(self, x: Bits):
         return enumerate_interactive(self.parties, self.curator, x, self.rounds)

@@ -227,7 +227,7 @@ def run_noninteractive(
     if bits.size and all(s is first for s in sanitizers) and first.sample_many is not None:
         symbols = first.sample_many(bits, rng)
     else:
-        symbols = [s.sample(int(b), rng) for s, b in zip(sanitizers, bits)]
+        symbols = [s.sample(b, rng) for s, b in zip(sanitizers, bits.tolist())]
         try:
             symbols = np.asarray(symbols)
         except Exception:  # symbols of mixed type stay a list
@@ -245,7 +245,7 @@ def enumerate_noninteractive(
     the per-party output probabilities.
     """
     bits = as_bits(x)
-    spaces = [s.distribution(int(b)).items() for s, b in zip(sanitizers, bits)]
+    spaces = [s.distribution(b).items() for s, b in zip(sanitizers, bits.tolist())]
     out: Dict[Tuple[Any, ...], float] = {}
     for c, prob in joint_tapes(spaces):
         out[c] = out.get(c, 0.0) + prob
@@ -353,8 +353,8 @@ def run_interactive_with_tapes(
     tapes: Sequence[Any],
 ) -> Tuple[Any, CuratorView]:
     """Deterministic execution with the parties' tapes fixed."""
-    bits = as_bits(x)
-    n = bits.size
+    xs = as_bits(x).tolist()
+    n = len(xs)
     if len(parties) != n:
         raise ValueError("need exactly one party program per input bit")
     if rounds < 1:
@@ -371,7 +371,7 @@ def run_interactive_with_tapes(
         for i, party in enumerate(parties):
             per_party_queries[i].append(qs[i])
             try:
-                a = party.answer(int(bits[i]), tuple(per_party_queries[i]), tapes[i])
+                a = party.answer(xs[i], tuple(per_party_queries[i]), tapes[i])
             except Exception as exc:
                 raise ProtocolAbortError(
                     f"party {i} failed answering round {j}: {exc}"
@@ -409,6 +409,7 @@ def enumerate_interactive(
     Returns ``{view_key: (probability, output)}``.  Requires every party to
     declare a finite ``tape_space``.
     """
+    bits = as_bits(x)
     spaces = []
     for i, party in enumerate(parties):
         if party.tape_space is None:
@@ -416,7 +417,7 @@ def enumerate_interactive(
         spaces.append(party.tape_space())
     out: Dict[Tuple, Tuple[float, Any]] = {}
     for tapes, prob in joint_tapes(spaces):
-        output, view = run_interactive_with_tapes(parties, curator, x, rounds, tapes)
+        output, view = run_interactive_with_tapes(parties, curator, bits, rounds, tapes)
         key = view.key()
         if key in out:
             out[key] = (out[key][0] + prob, out[key][1])

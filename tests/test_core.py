@@ -30,6 +30,12 @@ def naive_min_window_gridded(bits, window, interval):
     return min(sum(bits[i : i + window]) for i in starts)
 
 
+def _read_only(bits):
+    arr = np.array(bits, dtype=np.uint8)
+    arr.setflags(write=False)
+    return arr
+
+
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 
 
@@ -65,16 +71,43 @@ class TestBitVector:
         assert np.array_equal(as_bits([1, 0, 1]), np.array([1, 0, 1], dtype=np.uint8))
 
     @pytest.mark.parametrize(
-        "bad", [[0.5, 1.7], np.array([0.9, 0.2]), [256]], ids=["floats", "float-array", "256"]
+        "bad",
+        [[0.5, 1.7], np.array([0.9, 0.2]), [256], [-1], [2], _read_only([0, 2])],
+        ids=["floats", "float-array", "256", "minus-one", "two", "read-only-uint8"],
     )
     def test_as_bits_validates_before_casting(self, bad):
-        # a uint8 cast first would truncate 0.5 to 0 and wrap 256 to 0
+        # a uint8 cast first would truncate 0.5 to 0 and wrap 256 to 0; the
+        # no-copy path for read-only uint8 arrays still checks the values
         with pytest.raises(ValueError):
             as_bits(bad)
 
-    @pytest.mark.parametrize("good", [[True, False], [1.0, 0.0]], ids=["bools", "whole-floats"])
+    @pytest.mark.parametrize(
+        "good",
+        [[True, False], np.array([True, False]), [1.0, 0.0]],
+        ids=["bools", "bool-array", "whole-floats"],
+    )
     def test_as_bits_accepts_exact_bits_of_any_dtype(self, good):
-        assert np.array_equal(as_bits(good), np.array([1, 0], dtype=np.uint8))
+        out = as_bits(good)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, np.array([1, 0], dtype=np.uint8))
+
+    def test_as_bits_returns_its_own_output_uncopied(self):
+        a = as_bits([1, 0, 1])
+        assert as_bits(a) is a
+
+    def test_as_bits_copies_arrays_others_can_write(self):
+        writable = np.array([1, 0, 1], dtype=np.uint8)
+        out = as_bits(writable)
+        writable[0] = 0
+        assert list(out) == [1, 0, 1]
+        assert not out.flags.writeable
+        # a read-only view of writable memory is copied too
+        view = writable.view()
+        view.setflags(write=False)
+        out = as_bits(view)
+        assert out is not view
+        writable[1] = 1
+        assert list(out) == [0, 0, 1]
 
 
 class TestSum:

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dpdist import distributed as ds
-from dpdist.core import min_window_weight, min_window_weight_gridded
+from dpdist.core import BitVector, min_window_weight, min_window_weight_gridded
 from dpdist.distributed import (
     DEFAULT_MODULUS,
     CoalitionView,
@@ -152,7 +152,49 @@ class _Empty(Protocol):
         return 0
 
 
+class _RecordingRelay(Protocol):
+    """Party 0 relays its input to party 1; records the input type every call sees."""
+
+    n, rounds, output_party = 2, 1, 1
+
+    def __init__(self):
+        self.seen = []
+
+    def channels(self):
+        return frozenset({(0, 1)})
+
+    def tape_space(self, i):
+        return [(None, 0.5), ("unused", 0.5)]
+
+    def send(self, i, x_i, tape, rnd, received):
+        self.seen.append(type(x_i))
+        return {1: x_i} if i == 0 else {}
+
+    def output(self, x_i, tape, received):
+        self.seen.append(type(x_i))
+        return (x_i, received)
+
+
 class TestEngine:
+    @pytest.mark.parametrize(
+        "x",
+        [[1, 0], np.array([1, 0], dtype=np.uint8), BitVector([1, 0])],
+        ids=["list", "array", "bitvector"],
+    )
+    def test_parties_receive_python_ints(self, x):
+        p = _RecordingRelay()
+        e = run_protocol(p, complete_topology(2), x, derive_rng(0))
+        assert output_distribution(p, complete_topology(2), x) == {(0, (((0, 1),),)): 1.0}
+        assert p.seen and set(p.seen) == {int}
+        assert e.inputs == (1, 0) and all(type(b) is int for b in e.inputs)
+
+    @pytest.mark.parametrize("enumerate_fn", [output_distribution, enumerate_executions])
+    def test_invalid_input_rejected_before_any_tape_runs(self, enumerate_fn):
+        p = _RecordingRelay()
+        with pytest.raises(ValueError):
+            enumerate_fn(p, complete_topology(2), [0, 2])
+        assert p.seen == []
+
     def test_forwarding_transcript(self):
         p = RelayProtocol(keep_prob=1.0)
         e = run_protocol(p, fixture_topology(p), [1, 0], derive_rng(0))

@@ -254,6 +254,32 @@ class TestInteractive:
         with pytest.raises(ProtocolAbortError):
             run_interactive(parties, curator, [1], 1, derive_rng(0))
 
+    @staticmethod
+    def _recording_parties(n, seen):
+        def answer(x_i, queries, tape):
+            seen.append(type(x_i))
+            return x_i
+
+        return [InteractiveParty(answer=answer, tape_space=lambda: [(None, 1.0)])] * n
+
+    @pytest.mark.parametrize("x", [[1, 0], np.array([1, 0], dtype=np.uint8)], ids=["list", "array"])
+    def test_parties_receive_python_ints(self, x):
+        seen = []
+        parties = self._recording_parties(2, seen)
+        curator = Curator(query=lambda j, hist: (None, None), output=lambda v: v.answers[-1])
+        output, _ = run_interactive(parties, curator, x, 2, derive_rng(0))
+        ((_, (prob, enumerated)),) = enumerate_interactive(parties, curator, x, 2).items()
+        assert output == enumerated == (1, 0) and prob == 1.0
+        assert len(seen) == 8 and set(seen) == {int}
+
+    def test_invalid_input_rejected_before_any_tape_runs(self):
+        seen = []
+        parties = self._recording_parties(2, seen)
+        curator = Curator(query=lambda j, hist: (None, None), output=lambda v: None)
+        with pytest.raises(ValueError):
+            enumerate_interactive(parties, curator, [0, 2], 1)
+        assert seen == []
+
     def test_curator_query_count_enforced(self):
         parties = [InteractiveParty(answer=lambda x, q, t: x)] * 2
         curator = Curator(query=lambda j, hist: (None,), output=lambda view: None)

@@ -16,9 +16,11 @@ shared windowed-minimum protocol.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, compress, islice, repeat
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -601,13 +603,12 @@ def gaussian_aggregator_sum(
         noise = rng.normal(0.0, math.sqrt(gaussian_noise_variance(n, eps)), n)
     y = bits + noise
     estimate = float(y.sum())
-    transcript = None
-    tapes = None
+    transcript = tapes = None
     if record:
-        records = [Message(1, i, 0, float(y[i])) for i in range(1, n)]
-        records += [Message(2, 0, i, estimate) for i in range(1, n)]
-        transcript = tuple(records)
-        tapes = tuple(float(v) for v in noise)
+        reports = zip(repeat(1), range(1, n), repeat(0), y[1:].tolist())
+        announce = zip(repeat(2), repeat(0), range(1, n), repeat(estimate))
+        transcript = tuple(map(_as_message, chain(reports, announce)))
+        tapes = tuple(noise.tolist())
     e = Execution(
         protocol=f"gaussian-aggregator(n={n},eps={eps:g},t={t})",
         n=n,
@@ -823,24 +824,19 @@ def windowed_min_protocol(
         estimate = float(int(round(estimate)))
 
     n_messages = (t + 1) * (n - 1) + t * n_intervals + (n - 1)
-    transcript = None
-    tapes = None
+    transcript = tapes = None
     if record:
-        records = []
-        for i in range(n):
-            for j in range(t + 1):
-                if j != i:
-                    records.append(Message(1, i, j, int(shares[i, j])))
-        for j in range(1, t + 1):
-            for m in range(n_intervals):
-                records.append(Message(2, j, 0, int(agg[m, j])))
-        for i in range(1, n):
-            records.append(Message(3, 0, i, estimate))
-        transcript = tuple(records)
-        tapes = tuple(
-            (float(noisy[i] - bits[i]), tuple(int(s) for s in shares[i])) for i in range(n)
-        )
-        assert len(records) == n_messages
+        rows = shares.tolist()  # Python ints, shared by the records and the tapes
+        senders = chain.from_iterable(map(repeat, range(n), repeat(t + 1)))
+        receivers = chain.from_iterable(repeat(range(t + 1), n))
+        sent = (~np.eye(n, t + 1, dtype=bool)).ravel().tolist()  # no share to oneself
+        sharing = compress(zip(repeat(1), senders, receivers, chain.from_iterable(rows)), sent)
+        sums = zip(repeat(2), np.repeat(np.arange(1, t + 1), n_intervals).tolist(), repeat(0),
+                   chain.from_iterable(agg[:, 1:].T.tolist()))
+        announce = zip(repeat(3), repeat(0), range(1, n), repeat(estimate))
+        transcript = tuple(map(_as_message, chain(sharing, sums, announce)))
+        tapes = tuple(zip((noisy - bits).tolist(), map(tuple, rows)))
+        assert len(transcript) == n_messages
     e = Execution(
         protocol=f"windowed-min(n={n},eps={eps:g},delta={delta:g},t={t},alpha={alpha_exp:g})",
         n=n,
@@ -859,31 +855,59 @@ def windowed_min_protocol(
 # ---------------------------------------------------------------------------
 
 
+_CHUNK_LINES = 1024  # transcript files are read and written this many lines at a time
+_as_message = functools.partial(tuple.__new__, Message)  # from a 4-item iterable, at C speed
+
+
 def execution_records(e: Execution) -> List[str]:
     """Line-delimited transcript: ``round,sender,receiver,symbol`` per line.
 
-    The symbol is JSON-encoded; field order is fixed as written.
+    The symbol is as ``json.dumps`` writes it, which for an int or a finite
+    float is its ``repr``, so those skip the call; field order is as written.
     """
     if e.transcript is None:
         raise ValueError("execution was run without transcript recording")
     return [
-        f"{m.round},{m.sender},{m.receiver},{json.dumps(m.symbol)}" for m in e.transcript
+        f"{r},{s},{v},{y!r}" if type(y) is int or (type(y) is float and math.isfinite(y))
+        else f"{r},{s},{v},{json.dumps(y)}"
+        for r, s, v, y in e.transcript
     ]
 
 
 def write_execution(e: Execution, path: str) -> None:
+    """Write ``execution_records(e)`` in chunks; a lean ``e`` raises before ``path`` opens."""
+    if e.transcript is None:
+        raise ValueError("execution was run without transcript recording")
     with open(path, "w", encoding="utf-8") as fh:
-        for line in execution_records(e):
-            fh.write(line + "\n")
+        for start in range(0, len(e.transcript), _CHUNK_LINES):
+            chunk = replace(e, transcript=e.transcript[start : start + _CHUNK_LINES])
+            fh.write("\n".join(execution_records(chunk)) + "\n")
 
 
 def read_execution_records(path: str) -> List[Message]:
-    out = []
+    """Parse ``write_execution`` output in chunks of lines; blank lines are skipped.
+
+    A line that is not three ints and a JSON symbol raises ``ValueError``.  A
+    chunk of scalar symbols (no quote, bracket or brace) is one ``json.loads``
+    of its lines joined by commas once each line is seen to hold three; other
+    chunks go line by line, as one line's bracket could pair with the next's.
+    """
+    out: List[Message] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rnd, sender, receiver, symbol = line.split(",", 3)
-            out.append(Message(int(rnd), int(sender), int(receiver), json.loads(symbol)))
-    return out
+        while True:
+            raw = list(islice(fh, _CHUNK_LINES))
+            if not raw:
+                return out
+            lines = list(filter(None, map(str.strip, raw)))
+            text = ",".join(lines)
+            if '"' in text or "[" in text or "{" in text:
+                rows = [json.loads(f"[{line}]") for line in lines]
+                commas = {len(row) - 1 for row in rows}
+                fields = list(chain.from_iterable(rows))
+            else:
+                commas = {line.count(",") for line in lines}
+                fields = json.loads(f"[{text}]")
+            if commas - {3} or set(map(type, fields[0::4] + fields[1::4] + fields[2::4])) - {int}:
+                raise ValueError(f"{path}: each line must be round,sender,receiver,symbol")
+            it = iter(fields)
+            out.extend(map(_as_message, zip(it, it, it, it)))

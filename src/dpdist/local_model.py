@@ -218,13 +218,14 @@ def run_noninteractive(
 ) -> Tuple[Any, CuratorView]:
     """One-round local protocol: sanitize each bit independently, aggregate.
 
-    Returns the curator's output and its full view for auditing.
+    Returns the curator's output and its full view for auditing.  If every spec equals
+    the first (callables compare by identity), one ``sample_many`` draws all symbols.
     """
     bits = as_bits(x)
     if len(sanitizers) != bits.size:
         raise ValueError("need exactly one sanitizer per party")
     first = sanitizers[0] if sanitizers else None
-    if bits.size and all(s is first for s in sanitizers) and first.sample_many is not None:
+    if bits.size and sanitizers.count(first) == bits.size and first.sample_many is not None:
         symbols = first.sample_many(bits, rng)
     else:
         symbols = [s.sample(b, rng) for s, b in zip(sanitizers, bits.tolist())]

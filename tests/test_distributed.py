@@ -1,9 +1,14 @@
 import itertools
+import json
 import math
+import os
+import tempfile
 from typing import Dict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from dpdist import distributed as ds
@@ -29,6 +34,7 @@ from dpdist.distributed import (
     execution_records,
     fixed_point_scale,
     gaussian_aggregator_sum,
+    gaussian_noise_variance,
     message_count,
     noise_base_variance,
     random_topology,
@@ -667,6 +673,69 @@ class TestSharedSumFixture:
         assert e.output == 3
 
 
+# Symbols json.dumps can write: big ints, floats json writes specially,
+# bools, numpy floats, strings with commas and quotes, nested lists/tuples.
+_FIELD = st.integers(0, 10**6)
+_SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63, 2**64 + 1, -0.0, 1e16, 1e-300, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.text(alphabet=',"[]{}\\ a\n\u00e9', max_size=6),
+)
+_SYMBOLS = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=6
+)
+
+
+def _execution(transcript):
+    return Execution(
+        protocol="demo",
+        n=0,
+        rounds=1,
+        inputs=(),
+        output=None,
+        n_messages=len(transcript),
+        transcript=tuple(transcript),
+        tapes=(),
+    )
+
+
+def _same(a, b) -> bool:
+    """Equal values of identical types, all the way down; NaN matches NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def _check_against_per_line_json(transcript):
+    """Write and read back, against one json.dumps / json.loads per line."""
+    expected_text = "".join(f"{r},{s},{v},{json.dumps(y)}\n" for r, s, v, y in transcript)
+    expected = []
+    for line in expected_text.splitlines():
+        r, s, v, y = line.split(",", 3)
+        expected.append(Message(int(r), int(s), int(v), json.loads(y)))
+    e = _execution(transcript)
+    assert execution_records(e) == expected_text.splitlines()
+    fd, path = tempfile.mkstemp(suffix=".log")
+    os.close(fd)
+    try:
+        write_execution(e, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected_text.encode("utf-8")
+        got = read_execution_records(path)
+    finally:
+        os.remove(path)
+    assert type(got) is list and len(got) == len(expected)
+    assert all(map(_same, got, expected))
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         e = randomized_response_distributed([1, 0, 1, 1], 1.0, derive_rng(56))
@@ -692,3 +761,127 @@ class TestSerialization:
         e = randomized_response_distributed([1, 0], 1.0, derive_rng(0), record=False)
         with pytest.raises(ValueError):
             execution_records(e)
+
+    def test_failed_write_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "transcript.log"
+        path.write_text("1,0,1,0.5\n", encoding="utf-8")
+        e = randomized_response_distributed([1, 0], 1.0, derive_rng(0), record=False)
+        with pytest.raises(ValueError):
+            write_execution(e, str(path))
+        assert path.read_text(encoding="utf-8") == "1,0,1,0.5\n"
+
+    def test_empty_transcript(self, tmp_path):
+        path = tmp_path / "transcript.log"
+        write_execution(_execution([]), str(path))
+        assert path.read_bytes() == b""
+        assert read_execution_records(str(path)) == []
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "transcript.log"
+        path.write_text('\n1,0,1,0.5\n  \n\n2,1,0,"a,b"\r\n\n', encoding="utf-8")
+        assert read_execution_records(str(path)) == [Message(1, 0, 1, 0.5), Message(2, 1, 0, "a,b")]
+
+    @given(st.lists(st.tuples(_FIELD, _FIELD, _FIELD, _SYMBOLS), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_line_json(self, rows):
+        _check_against_per_line_json([Message(*row) for row in rows])
+
+    def test_matches_per_line_json_across_chunks(self):
+        # several chunks of the reader and writer, one of them holding a
+        # string and a list symbol, so both parse paths run
+        rng = derive_rng(57)
+        transcript = [Message(1, i, 0, v) for i, v in enumerate(rng.normal(size=10_000).tolist())]
+        transcript[5000] = Message(1, 5000, 0, "x,y")
+        transcript[5001] = Message(1, 5001, 0, [1, [2.5, None]])
+        transcript[9000] = Message(1, 9000, 0, math.nan)
+        _check_against_per_line_json(transcript)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2,3\n",  # three fields
+            "1,2,3,4,5\n",  # five fields
+            '1,2,3,"a",5\n',
+            "1,2,x,4\n",
+            "1.0,2,3,4\n",
+            "true,2,3,4\n",
+            "1,false,3,4\n",
+            '1,2,"3",4\n',
+            "1,2,3,{\n",  # invalid JSON symbol
+            "1,2,3,nan\n",
+            "1,2,3,4],[5,6,7,8\n",  # one line, two rows
+            '1,2,3,4],[1,2,3,"\n"\n',  # the quote pairs with the next line's
+            "1,2,3,[[0\n0]],[1,2,3,4\n",  # the bracket pairs with the next line's
+            "1,2,3,4\n1,2,3\n1,2,3,4,5\n",  # two and four commas average three
+        ],
+    )
+    def test_malformed_lines_rejected(self, tmp_path, text):
+        path = tmp_path / "transcript.log"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_execution_records(str(path))
+
+
+class TestRecordingMatchesPerElementConstruction:
+    """Recorded transcripts and tapes against the per-element construction.
+
+    The reference redraws each run's randomness from the same seed and
+    builds every record one element at a time from numpy arrays.
+    """
+
+    def _assert_same_run(self, e, records, tapes):
+        assert type(e.transcript) is tuple and all(type(m) is Message for m in e.transcript)
+        assert all(map(_same, e.transcript, records)) and len(e.transcript) == len(records)
+        assert _same(e.tapes, tapes)
+        coalition = {0, 2}
+        assert coalition_view(e, coalition).received == tuple(
+            m for m in records if m.receiver in coalition
+        )
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_gaussian_aggregator(self, zero_noise):
+        n, eps = 9, 1.0
+        x = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
+        _, e = gaussian_aggregator_sum(x, eps, derive_rng(58), zero_noise=zero_noise)
+        rng = derive_rng(58)
+        sigma = math.sqrt(gaussian_noise_variance(n, eps))
+        noise = np.zeros(n) if zero_noise else rng.normal(0.0, sigma, n)
+        y = x + noise
+        estimate = float(y.sum())
+        records = [Message(1, i, 0, float(y[i])) for i in range(1, n)]
+        records += [Message(2, 0, i, estimate) for i in range(1, n)]
+        self._assert_same_run(e, records, tuple(float(v) for v in noise))
+
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    def test_windowed_min(self, t):
+        n, eps, delta = 16, 1.0, 0.01
+        x = (derive_rng(59).random(n) < 0.5).astype(np.uint8)
+        estimate, e = windowed_min_protocol(x, eps, delta, t, 0.75, derive_rng(60, t))
+        # the same draws, with the shares and interval sums in Python ints
+        q = DEFAULT_MODULUS
+        scale = fixed_point_scale(n)
+        interval = windowed_min_sizes(n, 0.75)[1]
+        rng = derive_rng(60, t)
+        noisy = x + rng.normal(0.0, math.sqrt(2.0 * noise_base_variance(eps, delta) / n), n)
+        heads = rng.integers(0, q, size=(n, t), dtype=np.uint64).tolist() if t else [[]] * n
+        closing = [(int(np.rint(noisy[i] * scale)) - sum(heads[i])) % q for i in range(n)]
+        shares = np.array([heads[i] + [closing[i]] for i in range(n)], dtype=np.uint64)
+        agg = np.array(
+            [[sum(int(shares[i, j]) for i in range(m, m + interval)) % q for j in range(t + 1)]
+             for m in range(0, n, interval)],
+            dtype=np.uint64,
+        )
+        records = []
+        for i in range(n):
+            for j in range(t + 1):
+                if j != i:
+                    records.append(Message(1, i, j, int(shares[i, j])))
+        for j in range(1, t + 1):
+            for m in range(n // interval):
+                records.append(Message(2, j, 0, int(agg[m, j])))
+        for i in range(1, n):
+            records.append(Message(3, 0, i, estimate))
+        tapes = tuple(
+            (float(noisy[i] - x[i]), tuple(int(s) for s in shares[i])) for i in range(n)
+        )
+        self._assert_same_run(e, records, tapes)

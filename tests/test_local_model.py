@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -70,6 +71,31 @@ class TestRunNoninteractive:
         # standard error sqrt(2n/runs)
         se = math.sqrt(2 * n / runs)
         assert abs(estimates.mean() - true) < 3 * se
+
+    def test_batches_only_specs_equal_to_the_first(self):
+        params = flip_bias_for(1.0)
+        log = []
+
+        def counted(spec):
+            # fresh callables, so each counted spec is distinct from the others
+            return dataclasses.replace(
+                spec,
+                sample=lambda x, rng: log.append("one") or spec.sample(x, rng),
+                sample_many=lambda xs, rng: log.append("many") or spec.sample_many(xs, rng),
+            )
+
+        x = [1, 0, 1, 1]
+        summed = lambda msgs: int(np.sum(msgs))
+        run_noninteractive([counted(flip_sanitizer(params)) for _ in x], summed, x, derive_rng(0))
+        assert log == ["one"] * len(x)
+        log.clear()
+        s = counted(flip_sanitizer(params))
+        run_noninteractive([s] * len(x), summed, x, derive_rng(0))
+        assert log == ["many"]
+        log.clear()
+        # a copy holds the same callables, so it compares equal and is batched
+        run_noninteractive([s, dataclasses.replace(s)] * 2, summed, x, derive_rng(0))
+        assert log == ["many"]
 
     def test_single_party_message_distribution(self):
         s = flip_sanitizer(flip_bias_for(1.0))

@@ -9,12 +9,12 @@ CSV writer in ``cli``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import audit, distributed, fixtures, local_model
 from .core import min_window_weight, min_window_weight_gridded
@@ -462,6 +462,7 @@ def _rr_distributed(cfg: ExperimentConfig):
         ]
     )
     keep = table.sum(axis=0) > 0
+    from scipy import stats as scipy_stats  # only here, so `import dpdist` loads numpy only
     chi2, pvalue, _, _ = scipy_stats.chi2_contingency(table[:, keep])
     rows: List[Row] = [
         (0, "chi2_stat", float(chi2)),
@@ -563,12 +564,10 @@ def _symmetry(cfg: ExperimentConfig):
     rows: List[Row] = []
 
     # exact part: count distribution identical under every permutation (n=4)
-    import itertools as _it
-
     base = (1, 1, 0, 0)
     ref = local_model.rr_count_distribution(np.array(base, dtype=np.uint8), flip)
     worst = 0.0
-    for perm in _it.permutations(range(4)):
+    for perm in itertools.permutations(range(4)):
         permuted = np.array([base[j] for j in perm], dtype=np.uint8)
         dist = local_model.rr_count_distribution(permuted, flip)
         for kk in ref:
@@ -591,6 +590,7 @@ def _symmetry(cfg: ExperimentConfig):
     hx, _ = np.histogram(est_x, bins=edges)
     hp, _ = np.histogram(est_p, bins=edges)
     keep = (hx + hp) > 0
+    from scipy import stats as scipy_stats  # only here, so `import dpdist` loads numpy only
     chi2, pvalue, _, _ = scipy_stats.chi2_contingency(np.array([hx[keep], hp[keep]]))
     rows.append((1, "chi2_stat", float(chi2)))
     rows.append((1, "chi2_pvalue", float(pvalue)))

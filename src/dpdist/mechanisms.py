@@ -14,6 +14,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .core import _check_bits
+
 __all__ = [
     "PrivacyParams",
     "LaplaceParams",
@@ -141,14 +143,16 @@ def flip(
     """Randomized response: return x w.p. 0.5 + flip_bias, else 1 - x.
 
     Accepts a scalar bit or a bit array (flipped elementwise with
-    independent randomness).
+    independent randomness, returned as uint8; an element outside {0, 1}
+    raises ``ValueError``).
     """
     arr = np.asarray(x)
+    if arr.ndim:
+        _check_bits(arr)  # the XOR below would map 2 to 2 or 3, not to 1 - x
     keep = rng.random(arr.shape) < p.keep_prob
-    out = np.where(keep, arr, 1 - arr)
     if arr.ndim == 0:
-        return int(out)
-    return out.astype(np.uint8)
+        return int(np.where(keep, arr, 1 - arr))
+    return arr.astype(np.uint8, copy=False) ^ ~keep
 
 
 def flip_output_prob(x: int, out: int, p: FlipParams) -> float:

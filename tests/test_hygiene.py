@@ -1,18 +1,41 @@
-"""Source hygiene checks on the dpdist package, using only the stdlib.
+"""Source and import hygiene checks on the dpdist package.
 
 Every name a module exports through ``__all__`` must exist, and no module
 may import a name it never uses (``__init__.py`` imports only to
-re-export, so it is exempt from the second check).
+re-export, so it is exempt from the second check).  Importing the package
+and its CLI loads numpy and the stdlib only; ``scipy.stats`` loads on the
+first experiment that runs a chi-squared test, and that lazy load must not
+change a byte of its CSV.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from dpdist.cli import run_experiment
+from dpdist.experiments import ExperimentConfig
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "dpdist"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _fresh_python(code: str):
+    """Run ``code`` in a new interpreter that imports dpdist from this tree; return its JSON stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("stem", MODULES)
@@ -40,3 +63,43 @@ def _unused_imports(tree: ast.Module):
 def test_no_unused_imports(stem):
     tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
     assert _unused_imports(tree) == [], f"{stem}.py imports names it never uses"
+
+
+def test_import_loads_numpy_and_stdlib_only():
+    report = _fresh_python(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import dpdist, dpdist.cli\n"
+        "print(json.dumps({'file': dpdist.__file__,\n"
+        "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "    'new': sorted({m.split('.')[0] for m in set(sys.modules) - before})}))\n"
+    )
+    assert Path(report["file"]).parent == SRC
+    assert report["scipy"] == []
+    assert "numpy" in report["new"]
+    foreign = [m for m in report["new"] if m not in ("dpdist", "numpy") and m not in sys.stdlib_module_names]
+    assert foreign == [], f"import dpdist.cli loads third-party modules {foreign}"
+
+
+CHI2_CONFIGS = [
+    dict(experiment="symmetry", n=40, trials=300, seed=5),
+    dict(experiment="rr-distributed", n=6, trials=300, seed=5),
+]
+
+
+def test_lazy_scipy_load_keeps_csv_bytes():
+    """A fresh interpreter loads scipy.stats on its first chi-squared run; its CSVs match this process's."""
+    report = _fresh_python(
+        "import json, sys\n"
+        "from dpdist.cli import run_experiment\n"
+        "from dpdist.experiments import ExperimentConfig\n"
+        "loaded = ['scipy.stats' in sys.modules]\n"
+        "texts = []\n"
+        f"for kw in {CHI2_CONFIGS!r}:\n"
+        "    texts.append(run_experiment(ExperimentConfig(**kw)))\n"
+        "    loaded.append('scipy.stats' in sys.modules)\n"
+        "print(json.dumps({'loaded': loaded, 'texts': texts}))\n"
+    )
+    assert report["loaded"] == [False, True, True]
+    importlib.import_module("scipy.stats")
+    assert report["texts"] == [run_experiment(ExperimentConfig(**kw)) for kw in CHI2_CONFIGS]

@@ -168,6 +168,49 @@ class TestFlip:
         assert flip(1, FlipParams(0.4999), derive_rng(0)) in (0, 1)
 
 
+class TestFlipMatchesWhereOracle:
+    """The array path equals ``np.where(keep, x, 1 - x)`` on the same ``keep`` draws."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(0,), (1,), (7,), (1000,), (0, 4), (3, 5)]),
+        st.sampled_from([np.uint8, np.bool_, np.int64, np.float64]),
+        st.floats(min_value=0.01, max_value=0.49),
+    )
+    def test_draw_for_draw(self, seed, shape, dtype, bias):
+        p = FlipParams(bias)
+        x = (derive_rng(seed).random(shape) < 0.5).astype(dtype)
+        rng, twin = derive_rng(seed, 1), derive_rng(seed, 1)
+        got = flip(x, p, rng)
+        keep = twin.random(shape) < p.keep_prob
+        assert got.dtype == np.uint8 and got.shape == shape
+        np.testing.assert_array_equal(got, np.where(keep, x, 1 - x))
+        assert rng.random() == twin.random()  # the same number of draws
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0, 2], dtype=np.uint8),
+            np.array([[1, 0], [255, 1]], dtype=np.uint8),
+            np.array([0, -1]),
+            np.array([1.0, 0.5]),
+            np.array([np.nan]),
+        ],
+    )
+    def test_non_bits_raise_before_drawing(self, x):
+        rng, twin = derive_rng(4), derive_rng(4)
+        with pytest.raises(ValueError, match="0 or 1"):
+            flip(x, FlipParams(0.2), rng)
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("x", [0, 1, np.uint8(1), np.int64(0)])
+    def test_scalar_returns_int(self, x):
+        p = FlipParams(0.2)
+        out = flip(x, p, derive_rng(9))
+        assert type(out) is int
+        assert out == (x if derive_rng(9).random() < p.keep_prob else 1 - x)
+
+
 class TestLaplaceMechanism:
     def test_tail_as_approximation(self):
         rng = derive_rng(20)

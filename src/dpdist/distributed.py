@@ -56,17 +56,13 @@ __all__ = [
     "randomized_response_distributed",
     "gaussian_aggregator_sum",
     "gaussian_noise_variance",
-    "ShareParams",
-    "ShareVector",
     "DEFAULT_MODULUS",
     "fixed_point_scale",
-    "additive_share",
-    "reconstruct",
+    "share_mod_q",
+    "sum_mod_q",
     "windowed_min_protocol",
     "windowed_min_sizes",
     "noise_base_variance",
-    "message_count",
-    "round_count",
     "execution_records",
     "write_execution",
     "read_execution_records",
@@ -231,15 +227,6 @@ class Execution:
     n_messages: int
     transcript: Optional[Tuple[Message, ...]] = None
     tapes: Optional[Tuple[Any, ...]] = None
-
-
-def message_count(e: Execution) -> int:
-    """Number of point-to-point records in the execution."""
-    return e.n_messages
-
-
-def round_count(e: Execution) -> int:
-    return e.rounds
 
 
 def run_protocol_with_tapes(
@@ -637,83 +624,59 @@ def fixed_point_scale(n: int) -> int:
     return 10 ** math.ceil(math.log10(n)) if n > 1 else 10
 
 
-@dataclass(frozen=True)
-class ShareParams:
-    """Field modulus and fixed-point scale for additive sharing."""
-
-    modulus: int = DEFAULT_MODULUS
-    scale: int = 1
-
-    def __post_init__(self):
-        if self.modulus < 3:
-            raise ValueError("modulus must be at least 3")
-        if self.scale < 1:
-            raise ValueError("scale must be positive")
-
-    def encode(self, value: float) -> int:
-        k = round(value * self.scale)
-        if abs(k) > (self.modulus - 1) // 2:
-            raise ValueError(f"value {value} overflows the modulus range")
-        return k % self.modulus
-
-    def decode(self, residue: int) -> float:
-        residue %= self.modulus
-        if residue > self.modulus // 2:
-            residue -= self.modulus
-        return residue / self.scale
-
-
-@dataclass(frozen=True)
-class ShareVector:
-    """Additive shares of one fixed-point value; all shares reconstruct it."""
-
-    shares: Tuple[int, ...]
-    params: ShareParams
-
-    def __len__(self) -> int:
-        return len(self.shares)
-
-
-def additive_share(
-    value: float, parts: int, params: ShareParams, rng: np.random.Generator
-) -> ShareVector:
-    """Split a value into ``parts`` additive shares mod the field prime.
-
-    Any proper subset of shares is uniformly distributed independently of
-    the value; only the full set reconstructs it.
-    """
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
-    q = params.modulus
-    target = params.encode(value)
-    head = [int(v) for v in rng.integers(0, q, size=parts - 1, dtype=np.uint64)]
-    last = (target - sum(head)) % q
-    return ShareVector(shares=tuple(head + [last]), params=params)
-
-
-def reconstruct(sv: ShareVector) -> float:
-    """Recover the fixed-point value from all shares."""
-    return sv.params.decode(sum(sv.shares) % sv.params.modulus)
-
-
-# uint64 helpers: q slightly exceeds 2^63, so a+b can wrap past 2^64; the
-# wrap is detected (sum < addend) and compensated by adding 2^64 - q.
+# uint64 helpers: q slightly exceeds 2^63, so a+b of two residues can wrap
+# past 2^64.  A wrapped sum (s < a) is a+b-2^64, and subtracting q from it
+# mod 2^64 gives a+b-q, exactly as for an unwrapped s >= q.
 _Q64 = np.uint64(DEFAULT_MODULUS)
-_WRAP64 = np.uint64(2**64 - DEFAULT_MODULUS)
 
 
 def _add_mod_q(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    s = a + b
-    return np.where(s < a, s + _WRAP64, np.where(s >= _Q64, s - _Q64, s))
+    # ufuncs, not operators: on numpy scalars the operators warn when they wrap
+    s = np.add(a, b)
+    return np.where((s < a) | (s >= _Q64), np.subtract(s, _Q64), s)
 
 
-def _encode_mod_q(k: np.ndarray) -> np.ndarray:
-    """Signed int64 values to field residues (|k| must be < q/2)."""
-    k = np.asarray(k, dtype=np.int64)
-    if np.any(np.abs(k) > (DEFAULT_MODULUS - 1) // 2):
-        raise ValueError("value overflows the modulus range")
-    neg = k < 0
-    return np.where(neg, _Q64 - (-k).astype(np.uint64), k.astype(np.uint64))
+def _as_residues(r: Any) -> np.ndarray:
+    r = np.asarray(r, dtype=np.uint64)
+    if r.size and r.max() >= _Q64:
+        raise ValueError(f"residues must lie in [0, {DEFAULT_MODULUS})")
+    return r
+
+
+def sum_mod_q(residues: Any, axis: int) -> np.ndarray:
+    """Sum field residues along ``axis`` mod q, in index order; the empty sum is 0."""
+    terms = np.moveaxis(_as_residues(residues), axis, 0)
+    if not len(terms):
+        return np.zeros(terms.shape[1:], dtype=np.uint64)
+    # a copy, so that a one-term sum does not alias the input
+    return functools.reduce(_add_mod_q, terms[1:], terms[0].copy())
+
+
+def share_mod_q(residues: Any, parts: int, rng: np.random.Generator) -> np.ndarray:
+    """Split each field residue into ``parts`` additive shares mod q.
+
+    Returns a ``(..., parts)`` uint64 array whose last axis sums to the
+    residue mod q.  The first ``parts - 1`` shares are uniform draws and the
+    last closes the sum, so any ``parts - 1`` shares are uniform whatever the
+    residue; only all of them reconstruct it.
+    """
+    if parts < 1:
+        raise ValueError("parts must be at least 1")
+    r = _as_residues(residues)
+    heads = rng.integers(0, DEFAULT_MODULUS, size=r.shape + (parts - 1,), dtype=np.uint64)
+    acc = sum_mod_q(heads, -1)
+    closing = _add_mod_q(r, np.where(acc == 0, acc, _Q64 - acc))  # r - acc mod q
+    return np.concatenate((heads, closing[..., None]), axis=-1)
+
+
+def _encode_mod_q(k: Any) -> np.ndarray:
+    """Integer-valued numbers to field residues; NaN, +-inf or |k| > (q-1)/2 raise."""
+    k = np.asarray(k)
+    half = (DEFAULT_MODULUS - 1) // 2
+    if not np.all((k >= -half) & (k <= half)):  # checked before the int64 cast, which wraps
+        raise ValueError("value is not finite or overflows the modulus range")
+    k = k.astype(np.int64)
+    return np.where(k < 0, _Q64 - (-k).astype(np.uint64), k.astype(np.uint64))
 
 
 def _decode_mod_q(r: np.ndarray) -> np.ndarray:
@@ -787,36 +750,17 @@ def windowed_min_protocol(
     n_intervals = n // interval
     per_window = window // interval
     r_base = noise_base_variance(eps, delta)
-    params = ShareParams(modulus=DEFAULT_MODULUS, scale=fixed_point_scale(n))
+    scale = fixed_point_scale(n)
 
     if zero_noise:
         noisy = bits.astype(float)
     else:
         noisy = bits + rng.normal(0.0, math.sqrt(2.0 * r_base / n), n)
-    scaled = _encode_mod_q(np.rint(noisy * params.scale).astype(np.int64))
-
     # shares[i, j] = share of party i's value held by aggregator j
-    shares = np.empty((n, t + 1), dtype=np.uint64)
-    if t > 0:
-        shares[:, :t] = rng.integers(0, DEFAULT_MODULUS, size=(n, t), dtype=np.uint64)
-        acc = shares[:, 0]
-        for j in range(1, t):
-            acc = _add_mod_q(acc, shares[:, j])
-        # closing share: scaled - acc mod q
-        neg = np.where(acc == 0, np.uint64(0), _Q64 - acc)
-        shares[:, t] = _add_mod_q(scaled, neg)
-    else:
-        shares[:, 0] = scaled
-
-    # per-aggregator, per-interval share sums
-    grouped = shares.reshape(n_intervals, interval, t + 1)
-    agg = grouped[:, 0, :]
-    for k in range(1, interval):
-        agg = _add_mod_q(agg, grouped[:, k, :])
-    totals = agg[:, 0]
-    for j in range(1, t + 1):
-        totals = _add_mod_q(totals, agg[:, j])
-    interval_sums = _decode_mod_q(totals).astype(float) / params.scale
+    shares = share_mod_q(_encode_mod_q(np.rint(noisy * scale)), t + 1, rng)
+    # per-aggregator, per-interval share sums, then each interval's total
+    agg = sum_mod_q(shares.reshape(n_intervals, interval, t + 1), 1)
+    interval_sums = _decode_mod_q(sum_mod_q(agg, 1)).astype(float) / scale
 
     window_sums = np.convolve(interval_sums, np.ones(per_window), mode="valid")
     estimate = float(window_sums.min())

@@ -417,9 +417,9 @@ def _message_accounting(cfg: ExperimentConfig):
     e = distributed.randomized_response_distributed(
         _half_ones(n_rr), 1.0, derive_rng(seed, 0), record=True
     )
-    rows.append((0, "rr_messages", distributed.message_count(e)))
+    rows.append((0, "rr_messages", e.n_messages))
     rows.append((0, "rr_expected", 2 * (n_rr - 1)))
-    rows.append((0, "rr_rounds", distributed.round_count(e)))
+    rows.append((0, "rr_rounds", e.rounds))
 
     n_wm, t, alpha_exp = 256, 7, 0.75
     _, e = distributed.windowed_min_protocol(
@@ -427,15 +427,15 @@ def _message_accounting(cfg: ExperimentConfig):
     )
     _, interval = distributed.windowed_min_sizes(n_wm, alpha_exp)
     expected = (t + 1) * (n_wm - 1) + t * (n_wm // interval) + (n_wm - 1)
-    rows.append((1, "windowed_min_messages", distributed.message_count(e)))
+    rows.append((1, "windowed_min_messages", e.n_messages))
     rows.append((1, "windowed_min_expected", expected))
-    rows.append((1, "windowed_min_rounds", distributed.round_count(e)))
+    rows.append((1, "windowed_min_rounds", e.rounds))
 
     n_g = 64
     _, e = distributed.gaussian_aggregator_sum(_half_ones(n_g), 1.0, derive_rng(seed, 2))
-    rows.append((2, "gaussian_messages", distributed.message_count(e)))
+    rows.append((2, "gaussian_messages", e.n_messages))
     rows.append((2, "gaussian_expected", 2 * (n_g - 1)))
-    rows.append((2, "gaussian_rounds", distributed.round_count(e)))
+    rows.append((2, "gaussian_rounds", e.rounds))
     return params, rows
 
 
@@ -470,10 +470,10 @@ def _rr_distributed(cfg: ExperimentConfig):
         (0, "reject_at_0.001", float(pvalue < 0.001)),
     ]
     e = distributed.randomized_response_distributed(x, eps, derive_rng(cfg.seed, 2))
-    rows.append((0, "messages", distributed.message_count(e)))
+    rows.append((0, "messages", e.n_messages))
     rows.append((0, "expected_messages", 2 * (n - 1)))
     e1 = distributed.randomized_response_distributed([1], eps, derive_rng(cfg.seed, 3))
-    rows.append((0, "n1_messages", distributed.message_count(e1)))
+    rows.append((0, "n1_messages", e1.n_messages))
     return params, rows
 
 

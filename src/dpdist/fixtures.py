@@ -176,11 +176,7 @@ class SharedModularSumProtocol(Protocol):
             partial = (self._own_share(x_i, tape) + sum(s for _, s in received[0])) % self.modulus
             return {} if i == 0 else {0: partial}
         if i == 0:
-            total = (
-                self._own_share(x_i, tape)
-                + sum(s for _, s in received[0])
-                + sum(s for _, s in received[1])
-            ) % self.modulus
+            total = self.output(x_i, tape, received)
             return {1: total, 2: total}
         return {}
 

@@ -143,12 +143,14 @@ def flip(
     """Randomized response: return x w.p. 0.5 + flip_bias, else 1 - x.
 
     Accepts a scalar bit or a bit array (flipped elementwise with
-    independent randomness, returned as uint8; an element outside {0, 1}
-    raises ``ValueError``).
+    independent randomness, returned as uint8).  A scalar outside {0, 1},
+    or an array with such an element, raises ``ValueError`` before any draw.
     """
     arr = np.asarray(x)
     if arr.ndim:
         _check_bits(arr)  # the XOR below would map 2 to 2 or 3, not to 1 - x
+    elif arr not in (0, 1):  # 1 - x would map 2 to -1 and 0.5 to 0
+        raise ValueError("every element must be 0 or 1")
     keep = rng.random(arr.shape) < p.keep_prob
     if arr.ndim == 0:
         return int(np.where(keep, arr, 1 - arr))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from typing import Dict
 
 import numpy as np
@@ -20,9 +21,7 @@ from dpdist.distributed import (
     Message,
     ObliviousnessViolationError,
     Protocol,
-    ShareParams,
     Topology,
-    additive_share,
     classify,
     coalition_view,
     coalition_view_distribution,
@@ -35,16 +34,15 @@ from dpdist.distributed import (
     fixed_point_scale,
     gaussian_aggregator_sum,
     gaussian_noise_variance,
-    message_count,
     noise_base_variance,
     random_topology,
     randomized_response_distributed,
     read_execution_records,
-    reconstruct,
-    round_count,
     run_protocol,
     run_protocol_with_tapes,
+    share_mod_q,
     star_topology,
+    sum_mod_q,
     windowed_min_protocol,
     windowed_min_sizes,
     write_execution,
@@ -206,7 +204,7 @@ class TestEngine:
         e = run_protocol(p, fixture_topology(p), [1, 0], derive_rng(0))
         assert e.transcript == (Message(1, 0, 1, 1),)
         assert e.output == 1
-        assert message_count(e) == 1 and round_count(e) == 1
+        assert e.n_messages == 1 and e.rounds == 1
 
     def test_replay_determinism(self):
         p = NoisyParityProtocol(flip_bias_for(1.0))
@@ -232,7 +230,7 @@ class TestEngine:
 
     def test_empty_protocol_sends_nothing(self):
         e = run_protocol(_Empty(), complete_topology(2), [1, 0], derive_rng(0))
-        assert message_count(e) == 0
+        assert e.n_messages == 0
         assert e.transcript == ()
 
     def test_fixed_communication_across_seeds(self):
@@ -434,12 +432,12 @@ class TestRRDistributed:
 
     def test_message_count(self):
         e = randomized_response_distributed(np.ones(100, dtype=np.uint8), 1.0, derive_rng(0))
-        assert message_count(e) == 198
-        assert round_count(e) == 2
+        assert e.n_messages == 198
+        assert e.rounds == 2
 
     def test_single_party(self):
         e = randomized_response_distributed([1], 1.0, derive_rng(36))
-        assert message_count(e) == 0
+        assert e.n_messages == 0
         params = flip_bias_for(1.0)
         assert e.output in (rr_debias(0.0, 1, params), rr_debias(1.0, 1, params))
 
@@ -453,7 +451,7 @@ class TestGaussianAggregator:
 
     def test_message_count(self):
         _, e = gaussian_aggregator_sum(np.ones(64, dtype=np.uint8), 1.0, derive_rng(0))
-        assert message_count(e) == 126 and round_count(e) == 2
+        assert e.n_messages == 126 and e.rounds == 2
 
     def test_needs_two_parties(self):
         with pytest.raises(ValueError):
@@ -483,6 +481,27 @@ class TestGaussianAggregator:
         assert all(isinstance(s, float) for s in symbols)
 
 
+_Q = DEFAULT_MODULUS
+# residues near q, and pairs whose sum is near 2^64 (2^63 + 2^63 wraps to 0)
+_RESIDUES = st.one_of(
+    st.integers(0, _Q - 1),
+    st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**63 + 1, _Q - 2, _Q - 1, 2**64 - _Q]),
+)
+_RESIDUE_ARRAYS = st.sampled_from([(), (0,), (1,), (7,), (2, 3), (3, 0, 2), (2, 2, 2)]).flatmap(
+    lambda shape: st.lists(_RESIDUES, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda values: np.array(values, dtype=np.uint64).reshape(shape)
+    )
+)
+
+
+def _fixed_point_round_trip(values, scale, parts, rng):
+    """Encode at ``scale``, share into ``parts``, sum the shares and decode."""
+    residues = ds._encode_mod_q(np.rint(np.asarray(values) * scale))
+    shares = share_mod_q(residues, parts, rng)
+    assert shares.shape == residues.shape + (parts,)
+    return ds._decode_mod_q(sum_mod_q(shares, -1)) / scale
+
+
 class TestAdditiveSharing:
     def test_default_modulus_is_smallest_prime_above_2_63(self):
         sympy = pytest.importorskip("sympy")
@@ -493,46 +512,98 @@ class TestAdditiveSharing:
     def test_wrap_aware_addition(self):
         # sums that wrap past 2^64 still reduce correctly mod q
         q = DEFAULT_MODULUS
-        a = np.array([q - 1, q - 1, 0, 123], dtype=np.uint64)
-        b = np.array([q - 1, 1, 0, 456], dtype=np.uint64)
+        a = np.array([q - 1, q - 1, 0, 123, 2**63], dtype=np.uint64)
+        b = np.array([q - 1, 1, 0, 456, 2**63], dtype=np.uint64)
         got = ds._add_mod_q(a, b)
         expected = [(int(x) + int(y)) % q for x, y in zip(a, b)]
         assert [int(v) for v in got] == expected
 
     def test_encode_decode_mod_q(self):
-        values = np.array([0, 1, -1, 12345, -98765], dtype=np.int64)
+        half = (DEFAULT_MODULUS - 1) // 2
+        values = np.array([0, 1, -1, 12345, -98765, half, -half], dtype=np.int64)
         assert np.array_equal(ds._decode_mod_q(ds._encode_mod_q(values)), values)
+        floats = np.array([0.0, -3.0, 2.0**62, -(2.0**62)])
+        assert np.array_equal(ds._decode_mod_q(ds._encode_mod_q(floats)), floats.astype(np.int64))
 
     def test_shares_of_zero_sum_to_zero(self):
-        params = ShareParams()
         for parts in (1, 2, 5):
-            sv = additive_share(0.0, parts, params, derive_rng(parts))
-            assert sum(sv.shares) % params.modulus == 0
+            shares = share_mod_q(np.zeros(1, dtype=np.uint64), parts, derive_rng(parts))
+            assert shares.shape == (1, parts)
+            assert sum(map(int, shares[0])) % DEFAULT_MODULUS == 0
+            assert sum_mod_q(shares, -1).tolist() == [0]
 
     def test_fixed_point_round_trip(self):
-        params = ShareParams(scale=fixed_point_scale(100))
-        assert params.scale == 100
-        sv = additive_share(3.14159, 4, params, derive_rng(39))
-        assert reconstruct(sv) == pytest.approx(3.14, abs=1e-12)
+        assert fixed_point_scale(100) == 100
+        got = _fixed_point_round_trip([3.14159], fixed_point_scale(100), 4, derive_rng(39))
+        assert got[0] == pytest.approx(3.14, abs=1e-12)
 
     def test_negative_values_round_trip(self):
-        params = ShareParams(scale=10_000)
-        sv = additive_share(-2.71828, 3, params, derive_rng(40))
-        assert reconstruct(sv) == pytest.approx(-2.7183, abs=1e-12)
+        got = _fixed_point_round_trip([-2.71828], 10_000, 3, derive_rng(40))
+        assert got[0] == pytest.approx(-2.7183, abs=1e-12)
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
-            additive_share(1e30, 2, ShareParams(scale=10_000), derive_rng(0))
+            _fixed_point_round_trip([1e30], 10_000, 2, derive_rng(0))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([2.0**70]),
+            np.array([1.0, -(2.0**63)]),
+            np.array([np.nan]),
+            np.array([0.0, np.inf]),
+            np.array([-np.inf]),
+            np.array([(DEFAULT_MODULUS - 1) // 2 + 1]),
+            np.array([np.iinfo(np.int64).min]),
+        ],
+    )
+    def test_encode_rejects_non_finite_and_out_of_range(self, values):
+        # each of these used to wrap in the int64 cast to a small residue
+        with pytest.raises(ValueError, match="not finite or overflows"):
+            ds._encode_mod_q(values)
+
+    def test_residues_outside_the_field_rejected(self):
+        with pytest.raises(ValueError, match="residues must lie"):
+            share_mod_q(np.array([DEFAULT_MODULUS], dtype=np.uint64), 2, derive_rng(0))
+        with pytest.raises(ValueError, match="residues must lie"):
+            sum_mod_q(np.array([[1], [2**64 - 1]], dtype=np.uint64), 0)
+        with pytest.raises(ValueError, match="parts"):
+            share_mod_q(np.zeros(1, dtype=np.uint64), 0, derive_rng(0))
+
+    def test_empty_sum_is_zero(self):
+        assert sum_mod_q(np.zeros((0, 3), dtype=np.uint64), 0).tolist() == [0, 0, 0]
+        assert sum_mod_q(np.zeros((2, 0), dtype=np.uint64), 1).tolist() == [0, 0]
+
+    def test_one_part_is_the_residue_and_draws_nothing(self):
+        residues = np.array([0, 5, DEFAULT_MODULUS - 1], dtype=np.uint64)
+        rng, twin = derive_rng(7), derive_rng(7)
+        shares = share_mod_q(residues, 1, rng)
+        assert shares.dtype == np.uint64 and shares.tolist() == [[0], [5], [DEFAULT_MODULUS - 1]]
+        assert rng.random() == twin.random()
+
+    @given(_RESIDUE_ARRAYS, st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_share_rows_sum_to_the_residue(self, residues, parts, seed):
+        shares = share_mod_q(residues, parts, derive_rng(seed))
+        assert shares.dtype == np.uint64 and shares.shape == residues.shape + (parts,)
+        rows = shares.reshape(-1, parts).tolist()
+        assert all(s < DEFAULT_MODULUS for row in rows for s in row)
+        assert [sum(row) % DEFAULT_MODULUS for row in rows] == residues.ravel().tolist()
+
+    @given(_RESIDUE_ARRAYS)
+    @settings(max_examples=200, deadline=None)
+    def test_sum_matches_python_ints_on_every_axis(self, residues):
+        for axis in range(-residues.ndim, residues.ndim):
+            got = sum_mod_q(residues, axis)
+            want = np.moveaxis(residues.astype(object), axis, 0).sum(axis=0) % DEFAULT_MODULUS
+            assert got.dtype == np.uint64 and got.shape == np.shape(want)
+            assert got.tolist() == np.asarray(want).tolist()
 
     def test_closing_share_marginal_is_uniform(self):
-        params = ShareParams()
-        rng = derive_rng(41)
         trials = 100_000
-        closing = np.array(
-            [additive_share(1.0, 3, params, rng).shares[-1] for _ in range(trials)],
-            dtype=float,
-        )
-        buckets = np.floor(closing * 64.0 / params.modulus).astype(int)
+        residues = ds._encode_mod_q(np.ones(trials))
+        closing = share_mod_q(residues, 3, derive_rng(41))[:, -1].astype(float)
+        buckets = np.floor(closing * 64.0 / DEFAULT_MODULUS).astype(int)
         counts = np.bincount(buckets, minlength=64)
         _, pvalue = scipy_stats.chisquare(counts)
         assert pvalue > 0.001
@@ -540,14 +611,12 @@ class TestAdditiveSharing:
     def test_any_t_shares_hide_the_secret(self):
         # exhaustive over a tiny field: the joint law of any 2 of 3 shares
         # is the same for every secret
-        params = ShareParams(modulus=17, scale=1)
-        q = params.modulus
+        q = 17
 
         def joint_counts(secret, keep):
             counts: Dict = {}
-            target = params.encode(secret)
             for u1, u2 in itertools.product(range(q), range(q)):
-                shares = (u1, u2, (target - u1 - u2) % q)
+                shares = (u1, u2, (secret - u1 - u2) % q)
                 key = tuple(shares[i] for i in keep)
                 counts[key] = counts.get(key, 0) + 1
             return counts
@@ -556,11 +625,9 @@ class TestAdditiveSharing:
             assert joint_counts(3, keep) == joint_counts(7, keep)
 
     def test_reconstruct_from_protocol_shares(self):
-        params = ShareParams(scale=10)
-        rng = derive_rng(42)
-        for value in (0.0, 1.5, -4.2, 12.3):
-            sv = additive_share(value, 6, params, rng)
-            assert reconstruct(sv) == pytest.approx(round(value * 10) / 10, abs=1e-12)
+        values = np.array([0.0, 1.5, -4.2, 12.3])
+        got = _fixed_point_round_trip(values, 10, 6, derive_rng(42))
+        assert got.tolist() == pytest.approx([round(v * 10) / 10 for v in values], abs=1e-12)
 
 
 class TestWindowedMin:
@@ -593,12 +660,21 @@ class TestWindowedMin:
         x = np.zeros(n, dtype=np.uint8)
         _, e = windowed_min_protocol(x, 1.0, 0.01, t, 0.75, derive_rng(47))
         # (t+1)(n-1) sharing + t * (n/interval) aggregation + (n-1) output
-        assert message_count(e) == 8 * 255 + 7 * 64 + 255 == 2743
-        assert round_count(e) == 3
+        assert e.n_messages == 8 * 255 + 7 * 64 + 255 == 2743
+        assert e.rounds == 3
 
     def test_requires_2t_below_n(self):
         with pytest.raises(ValueError):
             windowed_min_protocol(np.zeros(16, dtype=np.uint8), 1.0, 0.01, 8, 0.75, derive_rng(0))
+
+    def test_tiny_eps_raises_instead_of_wrapping(self):
+        # noise of sd ~7e18 scales past 2^62 at scale 10^4; the int64 cast
+        # used to wrap it (with a RuntimeWarning) into an estimate of ~1.48
+        x = (derive_rng(61).random(4096) < 0.5).astype(np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite or overflows"):
+                windowed_min_protocol(x, 1e-20, 0.01, 7, 0.75, derive_rng(62), record=False)
 
     def test_fixed_communication_across_seeds(self):
         x = (derive_rng(48).random(16) < 0.5).astype(np.uint8)

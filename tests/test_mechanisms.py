@@ -203,6 +203,14 @@ class TestFlipMatchesWhereOracle:
             flip(x, FlipParams(0.2), rng)
         assert rng.random() == twin.random()
 
+    @pytest.mark.parametrize("x", [2, -1, 0.5, float("nan"), np.uint8(2), np.array(3), "1"])
+    def test_non_bit_scalars_raise_before_drawing(self, x):
+        # 1 - x used to turn 2 into 2 or -1, and 0.5 into 0
+        rng, twin = derive_rng(5), derive_rng(5)
+        with pytest.raises(ValueError, match="0 or 1"):
+            flip(x, FlipParams(0.2), rng)
+        assert rng.random() == twin.random()
+
     @pytest.mark.parametrize("x", [0, 1, np.uint8(1), np.int64(0)])
     def test_scalar_returns_int(self, x):
         p = FlipParams(0.2)

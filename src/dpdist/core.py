@@ -204,10 +204,10 @@ def gap_threshold(x: Bits, p: GapParams) -> GapValue:
 
 
 def _window_sums(bits: np.ndarray, window: int) -> np.ndarray:
-    """Weights of all length-``window`` substrings, by sliding recurrence."""
-    c = np.cumsum(bits, dtype=np.int64)
-    out = c[window - 1 :].copy()
-    out[1:] -= c[: bits.size - window]
+    """int64 weights of all length-``window`` substrings on the last axis, by sliding recurrence."""
+    c = np.cumsum(bits, axis=-1, dtype=np.int64)
+    out = c[..., window - 1 :].copy()
+    out[..., 1:] -= c[..., : bits.shape[-1] - window]
     return out
 
 

@@ -167,7 +167,6 @@ class Protocol:
     view, so the curator compiler can have that party announce it.
     """
 
-    name: str = "protocol"
     n: int = 0
     rounds: int = 0
     output_party: int = 0
@@ -219,7 +218,6 @@ class Execution:
     Lean runs (``record=False``) drop both but keep exact message counts.
     """
 
-    protocol: str
     n: int
     rounds: int
     inputs: Tuple[int, ...]
@@ -250,7 +248,8 @@ def run_protocol_with_tapes(
     used: set = set()
     n_messages = 0
     for rnd in range(1, protocol.rounds + 1):
-        round_sends: List[Tuple[int, int, Any]] = []
+        # round-rnd sends go to inboxes that ``received`` takes in only after every party has sent
+        inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
         for i in range(n):
             sends = protocol.send(i, xs[i], tapes[i], rnd, tuple(received[i]))
             for receiver in sorted(sends):
@@ -260,13 +259,10 @@ def run_protocol_with_tapes(
                         f"round {rnd}: undeclared channel {i}->{receiver}"
                     )
                 used.add(pair)
-                round_sends.append((i, receiver, sends[receiver]))
-        inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
-        for sender, receiver, symbol in round_sends:
-            inboxes[receiver].append((sender, symbol))
-            n_messages += 1
-            if record:
-                transcript.append(Message(rnd, sender, receiver, symbol))
+                inboxes[receiver].append((i, sends[receiver]))
+                if record:
+                    transcript.append(Message(rnd, i, receiver, sends[receiver]))
+            n_messages += len(sends)
         for i in range(n):
             received[i].append(tuple(inboxes[i]))
     if used != declared:
@@ -275,7 +271,6 @@ def run_protocol_with_tapes(
     p = protocol.output_party
     output = protocol.output(xs[p], tapes[p], tuple(received[p]))
     return Execution(
-        protocol=protocol.name,
         n=n,
         rounds=protocol.rounds,
         inputs=tuple(xs),
@@ -424,7 +419,6 @@ class CompiledLocalProtocol:
     parties: Tuple[InteractiveParty, ...]
     curator: Curator
     rounds: int
-    n: int
 
     def enumerate(self, x: Bits):
         return enumerate_interactive(self.parties, self.curator, x, self.rounds)
@@ -492,7 +486,7 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
 
     parties = tuple(make_party(i) for i in range(n))
     return CompiledLocalProtocol(
-        parties=parties, curator=Curator(query=query, output=output), rounds=ell + 1, n=n
+        parties=parties, curator=Curator(query=query, output=output), rounds=ell + 1
     )
 
 
@@ -517,7 +511,6 @@ class RRStarProtocol(FlipTapeProtocol):
         self.eps = eps
         self.params = flip_bias_for(eps)
         self.keep_prob = self.params.keep_prob
-        self.name = f"rr-star(n={n},eps={eps:g})"
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset((0, i) for i in range(1, self.n))
@@ -554,16 +547,28 @@ def randomized_response_distributed(
 # ---------------------------------------------------------------------------
 
 
+def _over_eps_squared(numerator: float, n: int, eps: float) -> float:
+    """numerator / (n eps^2), evaluated as ``numerator / (n * eps * eps)``.
+
+    Raises ``ValueError`` naming eps unless eps is finite and positive, its
+    square does not underflow to 0 and the quotient does not overflow.
+    """
+    if math.isfinite(eps) and eps > 0 and eps * eps > 0:
+        v = numerator / (n * eps * eps)
+        if math.isfinite(v):
+            return v
+    raise ValueError(f"eps must be finite and positive, with a finite noise variance; got {eps!r}")
+
+
 def gaussian_noise_variance(n: int, eps: float) -> float:
     """Per-party noise variance 6 ln^2(n) / (n eps^2)."""
-    return 6.0 * math.log(n) ** 2 / (n * eps * eps)
+    return _over_eps_squared(6.0 * math.log(n) ** 2, n, eps)
 
 
 def gaussian_aggregator_sum(
     x: Bits,
     eps: float,
     rng: np.random.Generator,
-    t: Optional[int] = None,
     zero_noise: bool = False,
     record: bool = True,
 ) -> Tuple[float, Execution]:
@@ -580,14 +585,8 @@ def gaussian_aggregator_sum(
     n = bits.size
     if n < 2:
         raise ValueError("need at least two parties")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if t is None:
-        t = n // 2
-    if zero_noise:
-        noise = np.zeros(n)
-    else:
-        noise = rng.normal(0.0, math.sqrt(gaussian_noise_variance(n, eps)), n)
+    sd = math.sqrt(gaussian_noise_variance(n, eps))  # checks eps even with zero_noise
+    noise = np.zeros(n) if zero_noise else rng.normal(0.0, sd, n)
     y = bits + noise
     estimate = float(y.sum())
     transcript = tapes = None
@@ -597,7 +596,6 @@ def gaussian_aggregator_sum(
         transcript = tuple(map(_as_message, chain(reports, announce)))
         tapes = tuple(noise.tolist())
     e = Execution(
-        protocol=f"gaussian-aggregator(n={n},eps={eps:g},t={t})",
         n=n,
         rounds=2,
         inputs=tuple(bits.tolist()),
@@ -693,11 +691,9 @@ def _decode_mod_q(r: np.ndarray) -> np.ndarray:
 
 def noise_base_variance(eps: float, delta: float) -> float:
     """The quantity R = 2 ln(2/delta) / eps^2 calibrating the Gaussian noise."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return 2.0 * math.log(2.0 / delta) / (eps * eps)
+    return _over_eps_squared(2.0 * math.log(2.0 / delta), 1, eps)
 
 
 def windowed_min_sizes(n: int, alpha_exp: float) -> Tuple[int, int]:
@@ -782,7 +778,6 @@ def windowed_min_protocol(
         tapes = tuple(zip((noisy - bits).tolist(), map(tuple, rows)))
         assert len(transcript) == n_messages
     e = Execution(
-        protocol=f"windowed-min(n={n},eps={eps:g},delta={delta:g},t={t},alpha={alpha_exp:g})",
         n=n,
         rounds=3,
         inputs=tuple(bits.tolist()),

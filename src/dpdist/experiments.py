@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import audit, distributed, fixtures, local_model
-from .core import min_window_weight, min_window_weight_gridded
+from .core import _window_sums, min_window_weight, min_window_weight_gridded
 from .mechanisms import SensitivitySpec, flip_bias_for, laplace_mechanism
 from .seeding import derive_rng
 
@@ -88,6 +88,17 @@ def _half_ones(n: int) -> np.ndarray:
     x = np.zeros(n, dtype=np.uint8)
     x[: n // 2] = 1
     return x
+
+
+def _chi2_rows(idx: int, table: np.ndarray) -> List[Row]:
+    """Chi-squared homogeneity rows for a two-row count table; empty columns are dropped."""
+    from scipy import stats as scipy_stats  # only here, so `import dpdist` loads numpy only
+    chi2, pvalue, _, _ = scipy_stats.chi2_contingency(table[:, table.sum(axis=0) > 0])
+    return [
+        (idx, "chi2_stat", float(chi2)),
+        (idx, "chi2_pvalue", float(pvalue)),
+        (idx, "reject_at_0.001", float(pvalue < 0.001)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +466,8 @@ def _rr_distributed(cfg: ExperimentConfig):
         est, _ = local_model.randomized_response_sum(x, eps, rng_l)
         local_counts[est] = local_counts.get(est, 0) + 1
     support = sorted(set(dist_counts) | set(local_counts))
-    table = np.array(
-        [
-            [dist_counts.get(v, 0) for v in support],
-            [local_counts.get(v, 0) for v in support],
-        ]
-    )
-    keep = table.sum(axis=0) > 0
-    from scipy import stats as scipy_stats  # only here, so `import dpdist` loads numpy only
-    chi2, pvalue, _, _ = scipy_stats.chi2_contingency(table[:, keep])
-    rows: List[Row] = [
-        (0, "chi2_stat", float(chi2)),
-        (0, "chi2_pvalue", float(pvalue)),
-        (0, "reject_at_0.001", float(pvalue < 0.001)),
-    ]
+    table = [[counts.get(v, 0) for v in support] for counts in (dist_counts, local_counts)]
+    rows = _chi2_rows(0, np.array(table))
     e = distributed.randomized_response_distributed(x, eps, derive_rng(cfg.seed, 2))
     rows.append((0, "messages", e.n_messages))
     rows.append((0, "expected_messages", 2 * (n - 1)))
@@ -525,10 +524,7 @@ def _dist_alpha(cfg: ExperimentConfig):
     # exhaustive grid-vs-full comparison on every 16-bit input
     gn, gw, gi = 16, 4, 2
     codes = np.arange(1 << gn, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(gn)[None, :]) & 1).astype(np.int64)
-    csum = np.cumsum(bits, axis=1)
-    wsums = csum[:, gw - 1 :].copy()
-    wsums[:, 1:] -= csum[:, : gn - gw]
+    wsums = _window_sums((codes[:, None] >> np.arange(gn)[None, :]) & 1, gw)
     full = wsums.min(axis=1)
     grid = wsums[:, ::gi].min(axis=1)
     violations = int(np.count_nonzero((grid < full) | (grid > full + (gi - 1))))
@@ -576,8 +572,7 @@ def _symmetry(cfg: ExperimentConfig):
 
     # sampled part: chi-squared homogeneity of estimates on x vs pi(x)
     rng = derive_rng(cfg.seed, 0)
-    x = np.zeros(n_big, dtype=np.uint8)
-    x[: n_big // 2] = 1
+    x = _half_ones(n_big)
     pi_x = x[rng.permutation(n_big)]
     est_x = np.empty(trials)
     est_p = np.empty(trials)
@@ -589,12 +584,7 @@ def _symmetry(cfg: ExperimentConfig):
     edges = np.linspace(lo, hi + 1e-9, 21)
     hx, _ = np.histogram(est_x, bins=edges)
     hp, _ = np.histogram(est_p, bins=edges)
-    keep = (hx + hp) > 0
-    from scipy import stats as scipy_stats  # only here, so `import dpdist` loads numpy only
-    chi2, pvalue, _, _ = scipy_stats.chi2_contingency(np.array([hx[keep], hp[keep]]))
-    rows.append((1, "chi2_stat", float(chi2)))
-    rows.append((1, "chi2_pvalue", float(pvalue)))
-    rows.append((1, "reject_at_0.001", float(pvalue < 0.001)))
+    rows.extend(_chi2_rows(1, np.array([hx, hp])))
     return params, rows
 
 

@@ -40,7 +40,6 @@ class RelayProtocol(FlipTapeProtocol):
         self.rounds = 1
         self.output_party = 1
         self.keep_prob = keep_prob
-        self.name = f"relay(keep={keep_prob:g})"
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset({(0, 1)})
@@ -67,7 +66,6 @@ class NoisyParityProtocol(FlipTapeProtocol):
         self.rounds = 2
         self.output_party = 0
         self.keep_prob = params.keep_prob
-        self.name = f"noisy-parity(bias={params.flip_bias:g})"
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset({(0, 1), (0, 2)})
@@ -105,7 +103,6 @@ class ChainProtocol(FlipTapeProtocol):
         self.rounds = 2
         self.output_party = 2
         self.keep_prob = params.keep_prob
-        self.name = f"chain(bias={params.flip_bias:g})"
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset({(0, 1), (1, 2), (2, 3)})
@@ -149,7 +146,6 @@ class SharedModularSumProtocol(Protocol):
         self.rounds = 3
         self.output_party = 0
         self.modulus = modulus
-        self.name = f"shared-sum(q={modulus})"
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset({(0, 1), (0, 2), (1, 2)})

@@ -170,29 +170,6 @@ class CuratorView:
     def n(self) -> int:
         return len(self.answers[0]) if self.answers else 0
 
-    def messages(self) -> List[Tuple[int, int, Any]]:
-        """Received messages as (round, party, symbol) records, in order."""
-        out = []
-        for r, roundmsgs in enumerate(self.answers, start=1):
-            for i, symbol in enumerate(roundmsgs):
-                out.append((r, i, _plain(symbol)))
-        return out
-
-    def query_records(self) -> List[Tuple[int, int, Any]]:
-        """Sent queries as (round, party, symbol) records, in order."""
-        out = []
-        for r, roundq in enumerate(self.queries, start=1):
-            for i, symbol in enumerate(roundq):
-                out.append((r, i, _plain(symbol)))
-        return out
-
-    def party_transcript(self, i: int) -> Tuple[Tuple[Any, Any], ...]:
-        """Per-party restriction: ((q_1, a_1), ..., (q_l, a_l))."""
-        qs = self.queries if self.queries else ((None,) * self.n,) * self.rounds
-        return tuple(
-            (_plain(qs[r][i]), _plain(self.answers[r][i])) for r in range(self.rounds)
-        )
-
     def key(self) -> Tuple:
         """Hashable identity of the received-message log."""
         return tuple(tuple(_plain(s) for s in roundmsgs) for roundmsgs in self.answers)

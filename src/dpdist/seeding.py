@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed_sequence"]
+__all__ = ["derive_rng"]
 
 
-def derive_seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
-    """SeedSequence for ``seed`` refined by a counter path.
+def derive_rng(seed: int, *path: int) -> np.random.Generator:
+    """Generator seeded by ``seed`` refined by the counter path ``path``.
 
     Distinct paths yield statistically independent streams; the same
     (seed, path) always yields the same stream.
     """
-    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
-
-
-def derive_rng(seed: int, *path: int) -> np.random.Generator:
-    """Generator seeded by ``seed`` and the counter path ``path``."""
-    return np.random.default_rng(derive_seed_sequence(seed, *path))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))

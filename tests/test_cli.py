@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -8,6 +9,28 @@ import pytest
 from dpdist import cli
 from dpdist.cli import main, parse_config_file, render_csv, run_experiment
 from dpdist.experiments import EXPERIMENTS, ExperimentConfig, run_rows
+
+
+# sha256 of each experiment's CSV at the small sizes below, seed 3
+# (recorded with numpy 2.4.6 and scipy 1.17.1)
+SMALL_CSV_SHA256 = {
+    "chernoff-tail": "f90588c970e664c732b579c76fa3cb15d338f4ebd6eabd264ea6e1f195e1ba88",
+    "compile-to-local": "c8c5ae131988fe58055114b1be770f6a6487e5bd4e6589ff382353b1b6499f9d",
+    "definition-equivalence": "b969354de2dd611285be06523e65c57cd045024a40120b05e6f603b6b7223e8c",
+    "dist-alpha": "1b1ac9492eea888400736f2a4538280accb77ae71b43e33bc9aae38ee2f6c473",
+    "gaussian-aggregator": "1a31f9128a4c2fb47ad1e9399e3c82e9126945c6fec4d26de89271606256c06c",
+    "hoeffding-tail": "6e38808a513c9fcac78f44720b4d477aff36209277d0aaca0ac06f47b64e06de",
+    "laplace-tails": "f593da076fa1646ebd926610d7bd04146cc243db8fef35749cbd82965e13aa7f",
+    "lonely-parties": "550db62571c8554dc93b3d1f678793a893a267a00a48e64857816c41d747a022",
+    "message-accounting": "616fdbabebc8b15898cbae0410f2f1473b65d61398aa7768c868e35e0f7a8e05",
+    "phase-transition": "04ee759a76923689dac5bf6a3fe6cc9b3ae4df3352f640631e7b215c12e0ed7d",
+    "rr-distributed": "069b2afe8e7fe528270fb8d4862be15c3e0902adacdf5007d9f10f436e193f5b",
+    "rr-exact-epsilon": "5491782a60eed30a317753fd9d78bd7b8559bb17a60cbc53f437aea919547fe3",
+    "rr-sum-error": "44ba718bb5f682dfedda8ac9e211ec013d9723275c854f492d92e7ea92a08f08",
+    "symmetry": "1459807aeb8d2ed7a37100c85164f7405e30014df3edebbd3ab3639a86b5cc5c",
+    "transcript-factorization": "caa2dd94863ddd035740e4c05c564ec8505b3262e990e56221f7c22aebbb101b",
+    "v-bounds": "d4c25596494a6ab023447f559831d328becc0c6cd7691f057fe4995daf70fca7",
+}
 
 
 class TestRegistry:
@@ -62,6 +85,7 @@ class TestRegistry:
         assert first[0] == name
         json.loads(first[2])  # param snapshot is valid json
         float(first[4])
+        assert hashlib.sha256(text.encode()).hexdigest() == SMALL_CSV_SHA256[name]
 
 
 class TestDeterminism:

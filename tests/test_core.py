@@ -9,6 +9,7 @@ from dpdist.core import (
     GapParams,
     GapValue,
     NeighborSpec,
+    _window_sums,
     as_bits,
     gap_threshold,
     is_neighbor,
@@ -202,6 +203,18 @@ class TestMinWindowWeight:
     def test_matches_naive_recomputation(self, bits, data):
         window = data.draw(st.integers(1, len(bits)))
         assert min_window_weight(bits, window) == naive_min_window(bits, window)
+
+
+    def test_window_sums_on_last_axis_match_rows(self):
+        n = 10
+        codes = np.arange(1 << n, dtype=np.uint32)
+        rows = ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
+        for window in range(1, n + 1):
+            sums = _window_sums(rows, window)
+            assert sums.dtype == np.int64 and sums.shape == (1 << n, n - window + 1)
+            for row, got in zip(rows, sums):
+                one = _window_sums(row, window)
+                assert one.dtype == np.int64 and np.array_equal(got, one)
 
 
 class TestMinWindowWeightGridded:

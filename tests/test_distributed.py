@@ -179,6 +179,29 @@ class _RecordingRelay(Protocol):
         return (x_i, received)
 
 
+class _Broadcast(Protocol):
+    """Three parties; every round each sends (round, sender) to both others and records its view."""
+
+    n, rounds = 3, 3
+
+    def __init__(self):
+        self.seen = []
+
+    def channels(self):
+        return frozenset({(0, 1), (0, 2), (1, 2)})
+
+    def send(self, i, x_i, tape, rnd, received):
+        self.seen.append((i, rnd, received))
+        return {j: (rnd, i) for j in range(3) if j != i}
+
+    def output(self, x_i, tape, received):
+        return received
+
+
+def _broadcast_inbox(i, rnd):
+    return tuple((j, (rnd, j)) for j in range(3) if j != i)
+
+
 class TestEngine:
     @pytest.mark.parametrize(
         "x",
@@ -241,6 +264,17 @@ class TestEngine:
             e = run_protocol(p, topo, [1, 1, 0], derive_rng(seed))
             patterns.add(tuple((m.round, m.sender, m.receiver) for m in e.transcript))
         assert len(patterns) == 1
+
+    def test_round_r_sends_see_only_completed_rounds(self):
+        # lower-index parties send first in each round; none of their round-r
+        # messages may reach a higher-index party's round-r send
+        p = _Broadcast()
+        e = run_protocol(p, complete_topology(3), [1, 0, 1], derive_rng(0))
+        assert [(i, rnd) for i, rnd, _ in p.seen] == [(i, r) for r in (1, 2, 3) for i in range(3)]
+        for i, rnd, received in p.seen:
+            assert received == tuple(_broadcast_inbox(i, r) for r in range(1, rnd))
+        assert e.output == tuple(_broadcast_inbox(0, r) for r in (1, 2, 3))
+        assert e.n_messages == 18 and list(e.transcript) == sorted(e.transcript)
 
 
 class TestTranscriptFactorization:
@@ -630,6 +664,39 @@ class TestAdditiveSharing:
         assert got.tolist() == pytest.approx([round(v * 10) / 10 for v in values], abs=1e-12)
 
 
+_BAD_EPS = [1e-160, 1e-170, math.nan, math.inf, 0.0, -1.0]
+
+
+class TestInvalidEps:
+    """eps must be finite and positive with a finite noise variance, or a ValueError names it."""
+
+    @pytest.mark.parametrize("eps", _BAD_EPS)
+    def test_variances_raise(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            gaussian_noise_variance(4096, eps)
+        with pytest.raises(ValueError, match="eps"):
+            noise_base_variance(eps, 0.01)
+
+    @pytest.mark.parametrize("eps", _BAD_EPS)
+    def test_protocols_raise(self, eps):
+        x = np.zeros(4096, dtype=np.uint8)
+        with pytest.raises(ValueError, match="eps"):
+            gaussian_aggregator_sum(x, eps, derive_rng(0), record=False)
+        with pytest.raises(ValueError, match="eps"):
+            windowed_min_protocol(x, eps, 0.01, 7, 0.75, derive_rng(0), record=False)
+
+    def test_overflowing_variance_raises_and_large_finite_one_passes(self):
+        with pytest.raises(ValueError, match="eps"):
+            noise_base_variance(1.5e-154, 0.01)  # 10.6 / 2.25e-308 overflows
+        r_base = 2.0 * math.log(200.0) / 1e-306
+        assert noise_base_variance(1e-153, 0.01) == pytest.approx(r_base, rel=1e-12)
+        sigma2 = 6.0 * math.log(4096) ** 2 / (4096 * 1e-306)
+        assert gaussian_noise_variance(4096, 1e-153) == pytest.approx(sigma2, rel=1e-12)
+        x = np.zeros(4096, dtype=np.uint8)
+        est, _ = gaussian_aggregator_sum(x, 1e-153, derive_rng(0), record=False)
+        assert math.isfinite(est)
+
+
 class TestWindowedMin:
     def test_sizes(self):
         assert windowed_min_sizes(4096, 0.75) == (512, 8)
@@ -768,7 +835,6 @@ _SYMBOLS = st.recursive(
 
 def _execution(transcript):
     return Execution(
-        protocol="demo",
         n=0,
         rounds=1,
         inputs=(),
@@ -822,7 +888,6 @@ class TestSerialization:
 
     def test_line_format(self):
         e = Execution(
-            protocol="demo",
             n=2,
             rounds=1,
             inputs=(1, 0),

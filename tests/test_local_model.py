@@ -9,7 +9,6 @@ from dpdist.core import GapParams, GapValue, gap_threshold
 from dpdist.fixtures import RelayProtocol
 from dpdist.local_model import (
     Curator,
-    CuratorView,
     InteractiveParty,
     ProtocolAbortError,
     constant_sanitizer,
@@ -53,7 +52,7 @@ class TestRunNoninteractive:
             [identity_sanitizer()] * 3, lambda msgs: int(np.sum(msgs)), [1, 0, 1], derive_rng(0)
         )
         assert out == 2
-        assert [m[2] for m in view.messages()] == [1, 0, 1]
+        assert [s for r in view.answers for s in r] == [1, 0, 1]
 
     def test_rr_output_centered_at_sum(self):
         n, eps, runs = 10_000, 1.0, 10_000
@@ -158,7 +157,7 @@ class TestRandomizedResponseSum:
 
     def test_view_symbols_are_bits(self):
         _, view = randomized_response_sum([1, 0, 1], 1.0, derive_rng(0))
-        assert set(int(m[2]) for m in view.messages()) <= {0, 1}
+        assert set(int(s) for r in view.answers for s in r) <= {0, 1}
 
 
 class TestSymmetry:
@@ -244,7 +243,7 @@ class TestInteractive:
         _, view = run_interactive(parties, curator, [1, 0], 2, derive_rng(0))
         assert view.answers[0] == view.answers[1]
         assert view.rounds == 2
-        assert len(view.messages()) == 4
+        assert sum(len(r) for r in view.answers) == 4
 
     def test_per_round_private_composition(self):
         # two rounds of flips: the per-party transcript ratio never exceeds
@@ -428,11 +427,3 @@ class TestGapKToGap0:
             gapk_to_gap0(lambda x, rng: (0, None), 8, GapParams(7, 2))
         with pytest.raises(ValueError):
             gapk_to_gap0(lambda x, rng: (0, None), 7, GapParams(0, 2))
-
-
-class TestCuratorView:
-    def test_records_and_transcripts(self):
-        view = CuratorView(answers=((1, 0), (0, 1)), queries=(("a", "b"), ("c", "d")))
-        assert view.messages() == [(1, 0, 1), (1, 1, 0), (2, 0, 0), (2, 1, 1)]
-        assert view.query_records() == [(1, 0, "a"), (1, 1, "b"), (2, 0, "c"), (2, 1, "d")]
-        assert view.party_transcript(0) == (("a", 1), ("c", 0))

@@ -66,7 +66,7 @@ class SparseBernoulli:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.d <= 1:
             raise ValueError("d must exceed 1")
@@ -233,14 +233,11 @@ def _ratio_mean_bound(p: SparseBernoulli) -> float:
 class VSummary:
     """Summary of per-party log ratios over many sampled views."""
 
-    per_party_mean: np.ndarray
     mean_log_total: float
     max_abs: float
     hard_bound: float
     hard_violations: int
-    mean_bound: float
     mean_bound_failures: int
-    samples: int
 
     @property
     def hard_bound_ok(self) -> bool:
@@ -276,14 +273,11 @@ def v_statistics(stats: Iterable[RatioStats], p: SparseBernoulli) -> VSummary:
         se = np.zeros_like(means)
     failures = int(np.count_nonzero(means > mean_bound + 3.0 * se))
     return VSummary(
-        per_party_mean=means,
         mean_log_total=float(logs.sum(axis=1).mean()),
         max_abs=float(abs_logs.max()),
         hard_bound=hard,
         hard_violations=violations,
-        mean_bound=mean_bound,
         mean_bound_failures=failures,
-        samples=samples,
     )
 
 
@@ -299,11 +293,8 @@ class FlipPanel:
     million-view panels run in vectorized time.
     """
 
-    params: SparseBernoulli
     v_one: float
     v_zero: float
-    input_sums: np.ndarray
-    report_counts: np.ndarray
     log_totals: np.ndarray
     hard_bound: float
     hard_violations: int
@@ -347,11 +338,8 @@ def flip_panel(
     if (k < n).any():
         max_abs = max(max_abs, abs(v_zero))
     return FlipPanel(
-        params=p,
         v_one=v_one,
         v_zero=v_zero,
-        input_sums=s,
-        report_counts=k,
         log_totals=log_totals,
         hard_bound=hard,
         hard_violations=viol,
@@ -475,14 +463,12 @@ class DistinguisherReport:
 
     ``error_case_i`` is the rate (over all planted trials) of drawing an
     input with sum >= tau yet answering 0; ``error_case_ii`` is the rate of
-    answering 1 on the all-zero input.  ``qualifying`` counts planted
-    trials whose sum reached tau.
+    answering 1 on the all-zero input.
     """
 
     error_case_i: float
     error_case_ii: float
     trials: int
-    qualifying: int
     tau: float
 
     @property
@@ -511,15 +497,13 @@ def distinguisher_experiment(
     if tau is None:
         tau = p.expected_sum / 2.0
     zeros = np.zeros(p.n, dtype=np.uint8)
-    err_i = err_ii = qualifying = 0
+    err_i = err_ii = 0
     for _ in range(trials):
         x = sample_sparse(p, rng)
         out = gap_protocol(x, rng)
         out = out[0] if isinstance(out, tuple) else out
-        if int(x.sum()) >= tau:
-            qualifying += 1
-            if int(out) == 0:
-                err_i += 1
+        if int(x.sum()) >= tau and int(out) == 0:
+            err_i += 1
         out0 = gap_protocol(zeros, rng)
         out0 = out0[0] if isinstance(out0, tuple) else out0
         if int(out0) == 1:
@@ -528,7 +512,6 @@ def distinguisher_experiment(
         error_case_i=err_i / trials,
         error_case_ii=err_ii / trials,
         trials=trials,
-        qualifying=qualifying,
         tau=float(tau),
     )
 
@@ -538,20 +521,22 @@ def distinguisher_experiment(
 # ---------------------------------------------------------------------------
 
 
+_EQUIVALENCE_REL_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Worst-case view ratio computed two ways: jointly and per party."""
 
     collective: float
     individual: float
-    rel_tol: float = 1e-12
 
     @property
     def passed(self) -> bool:
         if math.isinf(self.collective) or math.isinf(self.individual):
             return math.isinf(self.collective) and math.isinf(self.individual)
         scale = max(abs(self.collective), abs(self.individual), 1e-300)
-        return abs(self.collective - self.individual) <= self.rel_tol * scale
+        return abs(self.collective - self.individual) <= _EQUIVALENCE_REL_TOL * scale
 
 
 def definition_equivalence_check(sanitizers: Sequence[SanitizerSpec]) -> EquivalenceReport:

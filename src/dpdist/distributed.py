@@ -103,8 +103,8 @@ class Topology:
                 raise ValueError(f"channel ({a},{b}) out of range for n={self.n}")
 
 
-def star_topology(n: int, center: int = 0) -> Topology:
-    return Topology(n, frozenset(_norm_pair(center, i) for i in range(n) if i != center))
+def star_topology(n: int) -> Topology:
+    return Topology(n, frozenset((0, i) for i in range(1, n)))
 
 
 def complete_topology(n: int) -> Topology:

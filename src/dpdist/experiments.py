@@ -28,7 +28,10 @@ _BATCH = 1 << 16
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved knobs for one experiment run; None means experiment default."""
+    """Knobs requested for one run; None means the experiment's default.
+
+    Each experiment takes only its own knobs; ``_resolve`` checks them.
+    """
 
     experiment: str
     seed: int = 0
@@ -56,26 +59,55 @@ class ExperimentDef:
     runner: Runner
 
 
-def _pos_int(name: str, value, default: int) -> int:
-    v = default if value is None else value
-    if not isinstance(v, (int, np.integer)) or v <= 0:
-        raise ValueError(f"{name}: expected a positive integer, got {v!r}")
-    return int(v)
+def _int_at_least(least: int):
+    def check(v):
+        return int(v) if isinstance(v, (int, np.integer)) and v >= least else None
+    return check
 
 
-def _pos_float(name: str, value, default: float) -> float:
-    v = default if value is None else value
-    v = float(v)
-    if not v > 0:
-        raise ValueError(f"{name}: expected a positive number, got {v!r}")
-    return v
+def _float_between(lo: float, hi: float):
+    def check(v):
+        v = float(v)
+        return v if lo < v < hi else None
+    return check
 
 
-def _unit_float(name: str, value, default: float) -> float:
-    v = default if value is None else float(value)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"{name}: expected a value in (0, 1), got {v!r}")
-    return v
+# The one rule per knob: (what its value must be, check returning the value or None).
+_KNOB_RULES = {
+    "n": ("a positive integer", _int_at_least(1)),
+    "trials": ("a positive integer", _int_at_least(1)),
+    "t": ("a non-negative integer", _int_at_least(0)),
+    "eps": ("a finite positive number", _float_between(0.0, math.inf)),
+    "d": ("a finite positive number", _float_between(0.0, math.inf)),
+    "nu": ("a finite positive number", _float_between(0.0, math.inf)),
+    "tau": ("a finite positive number", _float_between(0.0, math.inf)),
+    "delta": ("a value in (0, 1)", _float_between(0.0, 1.0)),
+    "alpha_exp": ("a value in (0, 1)", _float_between(0.0, 1.0)),
+}
+
+
+def _resolve(cfg: ExperimentConfig, **defaults) -> Dict[str, Any]:
+    """The experiment's knobs, defaulted and checked, plus ``seed``: its param_json.
+
+    ``defaults`` names every knob the experiment takes; a default of None
+    leaves an unset knob None.  A knob set in ``cfg`` but not named raises.
+    """
+    for knob in _KNOB_RULES:
+        if knob not in defaults and getattr(cfg, knob) is not None:
+            raise ValueError(f"{cfg.experiment} does not take {knob}")
+    params: Dict[str, Any] = {}
+    for knob, default in defaults.items():
+        value = getattr(cfg, knob)
+        value = default if value is None else value
+        if value is not None:
+            what, check = _KNOB_RULES[knob]
+            checked = check(value)
+            if checked is None:
+                raise ValueError(f"{knob}: expected {what}, got {value!r}")
+            value = checked
+        params[knob] = value
+    params["seed"] = cfg.seed
+    return params
 
 
 def _batches(seed: int, trials: int):
@@ -107,25 +139,24 @@ def _chi2_rows(idx: int, table: np.ndarray) -> List[Row]:
 
 
 def _rr_sum_error(cfg: ExperimentConfig):
-    n = _pos_int("n", cfg.n, 10_000)
-    eps = _pos_float("eps", cfg.eps, 1.0)
-    trials = _pos_int("trials", cfg.trials, 10_000)
-    x = _half_ones(n)
-    true = int(x.sum())
-    params = {"n": n, "eps": eps, "trials": trials, "seed": cfg.seed, "input_sum": true}
+    params = _resolve(cfg, n=10_000, eps=1.0, trials=10_000)
+    x = _half_ones(params["n"])
+    true = params["input_sum"] = int(x.sum())
     rows: List[Row] = []
-    for k in range(trials):
-        est, _ = local_model.randomized_response_sum(x, eps, derive_rng(cfg.seed, k))
+    for k in range(params["trials"]):
+        est, _ = local_model.randomized_response_sum(x, params["eps"], derive_rng(cfg.seed, k))
         rows.append((k, "error", est - true))
         rows.append((k, "abs_error", abs(est - true)))
     return params, rows
 
 
 def _rr_exact_epsilon(cfg: ExperimentConfig):
+    params = _resolve(cfg, eps=None)
     eps_values = [0.1, 0.5, 1.0]
-    if cfg.eps is not None and cfg.eps not in eps_values:
-        eps_values.append(_pos_float("eps", cfg.eps, 1.0))
-    params = {"eps_values": eps_values, "seed": cfg.seed}
+    extra = params.pop("eps")
+    if extra is not None and extra not in eps_values:
+        eps_values.append(extra)
+    params["eps_values"] = eps_values
     rows: List[Row] = []
     for k, eps in enumerate(eps_values):
         measured = audit.exact_epsilon(local_model.flip_sanitizer(flip_bias_for(eps)))
@@ -138,10 +169,10 @@ def _rr_exact_epsilon(cfg: ExperimentConfig):
 
 
 def _laplace_tails(cfg: ExperimentConfig):
-    trials = _pos_int("trials", cfg.trials, 1_000_000)
-    eps = _pos_float("eps", cfg.eps, 1.0)
+    params = _resolve(cfg, trials=1_000_000, eps=1.0)
+    trials, eps = params["trials"], params["eps"]
     spec = SensitivitySpec(1.0)
-    params = {"trials": trials, "eps": eps, "gs": 1.0, "seed": cfg.seed, "batch": _BATCH}
+    params.update(gs=1.0, batch=_BATCH)
     exceed = {1: 0, 2: 0, 3: 0}
     for _, m, rng in _batches(cfg.seed, trials):
         err = np.abs(laplace_mechanism(0.0, spec, eps, rng, size=m))
@@ -157,20 +188,13 @@ def _laplace_tails(cfg: ExperimentConfig):
 
 
 def _gaussian_aggregator(cfg: ExperimentConfig):
-    n = _pos_int("n", cfg.n, 10_000)
-    eps = _pos_float("eps", cfg.eps, 1.0)
-    trials = _pos_int("trials", cfg.trials, 10_000)
+    params = _resolve(cfg, n=10_000, eps=1.0, trials=10_000)
+    n, eps = params["n"], params["eps"]
     x = _half_ones(n)
     true = int(x.sum())
-    params = {
-        "n": n,
-        "eps": eps,
-        "trials": trials,
-        "seed": cfg.seed,
-        "noise_variance": 6.0 * math.log(n) ** 2 / eps**2,
-    }
+    params["noise_variance"] = 6.0 * math.log(n) ** 2 / eps**2
     rows: List[Row] = []
-    for k in range(trials):
+    for k in range(params["trials"]):
         est, _ = distributed.gaussian_aggregator_sum(
             x, eps, derive_rng(cfg.seed, k), record=False
         )
@@ -183,30 +207,23 @@ def _gaussian_aggregator(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _panel_params(cfg: ExperimentConfig):
-    n = _pos_int("n", cfg.n, 10_000)
-    eps = _pos_float("eps", cfg.eps, 1.0)
-    d = _pos_float("d", cfg.d, 4.0)
-    trials = _pos_int("trials", cfg.trials, 1_000_000)
-    dist = audit.SparseBernoulli(n=n, eps=eps, d=d)
-    return dist, flip_bias_for(eps), trials
+def _planted(cfg: ExperimentConfig, trials: int, **knobs):
+    """Resolve n, eps, d, trials and ``knobs``; return (params, planted distribution, flip)."""
+    params = _resolve(cfg, n=10_000, eps=1.0, d=4.0, trials=trials, **knobs)
+    dist = audit.SparseBernoulli(n=params["n"], eps=params["eps"], d=params["d"])
+    return params, dist, flip_bias_for(dist.eps)
 
 
 def _v_bounds(cfg: ExperimentConfig):
-    dist, flip, trials = _panel_params(cfg)
-    params = {
-        "n": dist.n,
-        "eps": dist.eps,
-        "d": dist.d,
-        "density": dist.density,
-        "trials": trials,
-        "hard_bound": 4.0 * dist.density * dist.eps,
-        "sum_mean_bound": 32.0 / dist.d,
-        "seed": cfg.seed,
-        "batch": _BATCH,
-    }
+    params, dist, flip = _planted(cfg, 1_000_000)
+    params.update(
+        density=dist.density,
+        hard_bound=audit._ratio_hard_bound(dist),
+        sum_mean_bound=32.0 / dist.d,
+        batch=_BATCH,
+    )
     rows: List[Row] = []
-    for b, m, rng in _batches(cfg.seed, trials):
+    for b, m, rng in _batches(cfg.seed, params["trials"]):
         panel = audit.flip_panel(dist, flip, m, rng)
         rows.append((b, "views", panel.trials))
         rows.append((b, "hard_violations", panel.hard_violations))
@@ -217,24 +234,13 @@ def _v_bounds(cfg: ExperimentConfig):
 
 
 def _hoeffding_tail(cfg: ExperimentConfig):
-    dist, flip, trials = _panel_params(cfg)
-    nu = _pos_float("nu", cfg.nu, 64.0)
-    if nu <= 32:
-        raise ValueError(f"nu: must exceed 32, got {nu}")
-    bound = audit.hoeffding_bound(nu, dist.d)
-    params = {
-        "n": dist.n,
-        "eps": dist.eps,
-        "d": dist.d,
-        "nu": nu,
-        "trials": trials,
-        "bound": bound,
-        "threshold_log_ratio": nu / dist.d,
-        "seed": cfg.seed,
-        "batch": _BATCH,
-    }
+    params, dist, flip = _planted(cfg, 1_000_000, nu=64.0)
+    nu = params["nu"]
+    params.update(
+        bound=audit.hoeffding_bound(nu, dist.d), threshold_log_ratio=nu / dist.d, batch=_BATCH
+    )
     rows: List[Row] = []
-    for b, m, rng in _batches(cfg.seed, trials):
+    for b, m, rng in _batches(cfg.seed, params["trials"]):
         panel = audit.flip_panel(dist, flip, m, rng)
         rows.append((b, "views", panel.trials))
         rows.append((b, "exceed_count", int(np.count_nonzero(panel.log_totals > nu / dist.d))))
@@ -242,26 +248,16 @@ def _hoeffding_tail(cfg: ExperimentConfig):
 
 
 def _chernoff_tail(cfg: ExperimentConfig):
-    n = _pos_int("n", cfg.n, 10_000)
-    eps = _pos_float("eps", cfg.eps, 1.0)
-    d = _pos_float("d", cfg.d, 4.0)
-    trials = _pos_int("trials", cfg.trials, 100_000)
+    params, dist, _ = _planted(cfg, 100_000)
     gamma = 0.5
-    dist = audit.SparseBernoulli(n=n, eps=eps, d=d)
-    bound = audit.chernoff_lower_tail_bound(dist, gamma)
-    params = {
-        "n": n,
-        "eps": eps,
-        "d": d,
-        "gamma": gamma,
-        "trials": trials,
-        "bound": bound,
-        "threshold": (1.0 - gamma) * dist.expected_sum,
-        "seed": cfg.seed,
-        "batch": _BATCH,
-    }
+    params.update(
+        gamma=gamma,
+        bound=audit.chernoff_lower_tail_bound(dist, gamma),
+        threshold=(1.0 - gamma) * dist.expected_sum,
+        batch=_BATCH,
+    )
     rows: List[Row] = []
-    for b, m, rng in _batches(cfg.seed, trials):
+    for b, m, rng in _batches(cfg.seed, params["trials"]):
         sums = audit.sample_sparse_sums(dist, m, rng)
         rows.append((b, "draws", m))
         rows.append(
@@ -271,25 +267,14 @@ def _chernoff_tail(cfg: ExperimentConfig):
 
 
 def _phase_transition(cfg: ExperimentConfig):
-    n = _pos_int("n", cfg.n, 10_000)
-    eps = _pos_float("eps", cfg.eps, 1.0)
-    d = _pos_float("d", cfg.d, 4.0)
-    trials = _pos_int("trials", cfg.trials, 10_000)
-    if cfg.tau is not None:
-        taus = [float(cfg.tau)]
+    params, dist, flip = _planted(cfg, 10_000, tau=None)
+    n, eps, trials = dist.n, dist.eps, params["trials"]
+    tau = params.pop("tau")
+    if tau is not None:
+        taus = [tau]
     else:
         taus = [m * math.sqrt(n) / eps for m in (0.1, 0.3, 1.0, 3.0, 10.0)]
-    dist = audit.SparseBernoulli(n=n, eps=eps, d=d)
-    flip = flip_bias_for(eps)
-    params = {
-        "n": n,
-        "eps": eps,
-        "d": d,
-        "density": dist.density,
-        "trials": trials,
-        "taus": taus,
-        "seed": cfg.seed,
-    }
+    params.update(density=dist.density, taus=taus)
     # One batch of planted and all-zero runs, reused across the tau sweep.
     # The report count is Bin(s, keep) + Bin(n-s, 1-keep) given the input
     # sum s, which matches the bit-by-bit protocol exactly in distribution.
@@ -349,7 +334,7 @@ def _messages_preserved(protocol, topology) -> bool:
 
 
 def _compile_to_local(cfg: ExperimentConfig):
-    params = {"seed": cfg.seed}
+    params = _resolve(cfg)
     rows: List[Row] = []
     for idx, protocol in enumerate(_compiler_fixtures()):
         topology = fixtures.fixture_topology(protocol)
@@ -370,10 +355,9 @@ def _compile_to_local(cfg: ExperimentConfig):
 
 
 def _lonely_parties(cfg: ExperimentConfig):
-    n = _pos_int("n", cfg.n, 64)
-    trials = _pos_int("trials", cfg.trials, 100)
-    t_values = [cfg.t] if cfg.t is not None else [1, 3, 7]
-    params = {"n": n, "t_values": t_values, "trials": trials, "seed": cfg.seed}
+    params = _resolve(cfg, n=64, trials=100, t=None)
+    n, trials, t = params["n"], params["trials"], params.pop("t")
+    t_values = params["t_values"] = [t] if t is not None else [1, 3, 7]
     rows: List[Row] = []
     idx = 0
     for t in t_values:
@@ -400,7 +384,7 @@ def _factorization_fixtures():
 
 
 def _transcript_factorization(cfg: ExperimentConfig):
-    params = {"seed": cfg.seed}
+    params = _resolve(cfg)
     rows: List[Row] = []
     for idx, protocol in enumerate(_factorization_fixtures()):
         topology = fixtures.fixture_topology(protocol)
@@ -420,8 +404,8 @@ def _transcript_factorization(cfg: ExperimentConfig):
 
 
 def _message_accounting(cfg: ExperimentConfig):
+    params = _resolve(cfg)
     seed = cfg.seed
-    params = {"seed": seed}
     rows: List[Row] = []
 
     n_rr = 100
@@ -451,11 +435,9 @@ def _message_accounting(cfg: ExperimentConfig):
 
 
 def _rr_distributed(cfg: ExperimentConfig):
-    n = _pos_int("n", cfg.n, 16)
-    eps = _pos_float("eps", cfg.eps, 1.0)
-    trials = _pos_int("trials", cfg.trials, 20_000)
+    params = _resolve(cfg, n=16, eps=1.0, trials=20_000)
+    n, eps, trials = params["n"], params["eps"], params["trials"]
     x = _half_ones(n)
-    params = {"n": n, "eps": eps, "trials": trials, "seed": cfg.seed}
     rng_d = derive_rng(cfg.seed, 0)
     rng_l = derive_rng(cfg.seed, 1)
     dist_counts: Dict[float, int] = {}
@@ -482,31 +464,16 @@ def _rr_distributed(cfg: ExperimentConfig):
 
 
 def _dist_alpha(cfg: ExperimentConfig):
-    n = _pos_int("n", cfg.n, 4096)
-    eps = _pos_float("eps", cfg.eps, 1.0)
-    delta = _unit_float("delta", cfg.delta, 0.01)
-    alpha_exp = _unit_float("alpha_exp", cfg.alpha_exp, 0.75)
-    t = _pos_int("t", cfg.t, 7)
-    if 2 * t >= n:
-        raise ValueError(f"t: need 2t < n, got t={t}, n={n}")
-    trials = _pos_int("trials", cfg.trials, 1000)
+    params = _resolve(cfg, n=4096, eps=1.0, delta=0.01, alpha_exp=0.75, t=7, trials=1000)
+    n, eps, delta, t = params["n"], params["eps"], params["delta"], params["t"]
+    alpha_exp, trials = params["alpha_exp"], params["trials"]
     noise_trials = max(trials // 5, 50)
     window, interval = distributed.windowed_min_sizes(n, alpha_exp)
     r_base = distributed.noise_base_variance(eps, delta)
     error_bound = interval * (1.0 + 6.0 * math.sqrt(2.0 * r_base) / interval)
-    params = {
-        "n": n,
-        "eps": eps,
-        "delta": delta,
-        "t": t,
-        "alpha_exp": alpha_exp,
-        "window": window,
-        "interval": interval,
-        "trials": trials,
-        "noise_trials": noise_trials,
-        "error_bound": error_bound,
-        "seed": cfg.seed,
-    }
+    params.update(
+        window=window, interval=interval, noise_trials=noise_trials, error_bound=error_bound
+    )
     rows: List[Row] = []
 
     matches = 0
@@ -552,11 +519,9 @@ def _dist_alpha(cfg: ExperimentConfig):
 
 
 def _symmetry(cfg: ExperimentConfig):
-    eps = _pos_float("eps", cfg.eps, 1.0)
-    n_big = _pos_int("n", cfg.n, 100)
-    trials = _pos_int("trials", cfg.trials, 100_000)
+    params = _resolve(cfg, eps=1.0, n=100, trials=100_000)
+    eps, n_big, trials = params["eps"], params["n"], params["trials"]
     flip = flip_bias_for(eps)
-    params = {"eps": eps, "n": n_big, "trials": trials, "seed": cfg.seed}
     rows: List[Row] = []
 
     # exact part: count distribution identical under every permutation (n=4)
@@ -589,7 +554,7 @@ def _symmetry(cfg: ExperimentConfig):
 
 
 def _definition_equivalence(cfg: ExperimentConfig):
-    params = {"seed": cfg.seed}
+    params = _resolve(cfg)
     cases = [
         ("single_flip", [local_model.flip_sanitizer(flip_bias_for(1.0))]),
         ("two_flips", [local_model.flip_sanitizer(flip_bias_for(1.0))] * 2),

@@ -131,7 +131,7 @@ def constant_sanitizer(symbol: Any = 0) -> SanitizerSpec:
 
 def laplace_sanitizer(eps: float) -> SanitizerSpec:
     """Sends x + Lap(1/eps); real-valued, so no exact oracle."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     p = LaplaceParams(1.0 / eps)
     return SanitizerSpec(
@@ -498,11 +498,9 @@ def laplace_submission_sum(
 
     The estimate is unbiased with variance 2n/eps^2.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     bits = as_bits(x)
-    if bits.size == 0:
-        return 0.0, CuratorView(answers=(np.array([]),))
     z = bits + sample_laplace(LaplaceParams(1.0 / eps), rng, size=bits.size)
     return float(np.sum(z)), CuratorView(answers=(z,))
 

@@ -38,7 +38,7 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1)")
@@ -51,8 +51,8 @@ class LaplaceParams:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ def sample_gaussian(
     size: Optional[Union[int, tuple]] = None,
 ) -> Union[float, np.ndarray]:
     """Sample from N(mu, sigma2); sigma2 = 0 returns mu exactly."""
-    if sigma2 < 0:
-        raise ValueError("variance must be non-negative")
+    if not 0 <= sigma2 < math.inf:
+        raise ValueError("variance must be finite and non-negative")
     if sigma2 == 0:
         if size is None:
             return float(mu)
@@ -132,7 +132,7 @@ def sample_gaussian(
 
 def flip_bias_for(eps: float) -> FlipParams:
     """Flip bias eps / (4 + 2*eps), giving exact output ratio 1 + eps."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     return FlipParams(eps / (4.0 + 2.0 * eps))
 
@@ -176,7 +176,7 @@ def laplace_mechanism(
     Zero sensitivity yields the degenerate (noise-free) mechanism, the
     scale -> 0 limit; useful as a test fixture.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if s.gs == 0:
         if size is None:

@@ -241,6 +241,75 @@ class TestErrors:
         assert out.startswith("experiment,trial,param_json,metric,value")
 
 
+# The knobs each experiment takes; every other knob is rejected before it runs.
+KNOBS = ("trials", "n", "eps", "delta", "t", "tau", "d", "nu", "alpha_exp")
+TAKES = {
+    "rr-sum-error": {"n", "eps", "trials"},
+    "rr-exact-epsilon": {"eps"},
+    "laplace-tails": {"eps", "trials"},
+    "v-bounds": {"n", "eps", "d", "trials"},
+    "hoeffding-tail": {"n", "eps", "d", "trials", "nu"},
+    "chernoff-tail": {"n", "eps", "d", "trials"},
+    "phase-transition": {"n", "eps", "d", "trials", "tau"},
+    "compile-to-local": set(),
+    "lonely-parties": {"n", "trials", "t"},
+    "transcript-factorization": set(),
+    "dist-alpha": {"n", "eps", "delta", "alpha_exp", "t", "trials"},
+    "gaussian-aggregator": {"n", "eps", "trials"},
+    "symmetry": {"n", "eps", "trials"},
+    "definition-equivalence": set(),
+    "message-accounting": set(),
+    "rr-distributed": {"n", "eps", "trials"},
+}
+
+
+def _run(tmp_path, *args):
+    out = tmp_path / "r.csv"
+    return main(["run", *args, "--out", str(out)]), out
+
+
+class TestResolver:
+    def test_every_experiment_listed(self):
+        assert set(TAKES) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize(
+        "name,knob", [(name, k) for name in sorted(TAKES) for k in KNOBS if k not in TAKES[name]]
+    )
+    def test_unread_knob_exits_2(self, name, knob, tmp_path, capsys):
+        flag = "--" + knob.replace("_", "-")
+        code, out = _run(tmp_path, "--experiment", name, flag, FIELD_SAMPLES[knob][0])
+        assert code == 2
+        assert f"{name} does not take {knob}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["-3", "0", "nan", "inf"])
+    def test_tau_must_be_finite_and_positive(self, tau, tmp_path, capsys):
+        code, out = _run(tmp_path, "--experiment", "phase-transition", "--tau", tau)
+        assert code == 2
+        assert "tau" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nu", ["inf", "20"])
+    def test_hoeffding_nu_rejected(self, nu, tmp_path, capsys):
+        code, out = _run(tmp_path, "--experiment", "hoeffding-tail", "--nu", nu)
+        assert code == 2
+        assert "nu" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dist_alpha_takes_t_zero(self, tmp_path):
+        code, out = _run(
+            tmp_path, "--experiment", "dist-alpha", "--n", "256", "--t", "0", "--trials", "2"
+        )
+        assert code == 0
+        assert '""t"":0' in out.read_text().split("\n")[1]
+
+    def test_lonely_parties_t_zero_bytes(self, tmp_path):
+        code, out = _run(tmp_path, "--experiment", "lonely-parties", "--t", "0")
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "58664c72207c93c2327744bacb9dc7b5fcf09eede81d1d9c04361036a36980e3"
+
+
 class TestFormatting:
     def test_float_round_trip(self):
         text = render_csv("demo", {"a": 1}, [(0, "value", 0.1 + 0.2)])

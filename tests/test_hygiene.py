@@ -9,6 +9,7 @@ change a byte of its CSV.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -103,3 +104,34 @@ def test_lazy_scipy_load_keeps_csv_bytes():
     assert report["loaded"] == [False, True, True]
     importlib.import_module("scipy.stats")
     assert report["texts"] == [run_experiment(ExperimentConfig(**kw)) for kw in CHI2_CONFIGS]
+
+
+def _config_knob_reads(tree: ast.Module):
+    """(function, line, knob) for each read of an ExperimentConfig knob outside ``_resolve``.
+
+    A read is ``cfg.knob`` or ``getattr(cfg, ...)`` on a parameter annotated
+    ``ExperimentConfig``; ``experiment``, ``seed`` and ``out`` are not knobs.
+    """
+    knobs = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment", "seed", "out"}
+    reads = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "_resolve":
+            continue
+        configs = {
+            a.arg for a in fn.args.args
+            if isinstance(a.annotation, ast.Name) and a.annotation.id == "ExperimentConfig"
+        }
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in configs and node.attr in knobs):
+                reads.append((fn.name, node.lineno, node.attr))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in configs):
+                reads.append((fn.name, node.lineno, "getattr"))
+    return reads
+
+
+def test_only_resolve_reads_experiment_knobs():
+    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+    assert _config_knob_reads(tree) == []

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpdist.audit import SparseBernoulli
 from dpdist.core import sum_bits
+from dpdist.local_model import laplace_sanitizer, laplace_submission_sum
 from dpdist.mechanisms import (
     FlipParams,
     LaplaceParams,
@@ -235,3 +237,52 @@ class TestLaplaceMechanism:
     def test_sum_has_unit_sensitivity(self):
         assert brute_force_global_sensitivity(lambda bits: sum(bits), 6) == 1
         assert brute_force_global_sensitivity(sum_bits, 4) == 1
+
+
+# Every call that takes a privacy loss (or a Laplace scale or Gaussian
+# variance): the values it must reject, and what its error must say (None:
+# any ValueError).
+_NAN, _INF = math.nan, math.inf
+_LAPLACE_BAD = [_NAN, 0.0, -1.0, _INF]
+_BAD_PARAMETER_CALLS = {
+    "PrivacyParams": (lambda v, rng: PrivacyParams(v), [_NAN, 0.0, -1.0], "epsilon must"),
+    "flip_bias_for": (lambda v, rng: flip_bias_for(v), [_NAN, 0.0, -1.0], "eps must"),
+    "SparseBernoulli": (
+        lambda v, rng: SparseBernoulli(n=10_000, eps=v, d=4.0),
+        [_NAN, 0.0, -1.0],
+        "eps must",
+    ),
+    "LaplaceParams": (lambda v, rng: LaplaceParams(v), _LAPLACE_BAD, "scale must"),
+    "laplace_mechanism": (
+        lambda v, rng: laplace_mechanism(0.0, SensitivitySpec(1.0), v, rng, size=3),
+        _LAPLACE_BAD,
+        None,
+    ),
+    "laplace_submission_sum": (
+        lambda v, rng: laplace_submission_sum(np.ones(4, dtype=np.uint8), v, rng),
+        _LAPLACE_BAD,
+        None,
+    ),
+    "laplace_sanitizer": (lambda v, rng: laplace_sanitizer(v).sample(1, rng), _LAPLACE_BAD, None),
+    "sample_gaussian": (
+        lambda v, rng: sample_gaussian(0.0, v, rng, size=2),
+        [_NAN, -1.0, _INF],
+        "variance must",
+    ),
+}
+
+
+class TestBadParametersRaise:
+    """NaN, zero, negative (and, where noise is drawn, infinite) values raise before any draw."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [(name, v) for name, (_, bad, _) in _BAD_PARAMETER_CALLS.items() for v in bad],
+    )
+    def test_raises_and_leaves_generator_untouched(self, name, value):
+        call, _, message = _BAD_PARAMETER_CALLS[name]
+        rng = derive_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            call(value, rng)
+        assert rng.bit_generator.state == before

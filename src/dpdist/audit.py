@@ -68,8 +68,8 @@ class SparseBernoulli:
             raise ValueError("n must be positive")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.d <= 1:
-            raise ValueError("d must exceed 1")
+        if not 1 < self.d < math.inf:
+            raise ValueError("d must exceed 1 and be finite")
         if not 0.0 < self.density < 0.5:
             raise ValueError("density must lie in (0, 0.5); increase n, eps, or d")
 
@@ -363,8 +363,10 @@ class TailCheck:
 
 def hoeffding_bound(nu: float, d: float) -> float:
     """Tail bound exp(-(nu-32)^2 / (32 d)) on the total-ratio excess."""
-    if nu <= 32:
+    if not nu > 32:
         raise ValueError("nu must exceed 32")
+    if not 0 < d < math.inf:
+        raise ValueError("d must be finite and positive")
     return math.exp(-((nu - 32.0) ** 2) / (32.0 * d))
 
 

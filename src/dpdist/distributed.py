@@ -78,6 +78,9 @@ class Message(NamedTuple):
     symbol: Any
 
 
+_as_message = functools.partial(tuple.__new__, Message)  # from a 4-item iterable, at C speed
+
+
 class ObliviousnessViolationError(RuntimeError):
     """A run used an undeclared channel, or skipped a declared one."""
 
@@ -227,6 +230,83 @@ class Execution:
     tapes: Optional[Tuple[Any, ...]] = None
 
 
+def _check_run(
+    protocol: Protocol, topology: Topology, x: Bits
+) -> Tuple[Tuple[int, ...], FrozenSet[Tuple[int, int]], List[set]]:
+    """Checks that depend on (protocol, topology, input) only, made once per call.
+
+    Returns the input bits, the declared channels and each party's declared
+    neighbours, which every replay on these three reads.
+    """
+    xs = tuple(as_bits(x).tolist())
+    n = protocol.n
+    if len(xs) != n or topology.n != n:
+        raise ValueError("protocol, topology, and input sizes must agree")
+    declared = protocol.channels()
+    if not declared <= topology.channels:
+        raise ValueError("protocol uses channels missing from the topology")
+    # declared pairs are normalized and in range, as the topology's are
+    neighbours: List[set] = [set() for _ in range(n)]
+    for a, b in declared:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    return xs, declared, neighbours
+
+
+def _replay(
+    protocol: Protocol,
+    xs: Tuple[int, ...],
+    declared: FrozenSet[Tuple[int, int]],
+    neighbours: List[set],
+    tapes: Sequence[Any],
+    record: bool,
+) -> Execution:
+    """One run on fixed tapes after ``_check_run``; the per-run channel checks are made here."""
+    n = len(xs)
+    received: List[Tuple[Tuple[Tuple[int, Any], ...], ...]] = [()] * n
+    transcript: List[Message] = []
+    used: List[set] = [set() for _ in range(n)]  # receivers each party sent to
+    n_messages = 0
+    send = protocol.send
+    for rnd in range(1, protocol.rounds + 1):
+        # round-rnd sends go to inboxes that ``received`` takes in only after every party has sent
+        inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
+        for i in range(n):
+            sends = send(i, xs[i], tapes[i], rnd, received[i])
+            if not sends:
+                continue
+            if not sends.keys() <= neighbours[i]:  # name the first bad receiver in sorted order
+                for receiver in sorted(sends):
+                    if _norm_pair(i, receiver) not in declared:
+                        raise ObliviousnessViolationError(
+                            f"round {rnd}: undeclared channel {i}->{receiver}"
+                        )
+            used[i].update(sends)
+            for receiver, symbol in sends.items():
+                inboxes[receiver].append((i, symbol))
+            if record:
+                transcript += [_as_message((rnd, i, r, sends[r])) for r in sorted(sends)]
+            n_messages += len(sends)
+        received = [r + (tuple(box),) for r, box in zip(received, inboxes)]
+    # each party sending to all its neighbours uses every channel; otherwise collect the used pairs
+    if sum(map(len, used)) != 2 * len(declared):
+        used_pairs = {(i, j) if i < j else (j, i) for i, to in enumerate(used) for j in to}
+        if used_pairs != declared:
+            missing = sorted(declared - used_pairs)
+            raise ObliviousnessViolationError(f"declared channels never used: {missing}")
+    p = protocol.output_party
+    output = protocol.output(xs[p], tapes[p], received[p])
+    return Execution(
+        n=n,
+        rounds=protocol.rounds,
+        inputs=xs,
+        output=output,
+        n_messages=n_messages,
+        transcript=tuple(transcript) if record else None,
+        tapes=tuple(tapes) if record else None,
+    )
+
+
 def run_protocol_with_tapes(
     protocol: Protocol,
     topology: Topology,
@@ -235,50 +315,7 @@ def run_protocol_with_tapes(
     record: bool = True,
 ) -> Execution:
     """Deterministic synchronous execution with all tapes fixed."""
-    xs = as_bits(x).tolist()
-    n = protocol.n
-    if len(xs) != n or topology.n != n:
-        raise ValueError("protocol, topology, and input sizes must agree")
-    declared = protocol.channels()
-    if not declared <= topology.channels:
-        raise ValueError("protocol uses channels missing from the topology")
-
-    received: List[List[Tuple[Tuple[int, Any], ...]]] = [[] for _ in range(n)]
-    transcript: List[Message] = []
-    used: set = set()
-    n_messages = 0
-    for rnd in range(1, protocol.rounds + 1):
-        # round-rnd sends go to inboxes that ``received`` takes in only after every party has sent
-        inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
-        for i in range(n):
-            sends = protocol.send(i, xs[i], tapes[i], rnd, tuple(received[i]))
-            for receiver in sorted(sends):
-                pair = _norm_pair(i, receiver)
-                if pair not in declared:
-                    raise ObliviousnessViolationError(
-                        f"round {rnd}: undeclared channel {i}->{receiver}"
-                    )
-                used.add(pair)
-                inboxes[receiver].append((i, sends[receiver]))
-                if record:
-                    transcript.append(Message(rnd, i, receiver, sends[receiver]))
-            n_messages += len(sends)
-        for i in range(n):
-            received[i].append(tuple(inboxes[i]))
-    if used != declared:
-        missing = sorted(declared - used)
-        raise ObliviousnessViolationError(f"declared channels never used: {missing}")
-    p = protocol.output_party
-    output = protocol.output(xs[p], tapes[p], tuple(received[p]))
-    return Execution(
-        n=n,
-        rounds=protocol.rounds,
-        inputs=tuple(xs),
-        output=output,
-        n_messages=n_messages,
-        transcript=tuple(transcript) if record else None,
-        tapes=tuple(tapes) if record else None,
-    )
+    return _replay(protocol, *_check_run(protocol, topology, x), tapes, record)
 
 
 def run_protocol(
@@ -294,10 +331,18 @@ def run_protocol(
 
 
 def _tape_distribution(
-    protocol: Protocol, topology: Topology, x: Bits, key: Callable[[Execution], Any]
+    protocol: Protocol,
+    topology: Topology,
+    x: Bits,
+    key: Callable[[Execution], Any],
+    record: bool = True,
 ) -> Dict[Any, float]:
-    """Exact distribution of ``key(execution)`` over all joint tape assignments."""
-    bits = as_bits(x)
+    """Exact distribution of ``key(execution)`` over all joint tape assignments.
+
+    The input and channel declarations are checked once; every joint tape is
+    then replayed, with its own channel checks.
+    """
+    checked = _check_run(protocol, topology, x)
     spaces = []
     for i in range(protocol.n):
         space = protocol.tape_space(i)
@@ -306,7 +351,7 @@ def _tape_distribution(
         spaces.append(space)
     out: Dict[Any, float] = {}
     for tapes, prob in local_model.joint_tapes(spaces):
-        k = key(run_protocol_with_tapes(protocol, topology, bits, tapes))
+        k = key(_replay(protocol, *checked, tapes, record))
         out[k] = out.get(k, 0.0) + prob
     return out
 
@@ -323,7 +368,7 @@ def enumerate_executions(protocol: Protocol, topology: Topology, x: Bits) -> Dic
 
 def output_distribution(protocol: Protocol, topology: Topology, x: Bits) -> Dict[Any, float]:
     """Exact distribution of the protocol output, by tape enumeration."""
-    return _tape_distribution(protocol, topology, x, lambda e: e.output)
+    return _tape_distribution(protocol, topology, x, lambda e: e.output, record=False)
 
 
 def consistent_probability(
@@ -333,14 +378,19 @@ def consistent_probability(
 
     The party is replayed against the messages the transcript delivers to
     it; tape probabilities are summed over tapes whose sends match the
-    transcript in every round.
+    transcript in every round.  A party outside ``0..n-1`` or a message
+    round outside ``1..rounds`` raises ``ValueError``.
     """
+    if not 0 <= i < protocol.n:
+        raise ValueError(f"party {i} out of range for n={protocol.n}")
     space = protocol.tape_space(i)
     if space is None:
         raise ValueError(f"party {i} has no finite tape space")
     recv_by_round: List[List[Tuple[int, Any]]] = [[] for _ in range(protocol.rounds)]
     sent_by_round: List[Dict[int, Any]] = [dict() for _ in range(protocol.rounds)]
     for m in transcript:
+        if not 1 <= m.round <= protocol.rounds:
+            raise ValueError(f"message round {m.round} outside 1..{protocol.rounds}")
         if m.receiver == i:
             recv_by_round[m.round - 1].append((m.sender, m.symbol))
         if m.sender == i:
@@ -473,11 +523,12 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     def query(j: int, answer_hist: Tuple[Any, ...]) -> Sequence[Any]:
         if j == 1:
             return ((),) * n
+        # senders are taken in order and each names a receiver at most once, so inboxes come sorted
         inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
         for sender, sent in enumerate(answer_hist[j - 2]):
             for receiver, symbol in sent:
                 inboxes[receiver].append((sender, symbol))
-        return tuple(tuple(sorted(box)) for box in inboxes)
+        return tuple(map(tuple, inboxes))
 
     def output(view: CuratorView) -> Any:
         tag, value = view.answers[-1][out_party]
@@ -795,7 +846,6 @@ def windowed_min_protocol(
 
 
 _CHUNK_LINES = 1024  # transcript files are read and written this many lines at a time
-_as_message = functools.partial(tuple.__new__, Message)  # from a 4-item iterable, at C speed
 
 
 def execution_records(e: Execution) -> List[str]:

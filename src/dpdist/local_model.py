@@ -172,7 +172,7 @@ class CuratorView:
 
     def key(self) -> Tuple:
         """Hashable identity of the received-message log."""
-        return tuple(tuple(_plain(s) for s in roundmsgs) for roundmsgs in self.answers)
+        return tuple(tuple(map(_plain, roundmsgs)) for roundmsgs in self.answers)
 
 
 def _plain(symbol: Any) -> Any:
@@ -246,12 +246,13 @@ def joint_tapes(
     probability is the product of the parties' probabilities taken left to
     right from 1.0, and assignments of probability zero are skipped.
     """
-    for combo in itertools.product(*spaces):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
+    spaces = [list(space) for space in spaces]  # a space may be a one-pass iterator
+    tapes = itertools.product(*[[tape for tape, _ in space] for space in spaces])
+    probs = itertools.product(*[[p for _, p in space] for space in spaces])
+    for combo, ps in zip(tapes, probs):
+        prob = math.prod(ps, start=1.0)
         if prob > 0.0:
-            yield tuple(tape for tape, _ in combo), prob
+            yield combo, prob
 
 
 def tape_mass(space: Iterable[Tuple[Any, float]], reproduces: Callable[[Any], bool]) -> float:
@@ -323,6 +324,48 @@ def flip_party(round_params: Sequence[FlipParams]) -> InteractiveParty:
     return InteractiveParty(answer=answer, draw_tape=draw_tape, tape_space=tape_space)
 
 
+def _check_interactive(parties: Sequence[InteractiveParty], x: Bits, rounds: int) -> List[int]:
+    """Checks that depend on (parties, input, rounds) only; returns the input bits."""
+    xs = as_bits(x).tolist()
+    if len(parties) != len(xs):
+        raise ValueError("need exactly one party program per input bit")
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
+    return xs
+
+
+def _replay_interactive(
+    parties: Sequence[InteractiveParty],
+    curator: Curator,
+    xs: List[int],
+    rounds: int,
+    tapes: Sequence[Any],
+) -> Tuple[Any, CuratorView]:
+    """One run on fixed tapes, with ``_check_interactive``'s bits."""
+    n = len(xs)
+    answer_hist: Tuple[Tuple[Any, ...], ...] = ()
+    query_hist: Tuple[Tuple[Any, ...], ...] = ()
+    per_party_queries: List[Tuple[Any, ...]] = [()] * n
+    for j in range(1, rounds + 1):
+        qs = tuple(curator.query(j, answer_hist))
+        if len(qs) != n:
+            raise ValueError("curator must issue one query per party")
+        query_hist += (qs,)
+        answers = []
+        for i, party in enumerate(parties):
+            per_party_queries[i] += (qs[i],)
+            try:
+                a = party.answer(xs[i], per_party_queries[i], tapes[i])
+            except Exception as exc:
+                raise ProtocolAbortError(
+                    f"party {i} failed answering round {j}: {exc}"
+                ) from exc
+            answers.append(a)
+        answer_hist += (tuple(answers),)
+    view = CuratorView(answers=answer_hist, queries=query_hist)
+    return curator.output(view), view
+
+
 def run_interactive_with_tapes(
     parties: Sequence[InteractiveParty],
     curator: Curator,
@@ -331,33 +374,8 @@ def run_interactive_with_tapes(
     tapes: Sequence[Any],
 ) -> Tuple[Any, CuratorView]:
     """Deterministic execution with the parties' tapes fixed."""
-    xs = as_bits(x).tolist()
-    n = len(xs)
-    if len(parties) != n:
-        raise ValueError("need exactly one party program per input bit")
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
-    answer_hist: List[Tuple[Any, ...]] = []
-    query_hist: List[Tuple[Any, ...]] = []
-    per_party_queries: List[List[Any]] = [[] for _ in range(n)]
-    for j in range(1, rounds + 1):
-        qs = tuple(curator.query(j, tuple(answer_hist)))
-        if len(qs) != n:
-            raise ValueError("curator must issue one query per party")
-        query_hist.append(qs)
-        answers = []
-        for i, party in enumerate(parties):
-            per_party_queries[i].append(qs[i])
-            try:
-                a = party.answer(xs[i], tuple(per_party_queries[i]), tapes[i])
-            except Exception as exc:
-                raise ProtocolAbortError(
-                    f"party {i} failed answering round {j}: {exc}"
-                ) from exc
-            answers.append(a)
-        answer_hist.append(tuple(answers))
-    view = CuratorView(answers=tuple(answer_hist), queries=tuple(query_hist))
-    return curator.output(view), view
+    xs = _check_interactive(parties, x, rounds)
+    return _replay_interactive(parties, curator, xs, rounds, tapes)
 
 
 def run_interactive(
@@ -385,9 +403,10 @@ def enumerate_interactive(
     """Exact view distribution by enumerating all joint tape assignments.
 
     Returns ``{view_key: (probability, output)}``.  Requires every party to
-    declare a finite ``tape_space``.
+    declare a finite ``tape_space``.  The input, party count and ``rounds`` are
+    checked once; every joint tape is then replayed.
     """
-    bits = as_bits(x)
+    xs = _check_interactive(parties, x, rounds)
     spaces = []
     for i, party in enumerate(parties):
         if party.tape_space is None:
@@ -395,7 +414,7 @@ def enumerate_interactive(
         spaces.append(party.tape_space())
     out: Dict[Tuple, Tuple[float, Any]] = {}
     for tapes, prob in joint_tapes(spaces):
-        output, view = run_interactive_with_tapes(parties, curator, bits, rounds, tapes)
+        output, view = _replay_interactive(parties, curator, xs, rounds, tapes)
         key = view.key()
         if key in out:
             out[key] = (out[key][0] + prob, out[key][1])

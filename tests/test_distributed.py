@@ -54,7 +54,13 @@ from dpdist.fixtures import (
     SharedModularSumProtocol,
     fixture_topology,
 )
-from dpdist.local_model import rr_count_distribution, rr_debias, randomized_response_sum
+from dpdist.local_model import (
+    joint_tapes,
+    randomized_response_sum,
+    rr_count_distribution,
+    rr_debias,
+    run_interactive_with_tapes,
+)
 from dpdist.mechanisms import flip_bias_for
 from dpdist.seeding import derive_rng
 
@@ -360,8 +366,6 @@ class TestCompileToLocal:
         tapes = [True, False, True]
         e = run_protocol_with_tapes(protocol, topo, [1, 0, 1], tapes)
         compiled = compile_to_local(protocol, topo)
-        from dpdist.local_model import run_interactive_with_tapes
-
         _, view = run_interactive_with_tapes(
             compiled.parties, compiled.curator, [1, 0, 1], compiled.rounds, tapes
         )
@@ -426,6 +430,134 @@ class TestCompileToLocal:
             assert ratio == pytest.approx(alpha_x / alpha_xp, rel=1e-9)
             coalition_ratios.add(round(ratio, 9))
         assert local_ratios == coalition_ratios
+
+
+# Every compiler and factorization fixture of the experiments.
+_ENUMERATION_FIXTURES = [
+    RelayProtocol(keep_prob=0.8),
+    NoisyParityProtocol(flip_bias_for(1.0)),
+    ChainProtocol(flip_bias_for(0.5)),
+    SharedModularSumProtocol(modulus=3),
+]
+
+
+def _per_tape_distribution(protocol, topology, x, key):
+    """Reference: one public ``run_protocol_with_tapes`` call per joint tape."""
+    spaces = [protocol.tape_space(i) for i in range(protocol.n)]
+    out = {}
+    for tapes, prob in joint_tapes(spaces):
+        k = key(run_protocol_with_tapes(protocol, topology, x, tapes))
+        out[k] = out.get(k, 0.0) + prob
+    return out
+
+
+def _per_tape_interactive(compiled, x):
+    """Reference: one public ``run_interactive_with_tapes`` call per joint tape."""
+    out = {}
+    for tapes, prob in joint_tapes([party.tape_space() for party in compiled.parties]):
+        output, view = run_interactive_with_tapes(compiled.parties, compiled.curator, x, compiled.rounds, tapes)
+        key = view.key()
+        out[key] = (out[key][0] + prob, out[key][1]) if key in out else (prob, output)
+    return out
+
+
+class TestEnumerationMatchesPerTapeRuns:
+    """Check-once enumeration equals a loop of public per-run calls: keys, order and float bits."""
+
+    @pytest.mark.parametrize("protocol", _ENUMERATION_FIXTURES, ids=["relay", "parity", "chain", "shared-sum"])
+    def test_every_input(self, protocol):
+        topo = fixture_topology(protocol)
+        compiled = compile_to_local(protocol, topo)
+        coalitions = [(0,), tuple(range(1, protocol.n))]
+        for bits in itertools.product((0, 1), repeat=protocol.n):
+            x = np.array(bits, dtype=np.uint8)
+            pairs = [
+                (output_distribution(protocol, topo, x), _per_tape_distribution(protocol, topo, x, lambda e: e.output)),
+                (enumerate_executions(protocol, topo, x), _per_tape_distribution(protocol, topo, x, lambda e: e.transcript)),
+                (compiled.enumerate(x), _per_tape_interactive(compiled, x)),
+            ]
+            for members in coalitions:
+                pairs.append((
+                    coalition_view_distribution(protocol, topo, x, members),
+                    _per_tape_distribution(protocol, topo, x, lambda e: coalition_view(e, members).key()),
+                ))
+            for got, expected in pairs:
+                assert list(got.items()) == list(expected.items())
+
+
+class _OneTapeBreaks(Protocol):
+    """Four parties, one round, one declared channel (0, 1).
+
+    Party 0 sends its bit to party 1 when its tape keeps (tape True); on the
+    swap tape it sends ``bad_sends`` instead.  Tapes are uniform, so the
+    first joint tape is clean and a later one breaks a channel rule.
+    """
+
+    n, rounds, output_party = 4, 1, 1
+
+    def __init__(self, bad_sends):
+        self.bad_sends = bad_sends
+
+    def channels(self):
+        return frozenset({(0, 1)})
+
+    def tape_space(self, i):
+        return [(True, 0.5), (False, 0.5)]
+
+    def send(self, i, x_i, tape, rnd, received):
+        if i != 0:
+            return {}
+        return {1: x_i} if tape else dict(self.bad_sends)
+
+    def output(self, x_i, tape, received):
+        return received
+
+
+class TestPerTapeChannelChecks:
+    """A channel rule broken on one tape only is caught by every enumeration, with the per-run error."""
+
+    @pytest.mark.parametrize(
+        "bad_sends,error,message",
+        [
+            # receivers 3 and 2 are undeclared; the error names the first in sorted order
+            ({3: 0, 1: 0, 2: 0}, ObliviousnessViolationError, "round 1: undeclared channel 0->2"),
+            ({}, ObliviousnessViolationError, "declared channels never used: [(0, 1)]"),
+            ({1: 0, 0: 0}, ValueError, "channels must connect distinct parties"),
+        ],
+        ids=["undeclared", "unused", "self-send"],
+    )
+    def test_enumerations_raise_the_per_run_error(self, bad_sends, error, message):
+        protocol = _OneTapeBreaks(bad_sends)
+        topo = complete_topology(4)
+        x = [1, 0, 1, 1]
+        run_protocol_with_tapes(protocol, topo, x, [True] * 4)  # the first joint tape is clean
+        with pytest.raises(error) as per_run:
+            run_protocol_with_tapes(protocol, topo, x, [False, True, True, True])
+        assert type(per_run.value) is error and str(per_run.value) == message
+        for enumerate_fn in (
+            output_distribution,
+            enumerate_executions,
+            lambda p, t, x: coalition_view_distribution(p, t, x, [1]),
+        ):
+            with pytest.raises(error) as caught:
+                enumerate_fn(protocol, topo, x)
+            assert type(caught.value) is error and str(caught.value) == message
+
+
+class TestConsistentProbabilityInput:
+    def test_party_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="party 7 out of range"):
+            consistent_probability(RelayProtocol(0.8), 7, 1, [])
+
+    @pytest.mark.parametrize("rnd", [0, 2], ids=["round-0", "past-last-round"])
+    def test_message_round_out_of_range_raises(self, rnd):
+        with pytest.raises(ValueError, match=f"message round {rnd} outside 1..1"):
+            consistent_probability(RelayProtocol(0.8), 0, 1, [Message(rnd, 0, 1, 1)])
+
+    def test_valid_transcript_unchanged(self):
+        p = RelayProtocol(0.8)
+        assert consistent_probability(p, 0, 1, [Message(1, 0, 1, 1)]) == 0.8
+        assert consistent_probability(p, 0, 1, [Message(1, 0, 1, 0)]) == pytest.approx(0.2)
 
 
 class TestRRDistributed:

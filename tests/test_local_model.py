@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdist.core import GapParams, GapValue, gap_threshold
 from dpdist.fixtures import RelayProtocol
@@ -312,18 +314,48 @@ class TestInteractive:
             run_interactive(parties, curator, [1, 0], 1, derive_rng(0))
 
 
+def _joint_tapes_loop(spaces):
+    """Reference: product order, probability multiplied left to right from 1.0, zeros skipped."""
+    out = []
+    for combo in itertools.product(*spaces):
+        prob = 1.0
+        for _, p in combo:
+            prob *= p
+        if prob > 0.0:
+            out.append((tuple(tape for tape, _ in combo), prob))
+    return out
+
+
+def _bits(assignments):
+    return [(tapes, prob.hex()) for tapes, prob in assignments]
+
+
+_PROBS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 0.1, 1 / 3]))
+_SPACES = st.lists(st.lists(st.tuples(st.integers(0, 9), _PROBS), max_size=4), max_size=4)
+_FLIP_ROUNDS = st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]).map(flip_bias_for), min_size=1, max_size=3)
+
+
 class TestJointTapes:
     def test_product_order_and_left_to_right_probability(self):
         spaces = [[("a", 0.3), ("b", 0.7)], [(0, 0.1), (1, 0.5), (2, 0.4)], [(None, 0.9)]]
-        expected = []
-        for combo in itertools.product(*spaces):
-            prob = 1.0
-            for _, p in combo:
-                prob *= p
-            expected.append((tuple(tape for tape, _ in combo), prob))
+        expected = _joint_tapes_loop(spaces)
+        assert len(expected) == 6
         # exact equality: the probabilities must be bit-identical
         assert list(joint_tapes(spaces)) == expected
         assert list(joint_tapes([iter(space) for space in spaces])) == expected
+
+    @given(_SPACES)
+    def test_matches_the_loop_bit_for_bit(self, spaces):
+        expected = _joint_tapes_loop(spaces)
+        assert _bits(joint_tapes(spaces)) == _bits(expected)
+        assert _bits(joint_tapes([iter(space) for space in spaces])) == _bits(expected)
+
+    @given(st.lists(_FLIP_ROUNDS, min_size=1, max_size=3))
+    def test_generator_spaces_match_the_loop(self, party_rounds):
+        def spaces():
+            return [flip_party(rounds).tape_space() for rounds in party_rounds]
+
+        assert _bits(joint_tapes(spaces())) == _bits(_joint_tapes_loop(spaces()))
 
     def test_zero_probability_assignments_dropped(self):
         relay = RelayProtocol(keep_prob=1.0)

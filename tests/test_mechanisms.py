@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpdist.audit import SparseBernoulli
+from dpdist.audit import SparseBernoulli, hoeffding_bound
 from dpdist.core import sum_bits
 from dpdist.local_model import laplace_sanitizer, laplace_submission_sum
 from dpdist.mechanisms import (
@@ -239,9 +239,9 @@ class TestLaplaceMechanism:
         assert brute_force_global_sensitivity(sum_bits, 4) == 1
 
 
-# Every call that takes a privacy loss (or a Laplace scale or Gaussian
-# variance): the values it must reject, and what its error must say (None:
-# any ValueError).
+# Every call that takes a privacy loss (or a Laplace scale, Gaussian
+# variance, round budget d or Hoeffding threshold nu): the values it must
+# reject, and what its error must say (None: any ValueError).
 _NAN, _INF = math.nan, math.inf
 _LAPLACE_BAD = [_NAN, 0.0, -1.0, _INF]
 _BAD_PARAMETER_CALLS = {
@@ -252,6 +252,13 @@ _BAD_PARAMETER_CALLS = {
         [_NAN, 0.0, -1.0],
         "eps must",
     ),
+    "SparseBernoulli.d": (
+        lambda v, rng: SparseBernoulli(n=10_000, eps=1.0, d=v),
+        [_NAN, _INF, -_INF, 0.0, -1.0],
+        "d must exceed 1",
+    ),
+    "hoeffding_bound.nu": (lambda v, rng: hoeffding_bound(v, 4.0), [_NAN, -_INF, 0.0, -1.0], "nu must"),
+    "hoeffding_bound.d": (lambda v, rng: hoeffding_bound(64.0, v), [_NAN, _INF, -_INF, 0.0, -1.0], "d must"),
     "LaplaceParams": (lambda v, rng: LaplaceParams(v), _LAPLACE_BAD, "scale must"),
     "laplace_mechanism": (
         lambda v, rng: laplace_mechanism(0.0, SensitivitySpec(1.0), v, rng, size=3),

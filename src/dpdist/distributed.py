@@ -168,6 +168,12 @@ class Protocol:
 
     The protocol output must be computable from the output party's own
     view, so the curator compiler can have that party announce it.
+
+    Exact enumeration calls ``send`` once per distinct (party, tape, round,
+    ``received``) and reuses the sends.  Histories compare by value, so
+    symbols that compare equal (1, 1.0 and True; 0.0 and -0.0) must get the
+    same sends, as they already merge into one transcript.  A joint tape
+    whose histories hold an unhashable symbol is replayed without the cache.
     """
 
     n: int = 0
@@ -245,12 +251,32 @@ def _check_run(
     declared = protocol.channels()
     if not declared <= topology.channels:
         raise ValueError("protocol uses channels missing from the topology")
-    # declared pairs are normalized and in range, as the topology's are
+    return xs, declared, _neighbours(n, declared)
+
+
+def _neighbours(n: int, declared: FrozenSet[Tuple[int, int]]) -> List[set]:
+    """Each party's declared neighbours; ``declared`` pairs are normalized and in range, as a topology's are."""
     neighbours: List[set] = [set() for _ in range(n)]
     for a, b in declared:
         neighbours[a].add(b)
         neighbours[b].add(a)
-    return xs, declared, neighbours
+    return neighbours
+
+
+def _check_receivers(
+    i: int, rnd: int, receivers: Iterable[int], declared: FrozenSet[Tuple[int, int]]
+) -> None:
+    """Raise on the first receiver, in sorted order, that party ``i`` has no declared channel to."""
+    for receiver in sorted(receivers):
+        if _norm_pair(i, receiver) not in declared:
+            raise ObliviousnessViolationError(f"round {rnd}: undeclared channel {i}->{receiver}")
+
+
+def _check_all_used(used_pairs: set, declared: FrozenSet[Tuple[int, int]]) -> None:
+    if used_pairs != declared:
+        raise ObliviousnessViolationError(
+            f"declared channels never used: {sorted(declared - used_pairs)}"
+        )
 
 
 def _replay(
@@ -260,8 +286,19 @@ def _replay(
     neighbours: List[set],
     tapes: Sequence[Any],
     record: bool,
-) -> Execution:
-    """One run on fixed tapes after ``_check_run``; the per-run channel checks are made here."""
+    memo: Optional[Dict[Tuple, Any]] = None,
+    ids: Sequence[int] = (),
+) -> Tuple[Any, int, List[Message]]:
+    """One run on fixed tapes after ``_check_run``: (output, message count, transcript).
+
+    The per-run channel checks are made here; the transcript stays empty
+    unless ``record``.
+
+    With ``memo``, sends are looked up and stored under (party, tape index in
+    ``ids``, round, history), so one enumeration sends each history once; a
+    stored send has passed the receiver checks, which depend on it alone.
+    A history that holds an unhashable symbol raises ``TypeError``.
+    """
     n = len(xs)
     received: List[Tuple[Tuple[Tuple[int, Any], ...], ...]] = [()] * n
     transcript: List[Message] = []
@@ -272,15 +309,15 @@ def _replay(
         # round-rnd sends go to inboxes that ``received`` takes in only after every party has sent
         inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
         for i in range(n):
-            sends = send(i, xs[i], tapes[i], rnd, received[i])
+            sends = None if memo is None else memo.get((i, ids[i], rnd, received[i]))
+            if sends is None:
+                sends = send(i, xs[i], tapes[i], rnd, received[i])
+                if sends and not sends.keys() <= neighbours[i]:
+                    _check_receivers(i, rnd, sends, declared)
+                if memo is not None:
+                    memo[i, ids[i], rnd, received[i]] = sends
             if not sends:
                 continue
-            if not sends.keys() <= neighbours[i]:  # name the first bad receiver in sorted order
-                for receiver in sorted(sends):
-                    if _norm_pair(i, receiver) not in declared:
-                        raise ObliviousnessViolationError(
-                            f"round {rnd}: undeclared channel {i}->{receiver}"
-                        )
             used[i].update(sends)
             for receiver, symbol in sends.items():
                 inboxes[receiver].append((i, symbol))
@@ -290,14 +327,19 @@ def _replay(
         received = [r + (tuple(box),) for r, box in zip(received, inboxes)]
     # each party sending to all its neighbours uses every channel; otherwise collect the used pairs
     if sum(map(len, used)) != 2 * len(declared):
-        used_pairs = {(i, j) if i < j else (j, i) for i, to in enumerate(used) for j in to}
-        if used_pairs != declared:
-            missing = sorted(declared - used_pairs)
-            raise ObliviousnessViolationError(f"declared channels never used: {missing}")
+        _check_all_used({(i, j) if i < j else (j, i) for i, to in enumerate(used) for j in to}, declared)
     p = protocol.output_party
-    output = protocol.output(xs[p], tapes[p], received[p])
+    return protocol.output(xs[p], tapes[p], received[p]), n_messages, transcript
+
+
+def _execution(
+    protocol: Protocol, xs: Tuple[int, ...], tapes: Sequence[Any], record: bool,
+    run: Tuple[Any, int, List[Message]],
+) -> Execution:
+    """The ``Execution`` of a ``_replay`` result; it keeps the transcript and tapes only with ``record``."""
+    output, n_messages, transcript = run
     return Execution(
-        n=n,
+        n=len(xs),
         rounds=protocol.rounds,
         inputs=xs,
         output=output,
@@ -315,7 +357,8 @@ def run_protocol_with_tapes(
     record: bool = True,
 ) -> Execution:
     """Deterministic synchronous execution with all tapes fixed."""
-    return _replay(protocol, *_check_run(protocol, topology, x), tapes, record)
+    checked = _check_run(protocol, topology, x)
+    return _execution(protocol, checked[0], tapes, record, _replay(protocol, *checked, tapes, record))
 
 
 def run_protocol(
@@ -334,13 +377,15 @@ def _tape_distribution(
     protocol: Protocol,
     topology: Topology,
     x: Bits,
-    key: Callable[[Execution], Any],
-    record: bool = True,
+    key: Optional[Callable[[Execution], Any]],
 ) -> Dict[Any, float]:
     """Exact distribution of ``key(execution)`` over all joint tape assignments.
 
     The input and channel declarations are checked once; every joint tape is
-    then replayed, with its own channel checks.
+    then replayed, with its own channel checks.  One send cache serves the
+    whole call, so each party sends on each history once.  With ``key``
+    None the runs are keyed by their output, unrecorded and with no
+    ``Execution`` built.
     """
     checked = _check_run(protocol, topology, x)
     spaces = []
@@ -349,9 +394,15 @@ def _tape_distribution(
         if space is None:
             raise ValueError(f"party {i} has no finite tape space")
         spaces.append(space)
+    memo: Dict[Tuple, Any] = {}
     out: Dict[Any, float] = {}
-    for tapes, prob in local_model.joint_tapes(spaces):
-        k = key(_replay(protocol, *checked, tapes, record))
+    record = key is not None
+    for tapes, ids, prob in local_model._indexed_joint_tapes(spaces):
+        try:
+            run = _replay(protocol, *checked, tapes, record, memo, ids)
+        except TypeError:  # a history holds an unhashable symbol: replay this tape uncached
+            run = _replay(protocol, *checked, tapes, record)
+        k = key(_execution(protocol, checked[0], tapes, record, run)) if record else run[0]
         out[k] = out.get(k, 0.0) + prob
     return out
 
@@ -368,7 +419,7 @@ def enumerate_executions(protocol: Protocol, topology: Topology, x: Bits) -> Dic
 
 def output_distribution(protocol: Protocol, topology: Topology, x: Bits) -> Dict[Any, float]:
     """Exact distribution of the protocol output, by tape enumeration."""
-    return _tape_distribution(protocol, topology, x, lambda e: e.output, record=False)
+    return _tape_distribution(protocol, topology, x, None)
 
 
 def consistent_probability(
@@ -488,11 +539,17 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     tuple; curator queries in round j deliver the round-(j-1) messages as a
     ((sender, symbol), ...) tuple.  In the last round only the output party
     answers, with ("output", value).
+
+    The curator, which sees every answer, makes the engine's per-run channel
+    checks and raises the same errors: a send to oneself or on an undeclared
+    channel when it delivers that round, and a declared channel left unused
+    when it delivers the last round, before the output party answers.
     """
     declared = protocol.channels()
     if not declared <= topology.channels:
         raise ValueError("protocol uses channels missing from the topology")
     n = protocol.n
+    neighbours = _neighbours(n, declared)
     ell = protocol.rounds
     out_party = protocol.output_party
 
@@ -521,13 +578,22 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
         )
 
     def query(j: int, answer_hist: Tuple[Any, ...]) -> Sequence[Any]:
-        if j == 1:
-            return ((),) * n
-        # senders are taken in order and each names a receiver at most once, so inboxes come sorted
+        # round j delivers the round-(j-1) sends, none in round 1; senders are
+        # taken in order and each names a receiver at most once, so inboxes come sorted
         inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
-        for sender, sent in enumerate(answer_hist[j - 2]):
+        for sender, sent in enumerate(answer_hist[j - 2] if j > 1 else ()):
+            allowed = neighbours[sender]
             for receiver, symbol in sent:
+                if receiver not in allowed:
+                    _check_receivers(sender, j - 1, [r for r, _ in sent], declared)
                 inboxes[receiver].append((sender, symbol))
+        # a round in which every party sends to all its neighbours uses every channel
+        if j == ell + 1 and all(sum(map(len, answers)) != 2 * len(declared) for answers in answer_hist):
+            _check_all_used(
+                {(s, r) if s < r else (r, s) for answers in answer_hist
+                 for s, sent in enumerate(answers) for r, _ in sent},
+                declared,
+            )
         return tuple(map(tuple, inboxes))
 
     def output(view: CuratorView) -> Any:
@@ -589,8 +655,13 @@ def randomized_response_distributed(
 ) -> Execution:
     """Run the star-topology randomized-response protocol."""
     bits = as_bits(x)
-    protocol = RRStarProtocol(bits.size, eps)
-    return run_protocol(protocol, star_topology(bits.size), bits, rng, record=record)
+    return run_protocol(RRStarProtocol(bits.size, eps), _star(bits.size), bits, rng, record=record)
+
+
+@functools.lru_cache(maxsize=16)
+def _star(n: int) -> Topology:
+    """``star_topology(n)``, built once per n; a run does not change it."""
+    return star_topology(n)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ class ProtocolAbortError(RuntimeError):
     """A party's answer function failed mid-protocol."""
 
 
+_MISS = object()  # marks a cache miss: an answer may be None
+
+
 # ---------------------------------------------------------------------------
 # Sanitizers (non-interactive party programs)
 # ---------------------------------------------------------------------------
@@ -172,7 +175,14 @@ class CuratorView:
 
     def key(self) -> Tuple:
         """Hashable identity of the received-message log."""
-        return tuple(tuple(map(_plain, roundmsgs)) for roundmsgs in self.answers)
+        return tuple(
+            roundmsgs if type(roundmsgs) is tuple and _PLAIN_TYPES.issuperset(map(type, roundmsgs))
+            else tuple(map(_plain, roundmsgs))
+            for roundmsgs in self.answers
+        )
+
+
+_PLAIN_TYPES = frozenset({bool, int, float, str, tuple, type(None)})  # a tuple of these is its own key
 
 
 def _plain(symbol: Any) -> Any:
@@ -255,6 +265,21 @@ def joint_tapes(
             yield combo, prob
 
 
+def _indexed_joint_tapes(
+    spaces: Sequence[Iterable[Tuple[Any, float]]],
+) -> Iterator[Tuple[Tuple[Any, ...], Tuple[int, ...], float]]:
+    """``joint_tapes`` as (tapes, tape indices, probability).
+
+    The indices name each tape by its position in its space, so the
+    enumerations' per-call caches can key on them whether or not the tapes
+    hash.
+    """
+    spaces = [list(space) for space in spaces]  # a space may be a one-pass iterator
+    pools = [[tape for tape, _ in space] for space in spaces]
+    for ids, prob in joint_tapes([[(k, p) for k, (_, p) in enumerate(space)] for space in spaces]):
+        yield tuple(map(list.__getitem__, pools, ids)), ids, prob
+
+
 def tape_mass(space: Iterable[Tuple[Any, float]], reproduces: Callable[[Any], bool]) -> float:
     """Total probability of the tapes in ``space`` for which ``reproduces`` holds.
 
@@ -283,6 +308,12 @@ class InteractiveParty:
     received so far, and the random tape drawn once before round one.
     ``tape_space`` enumerates (tape, probability) pairs when the tape is
     finite, enabling exact audits.
+
+    Exact enumeration calls ``answer`` once per distinct (party, tape,
+    queries so far) and reuses the answer.  Queries compare by value, so
+    symbols that compare equal (1, 1.0 and True; 0.0 and -0.0) must get
+    the same answer, as they already give the same view key.  A joint tape
+    whose queries hold an unhashable symbol is replayed without the cache.
     """
 
     answer: Callable[[int, Tuple[Any, ...], Any], Any]
@@ -340,8 +371,15 @@ def _replay_interactive(
     xs: List[int],
     rounds: int,
     tapes: Sequence[Any],
+    memo: Optional[Dict[Tuple, Any]] = None,
+    ids: Sequence[int] = (),
 ) -> Tuple[Any, CuratorView]:
-    """One run on fixed tapes, with ``_check_interactive``'s bits."""
+    """One run on fixed tapes, with ``_check_interactive``'s bits.
+
+    With ``memo``, answers are looked up and stored under (party, tape index
+    in ``ids``, queries so far), so one enumeration answers each history
+    once; queries that hold an unhashable symbol raise ``TypeError``.
+    """
     n = len(xs)
     answer_hist: Tuple[Tuple[Any, ...], ...] = ()
     query_hist: Tuple[Tuple[Any, ...], ...] = ()
@@ -353,13 +391,17 @@ def _replay_interactive(
         query_hist += (qs,)
         answers = []
         for i, party in enumerate(parties):
-            per_party_queries[i] += (qs[i],)
-            try:
-                a = party.answer(xs[i], per_party_queries[i], tapes[i])
-            except Exception as exc:
-                raise ProtocolAbortError(
-                    f"party {i} failed answering round {j}: {exc}"
-                ) from exc
+            queries = per_party_queries[i] = per_party_queries[i] + (qs[i],)
+            a = _MISS if memo is None else memo.get((i, ids[i], queries), _MISS)
+            if a is _MISS:
+                try:
+                    a = party.answer(xs[i], queries, tapes[i])
+                except Exception as exc:
+                    raise ProtocolAbortError(
+                        f"party {i} failed answering round {j}: {exc}"
+                    ) from exc
+                if memo is not None:
+                    memo[i, ids[i], queries] = a
             answers.append(a)
         answer_hist += (tuple(answers),)
     view = CuratorView(answers=answer_hist, queries=query_hist)
@@ -404,7 +446,8 @@ def enumerate_interactive(
 
     Returns ``{view_key: (probability, output)}``.  Requires every party to
     declare a finite ``tape_space``.  The input, party count and ``rounds`` are
-    checked once; every joint tape is then replayed.
+    checked once; every joint tape is then replayed.  One answer cache
+    serves the whole call, so each party answers each history once.
     """
     xs = _check_interactive(parties, x, rounds)
     spaces = []
@@ -412,9 +455,13 @@ def enumerate_interactive(
         if party.tape_space is None:
             raise ValueError(f"party {i} has no finite tape space")
         spaces.append(party.tape_space())
+    memo: Dict[Tuple, Any] = {}
     out: Dict[Tuple, Tuple[float, Any]] = {}
-    for tapes, prob in joint_tapes(spaces):
-        output, view = _replay_interactive(parties, curator, xs, rounds, tapes)
+    for tapes, ids, prob in _indexed_joint_tapes(spaces):
+        try:
+            output, view = _replay_interactive(parties, curator, xs, rounds, tapes, memo, ids)
+        except TypeError:  # the queries hold an unhashable symbol: replay this tape uncached
+            output, view = _replay_interactive(parties, curator, xs, rounds, tapes)
         key = view.key()
         if key in out:
             out[key] = (out[key][0] + prob, out[key][1])

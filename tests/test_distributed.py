@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 import json
 import math
 import os
@@ -55,6 +56,8 @@ from dpdist.fixtures import (
     fixture_topology,
 )
 from dpdist.local_model import (
+    InteractiveParty,
+    enumerate_interactive,
     joint_tapes,
     randomized_response_sum,
     rr_count_distribution,
@@ -338,27 +341,31 @@ class TestCoalitionViews:
         assert [m for m in view.received if m.sender == 0] == sent_by_zero
 
 
+# Every compiler and factorization fixture of the experiments.
+_ENUMERATION_FIXTURES = [
+    RelayProtocol(keep_prob=0.8),
+    NoisyParityProtocol(flip_bias_for(1.0)),
+    ChainProtocol(flip_bias_for(0.5)),
+    SharedModularSumProtocol(modulus=3),
+]
+_FIXTURE_IDS = ["relay", "parity", "chain", "shared-sum"]
+
+
 class TestCompileToLocal:
-    @pytest.mark.parametrize(
-        "protocol",
-        [
-            RelayProtocol(keep_prob=0.8),
-            NoisyParityProtocol(flip_bias_for(1.0)),
-            SharedModularSumProtocol(modulus=3),
-        ],
-        ids=["relay", "parity", "shared-sum"],
-    )
+    @pytest.mark.parametrize("protocol", _ENUMERATION_FIXTURES, ids=_FIXTURE_IDS)
     def test_output_distribution_preserved_exactly(self, protocol):
+        # equal by ``==`` to the original's law and to the compiled views summed by output
         topo = fixture_topology(protocol)
         compiled = compile_to_local(protocol, topo)
         assert compiled.rounds == protocol.rounds + 1
         for bits in itertools.product((0, 1), repeat=protocol.n):
             x = np.array(bits, dtype=np.uint8)
-            original = output_distribution(protocol, topo, x)
             local = compiled.output_distribution(x)
-            assert set(local) == set(original)
-            for value in original:
-                assert local[value] == pytest.approx(original[value], abs=1e-12)
+            view_sums = {}
+            for prob, output in compiled.enumerate(x).values():
+                view_sums[output] = view_sums.get(output, 0.0) + prob
+            assert local == output_distribution(protocol, topo, x)
+            assert local == view_sums
 
     def test_every_message_travels_twice(self):
         protocol = NoisyParityProtocol(flip_bias_for(1.0))
@@ -432,15 +439,6 @@ class TestCompileToLocal:
         assert local_ratios == coalition_ratios
 
 
-# Every compiler and factorization fixture of the experiments.
-_ENUMERATION_FIXTURES = [
-    RelayProtocol(keep_prob=0.8),
-    NoisyParityProtocol(flip_bias_for(1.0)),
-    ChainProtocol(flip_bias_for(0.5)),
-    SharedModularSumProtocol(modulus=3),
-]
-
-
 def _per_tape_distribution(protocol, topology, x, key):
     """Reference: one public ``run_protocol_with_tapes`` call per joint tape."""
     spaces = [protocol.tape_space(i) for i in range(protocol.n)]
@@ -464,7 +462,7 @@ def _per_tape_interactive(compiled, x):
 class TestEnumerationMatchesPerTapeRuns:
     """Check-once enumeration equals a loop of public per-run calls: keys, order and float bits."""
 
-    @pytest.mark.parametrize("protocol", _ENUMERATION_FIXTURES, ids=["relay", "parity", "chain", "shared-sum"])
+    @pytest.mark.parametrize("protocol", _ENUMERATION_FIXTURES, ids=_FIXTURE_IDS)
     def test_every_input(self, protocol):
         topo = fixture_topology(protocol)
         compiled = compile_to_local(protocol, topo)
@@ -490,13 +488,15 @@ class _OneTapeBreaks(Protocol):
 
     Party 0 sends its bit to party 1 when its tape keeps (tape True); on the
     swap tape it sends ``bad_sends`` instead.  Tapes are uniform, so the
-    first joint tape is clean and a later one breaks a channel rule.
+    first joint tape is clean and a later one breaks a channel rule.  With
+    ``output_fails`` party 1's ``output`` raises when nothing reached it.
     """
 
     n, rounds, output_party = 4, 1, 1
 
-    def __init__(self, bad_sends):
+    def __init__(self, bad_sends, output_fails=False):
         self.bad_sends = bad_sends
+        self.output_fails = output_fails
 
     def channels(self):
         return frozenset({(0, 1)})
@@ -510,6 +510,8 @@ class _OneTapeBreaks(Protocol):
         return {1: x_i} if tape else dict(self.bad_sends)
 
     def output(self, x_i, tape, received):
+        if self.output_fails and not received[0]:
+            raise RuntimeError("nothing received")
         return received
 
 
@@ -517,17 +519,19 @@ class TestPerTapeChannelChecks:
     """A channel rule broken on one tape only is caught by every enumeration, with the per-run error."""
 
     @pytest.mark.parametrize(
-        "bad_sends,error,message",
+        "bad_sends,output_fails,error,message",
         [
             # receivers 3 and 2 are undeclared; the error names the first in sorted order
-            ({3: 0, 1: 0, 2: 0}, ObliviousnessViolationError, "round 1: undeclared channel 0->2"),
-            ({}, ObliviousnessViolationError, "declared channels never used: [(0, 1)]"),
-            ({1: 0, 0: 0}, ValueError, "channels must connect distinct parties"),
+            ({3: 0, 1: 0, 2: 0}, False, ObliviousnessViolationError, "round 1: undeclared channel 0->2"),
+            ({}, False, ObliviousnessViolationError, "declared channels never used: [(0, 1)]"),
+            # the unused channel is caught before the output party is asked
+            ({}, True, ObliviousnessViolationError, "declared channels never used: [(0, 1)]"),
+            ({1: 0, 0: 0}, False, ValueError, "channels must connect distinct parties"),
         ],
-        ids=["undeclared", "unused", "self-send"],
+        ids=["undeclared", "unused", "unused-before-output", "self-send"],
     )
-    def test_enumerations_raise_the_per_run_error(self, bad_sends, error, message):
-        protocol = _OneTapeBreaks(bad_sends)
+    def test_enumerations_raise_the_per_run_error(self, bad_sends, output_fails, error, message):
+        protocol = _OneTapeBreaks(bad_sends, output_fails)
         topo = complete_topology(4)
         x = [1, 0, 1, 1]
         run_protocol_with_tapes(protocol, topo, x, [True] * 4)  # the first joint tape is clean
@@ -538,10 +542,113 @@ class TestPerTapeChannelChecks:
             output_distribution,
             enumerate_executions,
             lambda p, t, x: coalition_view_distribution(p, t, x, [1]),
+            lambda p, t, x: compile_to_local(p, t).enumerate(x),
+            lambda p, t, x: compile_to_local(p, t).output_distribution(x),
         ):
             with pytest.raises(error) as caught:
                 enumerate_fn(protocol, topo, x)
             assert type(caught.value) is error and str(caught.value) == message
+
+
+class _CountingExchange(Protocol):
+    """Three parties, two rounds, tapes 0, 1 and 2; records every ``send`` call.
+
+    Round 1: every party sends (tape + x_i) mod 2 to both others.  Round 2:
+    parties 1 and 2 send the xor of their round-1 inbox to party 0, which
+    outputs the xor and the count of all it received.  Histories repeat
+    across joint tapes, so the enumerations' caches are hit.  With
+    ``listed`` every bit travels as a one-item list, which does not hash.
+    """
+
+    n, rounds = 3, 2
+
+    def __init__(self, listed=False):
+        self.wrap = (lambda b: [b]) if listed else (lambda b: b)
+        self.sends = []
+
+    def channels(self):
+        return frozenset({(0, 1), (0, 2), (1, 2)})
+
+    def tape_space(self, i):
+        return [(0, 0.5), (1, 0.25), (2, 0.25)]
+
+    @staticmethod
+    def _bits(inbox):
+        return [sym[0] if isinstance(sym, list) else sym for _, sym in inbox]
+
+    def send(self, i, x_i, tape, rnd, received):
+        self.sends.append((i, tape, rnd, received))
+        if rnd == 1:
+            return {j: self.wrap((tape + x_i) % 2) for j in range(3) if j != i}
+        return {} if i == 0 else {0: self.wrap(sum(self._bits(received[0])) % 2)}
+
+    def output(self, x_i, tape, received):
+        bits = [b for inbox in received for b in self._bits(inbox)]
+        return sum(bits) % 2, len(bits)
+
+
+def _counted(parties, calls):
+    """The parties, each recording (party, tape, queries) on every ``answer`` call."""
+    def wrap(i, party):
+        def answer(x_i, queries, tape):
+            calls.append((i, tape, queries))
+            return party.answer(x_i, queries, tape)
+
+        return InteractiveParty(answer=answer, tape_space=party.tape_space)
+
+    return [wrap(i, party) for i, party in enumerate(parties)]
+
+
+class TestPerCallCaches:
+    """Each enumeration runs a party once per distinct history; results equal the per-tape loop."""
+
+    @pytest.mark.parametrize(
+        "enumerate_fn,key",
+        [(output_distribution, lambda e: e.output), (enumerate_executions, lambda e: e.transcript)],
+        ids=["outputs", "transcripts"],
+    )
+    def test_send_runs_once_per_history(self, enumerate_fn, key):
+        topo = complete_topology(3)
+        for bits in itertools.product((0, 1), repeat=3):
+            reference = _CountingExchange()
+            expected = _per_tape_distribution(reference, topo, bits, key)
+            histories = set(reference.sends)
+            assert len(reference.sends) > len(histories)  # the per-tape loop repeats histories
+            p = _CountingExchange()
+            got = enumerate_fn(p, topo, bits)
+            assert sorted(p.sends) == sorted(histories)  # every history once, and no other
+            assert list(got.items()) == list(expected.items())
+
+    def test_answer_runs_once_per_history(self):
+        compiled = compile_to_local(_CountingExchange(), complete_topology(3))
+        for bits in itertools.product((0, 1), repeat=3):
+            calls, reference_calls = [], []
+            got = enumerate_interactive(_counted(compiled.parties, calls), compiled.curator, bits, compiled.rounds)
+            expected = _per_tape_interactive(replace(compiled, parties=_counted(compiled.parties, reference_calls)), bits)
+            assert len(reference_calls) > len(set(reference_calls))
+            assert sorted(calls) == sorted(set(reference_calls))
+            assert list(got.items()) == list(expected.items())
+
+    def test_unhashable_symbols_skip_the_cache(self):
+        topo = complete_topology(3)
+        for bits in itertools.product((0, 1), repeat=3):
+            p = _CountingExchange(listed=True)
+            got = output_distribution(p, topo, bits)
+            expected = _per_tape_distribution(p, topo, bits, lambda e: e.output)
+            assert list(got.items()) == list(expected.items())
+            assert got == output_distribution(_CountingExchange(), topo, bits)
+
+    def test_equal_symbols_share_an_entry(self):
+        # 1 and True compare and hash equal, so a history holding either is sent on once
+        class _Mixed(_CountingExchange):
+            def send(self, i, x_i, tape, rnd, received):
+                sends = super().send(i, x_i, tape, rnd, received)
+                return {j: bool(b) if tape == 2 else b for j, b in sends.items()}
+
+        topo = complete_topology(3)
+        p = _Mixed()
+        assert output_distribution(p, topo, [1, 0, 1]) == output_distribution(_CountingExchange(), topo, [1, 0, 1])
+        assert len(p.sends) == len(set(p.sends))
 
 
 class TestConsistentProbabilityInput:

@@ -13,6 +13,7 @@ from dpdist.local_model import (
     Curator,
     InteractiveParty,
     ProtocolAbortError,
+    _indexed_joint_tapes,
     constant_sanitizer,
     enumerate_interactive,
     enumerate_noninteractive,
@@ -299,6 +300,24 @@ class TestInteractive:
         assert output == enumerated == (1, 0) and prob == 1.0
         assert len(seen) == 8 and set(seen) == {int}
 
+    @pytest.mark.parametrize("wrap,n_calls", [(tuple, 8), (list, 16)], ids=["cached", "unhashable"])
+    def test_queries_that_do_not_hash_replay_uncached(self, wrap, n_calls):
+        # 4 joint tapes x 2 rounds x 2 parties; cached, each (party, tape, queries) answers once
+        calls = []
+
+        def answer(x_i, queries, tape):
+            calls.append(queries)
+            return (x_i + tape + queries[-1][0]) % 2
+
+        parties = [InteractiveParty(answer=answer, tape_space=lambda: [(0, 0.5), (1, 0.5)])] * 2
+        curator = Curator(query=lambda j, hist: (wrap([j]),) * 2, output=lambda view: view.answers[-1])
+        got = enumerate_interactive(parties, curator, [1, 0], 2)
+        assert len(calls) == n_calls
+        expected = enumerate_interactive(
+            parties, Curator(query=lambda j, hist: ((j,),) * 2, output=curator.output), [1, 0], 2
+        )
+        assert list(got.items()) == list(expected.items())
+
     def test_invalid_input_rejected_before_any_tape_runs(self):
         seen = []
         parties = self._recording_parties(2, seen)
@@ -349,6 +368,13 @@ class TestJointTapes:
         expected = _joint_tapes_loop(spaces)
         assert _bits(joint_tapes(spaces)) == _bits(expected)
         assert _bits(joint_tapes([iter(space) for space in spaces])) == _bits(expected)
+
+    @given(_SPACES)
+    def test_indices_name_the_tapes(self, spaces):
+        indexed = list(_indexed_joint_tapes([iter(space) for space in spaces]))
+        assert [(tapes, prob) for tapes, _, prob in indexed] == list(joint_tapes(spaces))
+        for tapes, ids, _ in indexed:
+            assert tapes == tuple(space[k][0] for space, k in zip(spaces, ids))
 
     @given(st.lists(_FLIP_ROUNDS, min_size=1, max_size=3))
     def test_generator_spaces_match_the_loop(self, party_rounds):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,15 +31,12 @@ __all__ = [
     "exact_epsilon",
     "RatioStats",
     "likelihood_ratios",
-    "VSummary",
-    "v_statistics",
     "FlipPanel",
     "flip_panel",
     "TailCheck",
     "hoeffding_bound",
     "hoeffding_tail_check",
     "view_probability_transfer",
-    "empirical_log_ratios",
     "chernoff_lower_tail_bound",
     "chernoff_tail_check",
     "DistinguisherReport",
@@ -194,8 +191,6 @@ def likelihood_ratios(
         prob1 = prob0 = 1.0
         for r in range(rounds):
             spec = per_party[i][r]
-            if spec.output_prob is None:
-                raise ValueError(f"sanitizer {spec.name!r} has no exact oracle")
             symbol = view.answers[r][i]
             symbol = symbol.item() if isinstance(symbol, np.generic) else symbol
             prob1 *= spec.output_prob(1, symbol)
@@ -222,63 +217,6 @@ def likelihood_ratios(
 def _ratio_hard_bound(p: SparseBernoulli) -> float:
     """Hard range of per-party log ratios for 2*eps-private sanitizers."""
     return 4.0 * p.density * p.eps
-
-
-def _ratio_mean_bound(p: SparseBernoulli) -> float:
-    """Expectation bound on each per-party log ratio."""
-    return 32.0 * (p.density * p.eps) ** 2
-
-
-@dataclass(frozen=True)
-class VSummary:
-    """Summary of per-party log ratios over many sampled views."""
-
-    mean_log_total: float
-    max_abs: float
-    hard_bound: float
-    hard_violations: int
-    mean_bound_failures: int
-
-    @property
-    def hard_bound_ok(self) -> bool:
-        return self.hard_violations == 0
-
-    @property
-    def mean_bound_ok(self) -> bool:
-        return self.mean_bound_failures == 0
-
-    @property
-    def passed(self) -> bool:
-        return self.hard_bound_ok and self.mean_bound_ok
-
-
-def v_statistics(stats: Iterable[RatioStats], p: SparseBernoulli) -> VSummary:
-    """Check sampled log ratios against their range and expectation bounds.
-
-    The range bound (4 * density * eps, per party, per view) must hold for
-    every sample; the per-party empirical means must stay below
-    32 * density^2 * eps^2 plus three standard errors.  Violations are
-    reported, not raised.
-    """
-    logs = np.stack([s.log_ratios for s in stats])
-    samples = logs.shape[0]
-    hard = _ratio_hard_bound(p)
-    abs_logs = np.abs(logs)
-    violations = int(np.count_nonzero(abs_logs > hard))
-    means = logs.mean(axis=0)
-    mean_bound = _ratio_mean_bound(p)
-    if samples > 1:
-        se = logs.std(axis=0, ddof=1) / math.sqrt(samples)
-    else:
-        se = np.zeros_like(means)
-    failures = int(np.count_nonzero(means > mean_bound + 3.0 * se))
-    return VSummary(
-        mean_log_total=float(logs.sum(axis=1).mean()),
-        max_abs=float(abs_logs.max()),
-        hard_bound=hard,
-        hard_violations=violations,
-        mean_bound_failures=failures,
-    )
 
 
 @dataclass(frozen=True)
@@ -405,37 +343,6 @@ def view_probability_transfer(
     bound = ell * hoeffding_bound(nu, d)
     log_totals = np.asarray(log_totals, dtype=float)
     return _tail_check(log_totals > ell * nu / d, bound)
-
-
-def empirical_log_ratios(
-    planted_values: np.ndarray,
-    zero_values: np.ndarray,
-    bins: int = 64,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled-frequency fallback for real-valued messages.
-
-    Histograms two message samples on a common grid and returns
-    (bin_edges, log_ratios, joint_counts), where log_ratios[k] estimates
-    the planted-vs-zero log probability ratio of bin k (NaN where either
-    side is empty).  This is an estimate, not an oracle: it supports
-    eyeballing real-valued protocols and must not feed the hard-bound
-    assertions, which require exact output probabilities.
-    """
-    planted = np.asarray(planted_values, dtype=float)
-    zero = np.asarray(zero_values, dtype=float)
-    if planted.size == 0 or zero.size == 0:
-        raise ValueError("both samples must be non-empty")
-    lo = min(planted.min(), zero.min())
-    hi = max(planted.max(), zero.max())
-    edges = np.linspace(lo, hi + 1e-12, bins + 1)
-    h_planted, _ = np.histogram(planted, bins=edges)
-    h_zero, _ = np.histogram(zero, bins=edges)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.log(
-            (h_planted / planted.size) / (h_zero / zero.size)
-        )
-    ratios[(h_planted == 0) | (h_zero == 0)] = math.nan
-    return edges, ratios, h_planted + h_zero
 
 
 def chernoff_lower_tail_bound(p: SparseBernoulli, gamma: float) -> float:

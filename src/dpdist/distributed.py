@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, O
 import numpy as np
 
 from .core import Bits, as_bits
-from .local_model import Curator, CuratorView, InteractiveParty, enumerate_interactive
+from .local_model import _MISS, Curator, CuratorView, InteractiveParty, enumerate_interactive
 from .mechanisms import flip_bias_for
 from . import local_model
 
@@ -37,7 +37,6 @@ __all__ = [
     "classify",
     "random_topology",
     "star_topology",
-    "complete_topology",
     "ObliviousnessViolationError",
     "Protocol",
     "FlipTapeProtocol",
@@ -110,10 +109,6 @@ def star_topology(n: int) -> Topology:
     return Topology(n, frozenset((0, i) for i in range(1, n)))
 
 
-def complete_topology(n: int) -> Topology:
-    return Topology(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
 def random_topology(n: int, n_channels: int, rng: np.random.Generator) -> Topology:
     """Uniformly random topology with exactly ``n_channels`` distinct channels."""
     max_channels = n * (n - 1) // 2
@@ -174,6 +169,11 @@ class Protocol:
     symbols that compare equal (1, 1.0 and True; 0.0 and -0.0) must get the
     same sends, as they already merge into one transcript.  A joint tape
     whose histories hold an unhashable symbol is replayed without the cache.
+    Such a symbol, a list say, still raises ``TypeError`` in
+    ``enumerate_executions`` and ``coalition_view_distribution``: their keys
+    hold the symbols as sent, because ``consistent_probability`` replays a
+    transcript by comparing symbols by value, and a list made a tuple would
+    compare unequal.
     """
 
     n: int = 0
@@ -284,8 +284,8 @@ def _replay(
     xs: Tuple[int, ...],
     declared: FrozenSet[Tuple[int, int]],
     neighbours: List[set],
-    tapes: Sequence[Any],
     record: bool,
+    tapes: Sequence[Any],
     memo: Optional[Dict[Tuple, Any]] = None,
     ids: Sequence[int] = (),
 ) -> Tuple[Any, int, List[Message]]:
@@ -295,9 +295,9 @@ def _replay(
     unless ``record``.
 
     With ``memo``, sends are looked up and stored under (party, tape index in
-    ``ids``, round, history), so one enumeration sends each history once; a
-    stored send has passed the receiver checks, which depend on it alone.
-    A history that holds an unhashable symbol raises ``TypeError``.
+    ``ids``, round, history), as ``local_model._replay_joint_tapes``
+    describes; a stored send has passed the receiver checks, which depend on
+    it alone.
     """
     n = len(xs)
     received: List[Tuple[Tuple[Tuple[int, Any], ...], ...]] = [()] * n
@@ -309,8 +309,8 @@ def _replay(
         # round-rnd sends go to inboxes that ``received`` takes in only after every party has sent
         inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
         for i in range(n):
-            sends = None if memo is None else memo.get((i, ids[i], rnd, received[i]))
-            if sends is None:
+            sends = _MISS if memo is None else memo.get((i, ids[i], rnd, received[i]), _MISS)
+            if sends is _MISS:
                 sends = send(i, xs[i], tapes[i], rnd, received[i])
                 if sends and not sends.keys() <= neighbours[i]:
                     _check_receivers(i, rnd, sends, declared)
@@ -358,7 +358,7 @@ def run_protocol_with_tapes(
 ) -> Execution:
     """Deterministic synchronous execution with all tapes fixed."""
     checked = _check_run(protocol, topology, x)
-    return _execution(protocol, checked[0], tapes, record, _replay(protocol, *checked, tapes, record))
+    return _execution(protocol, checked[0], tapes, record, _replay(protocol, *checked, record, tapes))
 
 
 def run_protocol(
@@ -382,26 +382,16 @@ def _tape_distribution(
     """Exact distribution of ``key(execution)`` over all joint tape assignments.
 
     The input and channel declarations are checked once; every joint tape is
-    then replayed, with its own channel checks.  One send cache serves the
-    whole call, so each party sends on each history once.  With ``key``
-    None the runs are keyed by their output, unrecorded and with no
-    ``Execution`` built.
+    then replayed, with its own channel checks, each party once per history.
+    With ``key`` None the runs are keyed by their output, unrecorded and
+    with no ``Execution`` built.
     """
     checked = _check_run(protocol, topology, x)
-    spaces = []
-    for i in range(protocol.n):
-        space = protocol.tape_space(i)
-        if space is None:
-            raise ValueError(f"party {i} has no finite tape space")
-        spaces.append(space)
-    memo: Dict[Tuple, Any] = {}
-    out: Dict[Any, float] = {}
+    spaces = [protocol.tape_space(i) for i in range(protocol.n)]
     record = key is not None
-    for tapes, ids, prob in local_model._indexed_joint_tapes(spaces):
-        try:
-            run = _replay(protocol, *checked, tapes, record, memo, ids)
-        except TypeError:  # a history holds an unhashable symbol: replay this tape uncached
-            run = _replay(protocol, *checked, tapes, record)
+    replay = functools.partial(_replay, protocol, *checked, record)
+    out: Dict[Any, float] = {}
+    for tapes, run, prob in local_model._replay_joint_tapes(spaces, replay):
         k = key(_execution(protocol, checked[0], tapes, record, run)) if record else run[0]
         out[k] = out.get(k, 0.0) + prob
     return out

@@ -6,12 +6,12 @@ deterministic curator queries followed by party answers.  The curator is a
 deterministic function of what it has received, so its view is exactly the
 ordered message log.
 
-Includes the two classic sum protocols: randomized response with debiasing,
-and direct submission of Laplace-noised bits.
+Includes the classic sum protocol: randomized response with debiasing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,24 +20,14 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 import numpy as np
 
 from .core import Bits, GapParams, as_bits
-from .mechanisms import (
-    FlipParams,
-    LaplaceParams,
-    flip,
-    flip_bias_for,
-    flip_output_prob,
-    sample_laplace,
-)
+from .mechanisms import FlipParams, flip, flip_bias_for, flip_output_prob
 
 __all__ = [
     "ProtocolAbortError",
     "SanitizerSpec",
     "flip_sanitizer",
-    "identity_sanitizer",
     "constant_sanitizer",
-    "laplace_sanitizer",
     "CuratorView",
-    "run_noninteractive",
     "enumerate_noninteractive",
     "joint_tapes",
     "tape_mass",
@@ -47,14 +37,11 @@ __all__ = [
     "run_interactive",
     "run_interactive_with_tapes",
     "enumerate_interactive",
-    "party_consistent_probability",
     "randomized_response_sum",
     "rr_debias",
     "rr_count_distribution",
     "rr_estimate_batch",
-    "laplace_submission_sum",
     "sum_to_gap",
-    "gapk_to_gap0",
 ]
 
 
@@ -62,7 +49,7 @@ class ProtocolAbortError(RuntimeError):
     """A party's answer function failed mid-protocol."""
 
 
-_MISS = object()  # marks a cache miss: an answer may be None
+_MISS = object()  # marks a cache miss: a stored answer or send may be None
 
 
 # ---------------------------------------------------------------------------
@@ -74,25 +61,19 @@ _MISS = object()  # marks a cache miss: an answer may be None
 class SanitizerSpec:
     """A single party's randomized map from its input bit to one message.
 
-    ``output_prob(x, symbol)`` is the exact probability oracle; it is
-    required for finite alphabets and drives all exact audits.  Real-valued
-    sanitizers set ``alphabet=None`` and ``output_prob=None`` and are
-    excluded from exact-enumeration audits.  ``claimed_epsilon`` is the
-    privacy level the sanitizer declares; the audit module can verify it
-    for finite alphabets.
+    ``alphabet`` lists every message the map can send, and
+    ``output_prob(x, symbol)`` is its exact probability oracle, which drives
+    all exact audits.  ``claimed_epsilon`` is the privacy level the
+    sanitizer declares; the audit module can verify it.
     """
 
     name: str
-    alphabet: Optional[Tuple[Any, ...]]
-    output_prob: Optional[Callable[[int, Any], float]]
-    sample: Callable[[int, np.random.Generator], Any]
-    sample_many: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
+    alphabet: Tuple[Any, ...]
+    output_prob: Callable[[int, Any], float]
     claimed_epsilon: Optional[float] = None
 
     def distribution(self, x: int) -> Dict[Any, float]:
-        """Exact output distribution on input ``x`` (finite alphabets only)."""
-        if self.alphabet is None or self.output_prob is None:
-            raise ValueError(f"sanitizer {self.name!r} has no exact oracle")
+        """Exact output distribution on input ``x``."""
         return {c: self.output_prob(x, c) for c in self.alphabet}
 
 
@@ -102,21 +83,7 @@ def flip_sanitizer(p: FlipParams) -> SanitizerSpec:
         name=f"flip(bias={p.flip_bias:g})",
         alphabet=(0, 1),
         output_prob=lambda x, c: flip_output_prob(x, c, p),
-        sample=lambda x, rng: flip(x, p, rng),
-        sample_many=lambda xs, rng: flip(xs, p, rng),
         claimed_epsilon=p.exact_epsilon,
-    )
-
-
-def identity_sanitizer() -> SanitizerSpec:
-    """Sends the input bit in the clear (infinite privacy loss)."""
-    return SanitizerSpec(
-        name="identity",
-        alphabet=(0, 1),
-        output_prob=lambda x, c: 1.0 if c == x else 0.0,
-        sample=lambda x, rng: int(x),
-        sample_many=lambda xs, rng: np.asarray(xs, dtype=np.uint8),
-        claimed_epsilon=math.inf,
     )
 
 
@@ -126,24 +93,7 @@ def constant_sanitizer(symbol: Any = 0) -> SanitizerSpec:
         name=f"constant({symbol!r})",
         alphabet=(symbol,),
         output_prob=lambda x, c: 1.0 if c == symbol else 0.0,
-        sample=lambda x, rng: symbol,
-        sample_many=lambda xs, rng: np.full(np.asarray(xs).shape, symbol),
         claimed_epsilon=0.0,
-    )
-
-
-def laplace_sanitizer(eps: float) -> SanitizerSpec:
-    """Sends x + Lap(1/eps); real-valued, so no exact oracle."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    p = LaplaceParams(1.0 / eps)
-    return SanitizerSpec(
-        name=f"laplace(eps={eps:g})",
-        alphabet=None,
-        output_prob=None,
-        sample=lambda x, rng: x + sample_laplace(p, rng),
-        sample_many=lambda xs, rng: xs + sample_laplace(p, rng, size=np.asarray(xs).shape),
-        claimed_epsilon=eps,
     )
 
 
@@ -193,35 +143,8 @@ def _plain(symbol: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Non-interactive runner
+# Non-interactive enumeration
 # ---------------------------------------------------------------------------
-
-
-def run_noninteractive(
-    sanitizers: Sequence[SanitizerSpec],
-    curator_fn: Callable[[Sequence[Any]], Any],
-    x: Bits,
-    rng: np.random.Generator,
-) -> Tuple[Any, CuratorView]:
-    """One-round local protocol: sanitize each bit independently, aggregate.
-
-    Returns the curator's output and its full view for auditing.  If every spec equals
-    the first (callables compare by identity), one ``sample_many`` draws all symbols.
-    """
-    bits = as_bits(x)
-    if len(sanitizers) != bits.size:
-        raise ValueError("need exactly one sanitizer per party")
-    first = sanitizers[0] if sanitizers else None
-    if bits.size and sanitizers.count(first) == bits.size and first.sample_many is not None:
-        symbols = first.sample_many(bits, rng)
-    else:
-        symbols = [s.sample(b, rng) for s, b in zip(sanitizers, bits.tolist())]
-        try:
-            symbols = np.asarray(symbols)
-        except Exception:  # symbols of mixed type stay a list
-            symbols = list(symbols)
-    view = CuratorView(answers=(symbols,))
-    return curator_fn(symbols), view
 
 
 def enumerate_noninteractive(
@@ -233,6 +156,8 @@ def enumerate_noninteractive(
     the per-party output probabilities.
     """
     bits = as_bits(x)
+    if len(sanitizers) != bits.size:
+        raise ValueError("need exactly one sanitizer per party")
     spaces = [s.distribution(b).items() for s, b in zip(sanitizers, bits.tolist())]
     out: Dict[Tuple[Any, ...], float] = {}
     for c, prob in joint_tapes(spaces):
@@ -278,6 +203,31 @@ def _indexed_joint_tapes(
     pools = [[tape for tape, _ in space] for space in spaces]
     for ids, prob in joint_tapes([[(k, p) for k, (_, p) in enumerate(space)] for space in spaces]):
         yield tuple(map(list.__getitem__, pools, ids)), ids, prob
+
+
+def _replay_joint_tapes(
+    spaces: Sequence[Optional[Iterable[Tuple[Any, float]]]],
+    replay: Callable[[Sequence[Any], Optional[Dict[Tuple, Any]], Sequence[int]], Any],
+) -> Iterator[Tuple[Tuple[Any, ...], Any, float]]:
+    """Replay every joint tape of an exact enumeration: yields (tapes, run, probability).
+
+    ``spaces[i]`` is party i's finite tape space; None raises ``ValueError``.
+    ``replay(tapes, memo, ids)`` makes one run.  One memo serves the whole
+    call, keyed by a party's tape index in ``ids`` and its history, so each
+    party runs on each history once.  A history that holds an unhashable
+    symbol raises ``TypeError`` in the lookup, and that joint tape is
+    replayed with no memo.
+    """
+    for i, space in enumerate(spaces):
+        if space is None:
+            raise ValueError(f"party {i} has no finite tape space")
+    memo: Dict[Tuple, Any] = {}
+    for tapes, ids, prob in _indexed_joint_tapes(spaces):
+        try:
+            run = replay(tapes, memo, ids)
+        except TypeError:  # an unhashable history: replay this tape uncached
+            run = replay(tapes, None, ids)
+        yield tapes, run, prob
 
 
 def tape_mass(space: Iterable[Tuple[Any, float]], reproduces: Callable[[Any], bool]) -> float:
@@ -377,8 +327,7 @@ def _replay_interactive(
     """One run on fixed tapes, with ``_check_interactive``'s bits.
 
     With ``memo``, answers are looked up and stored under (party, tape index
-    in ``ids``, queries so far), so one enumeration answers each history
-    once; queries that hold an unhashable symbol raise ``TypeError``.
+    in ``ids``, queries so far), as ``_replay_joint_tapes`` describes.
     """
     n = len(xs)
     answer_hist: Tuple[Tuple[Any, ...], ...] = ()
@@ -446,51 +395,30 @@ def enumerate_interactive(
 
     Returns ``{view_key: (probability, output)}``.  Requires every party to
     declare a finite ``tape_space``.  The input, party count and ``rounds`` are
-    checked once; every joint tape is then replayed.  One answer cache
-    serves the whole call, so each party answers each history once.
+    checked once; every joint tape is then replayed, each party once per
+    history.  A view key that holds an unhashable symbol is keyed with its
+    lists made tuples, recursively.
     """
     xs = _check_interactive(parties, x, rounds)
-    spaces = []
-    for i, party in enumerate(parties):
-        if party.tape_space is None:
-            raise ValueError(f"party {i} has no finite tape space")
-        spaces.append(party.tape_space())
-    memo: Dict[Tuple, Any] = {}
+    spaces = [None if party.tape_space is None else party.tape_space() for party in parties]
+    replay = functools.partial(_replay_interactive, parties, curator, xs, rounds)
     out: Dict[Tuple, Tuple[float, Any]] = {}
-    for tapes, ids, prob in _indexed_joint_tapes(spaces):
-        try:
-            output, view = _replay_interactive(parties, curator, xs, rounds, tapes, memo, ids)
-        except TypeError:  # the queries hold an unhashable symbol: replay this tape uncached
-            output, view = _replay_interactive(parties, curator, xs, rounds, tapes)
+    for _, (output, view), prob in _replay_joint_tapes(spaces, replay):
         key = view.key()
-        if key in out:
-            out[key] = (out[key][0] + prob, out[key][1])
-        else:
-            out[key] = (prob, output)
+        try:
+            seen = out.get(key)
+        except TypeError:  # a symbol does not hash (a list, say)
+            key = _frozen(key)
+            seen = out.get(key)
+        out[key] = (prob, output) if seen is None else (seen[0] + prob, seen[1])
     return out
 
 
-def party_consistent_probability(
-    party: InteractiveParty,
-    x_i: int,
-    queries: Sequence[Any],
-    answers: Sequence[Any],
-) -> float:
-    """Probability that the party answers exactly as in a fixed transcript.
-
-    Sums tape probabilities over tapes that reproduce ``answers`` when the
-    party is fed ``queries`` round by round.
-    """
-    if party.tape_space is None:
-        raise ValueError("party has no finite tape space")
-
-    def reproduces(tape: Any) -> bool:
-        return all(
-            _plain(party.answer(int(x_i), tuple(queries[: j + 1]), tape)) == _plain(a)
-            for j, a in enumerate(answers)
-        )
-
-    return tape_mass(party.tape_space(), reproduces)
+def _frozen(value: Any) -> Any:
+    """``value`` with every list or tuple in it made a tuple, recursively."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_frozen, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -557,20 +485,6 @@ def rr_estimate_batch(
     return rr_debias(counts.astype(float), n, p)
 
 
-def laplace_submission_sum(
-    x: Bits, eps: float, rng: np.random.Generator
-) -> Tuple[float, CuratorView]:
-    """Each party submits its bit plus Lap(1/eps); the curator just sums.
-
-    The estimate is unbiased with variance 2n/eps^2.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    bits = as_bits(x)
-    z = bits + sample_laplace(LaplaceParams(1.0 / eps), rng, size=bits.size)
-    return float(np.sum(z)), CuratorView(answers=(z,))
-
-
 # ---------------------------------------------------------------------------
 # Protocol reductions
 # ---------------------------------------------------------------------------
@@ -598,39 +512,3 @@ def sum_to_gap(
         return (0 if estimate <= threshold else 1), aux
 
     return gap_protocol
-
-
-def gapk_to_gap0(
-    gap_protocol: Callable[[Bits, np.random.Generator], Any],
-    n: int,
-    p: GapParams,
-) -> Callable[[Bits, np.random.Generator], Tuple[int, Any]]:
-    """Reduce an n-party gap-kappa protocol to an n/2-party gap-0 protocol.
-
-    For kappa <= n/2 a designated party simulates the upper n/2 parties
-    with exactly kappa fixed ones.  For kappa > n/2 all input bits are
-    flipped, the protocol is run with the complementary threshold
-    n - kappa - tau, and the result is flipped.
-    """
-    if n % 2 != 0:
-        raise ValueError("n must be even")
-    kappa, tau = p.kappa, p.tau
-    if not 0 <= kappa <= n - tau:
-        raise ValueError("kappa must lie in [0, n - tau]")
-    half = n // 2
-    # Flipping every input bit swaps sum s for n - s, so for kappa > n/2 the
-    # given protocol run on the complement decides the threshold
-    # n - kappa - tau; flipping its answer yields the original orientation.
-    flipped = kappa > half
-    ones = n - kappa - tau if flipped else kappa
-    pad = np.concatenate([np.ones(ones, dtype=np.uint8), np.zeros(half - ones, dtype=np.uint8)])
-
-    def reduced(x_half: Bits, rng: np.random.Generator) -> Tuple[int, Any]:
-        bits = as_bits(x_half)
-        if bits.size != half:
-            raise ValueError(f"reduced protocol expects {half} parties")
-        y = np.concatenate([bits, pad])
-        out, aux = _as_result(gap_protocol(1 - y if flipped else y, rng))
-        return (1 - int(out) if flipped else int(out)), aux
-
-    return reduced

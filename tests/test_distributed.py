@@ -27,7 +27,6 @@ from dpdist.distributed import (
     coalition_view,
     coalition_view_distribution,
     compile_to_local,
-    complete_topology,
     consistent_probability,
     enumerate_executions,
     output_distribution,
@@ -66,6 +65,11 @@ from dpdist.local_model import (
 )
 from dpdist.mechanisms import flip_bias_for
 from dpdist.seeding import derive_rng
+
+
+def complete_topology(n):
+    """Every pair of the n parties joined by a channel."""
+    return Topology(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 class TestTopology:
@@ -637,6 +641,7 @@ class TestPerCallCaches:
             expected = _per_tape_distribution(p, topo, bits, lambda e: e.output)
             assert list(got.items()) == list(expected.items())
             assert got == output_distribution(_CountingExchange(), topo, bits)
+            assert compile_to_local(_CountingExchange(listed=True), topo).output_distribution(bits) == got
 
     def test_equal_symbols_share_an_entry(self):
         # 1 and True compare and hash equal, so a history holding either is sent on once

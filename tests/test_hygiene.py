@@ -1,8 +1,9 @@
 """Source and import hygiene checks on the dpdist package.
 
-Every name a module exports through ``__all__`` must exist, and no module
-may import a name it never uses (``__init__.py`` imports only to
-re-export, so it is exempt from the second check).  Importing the package
+Every name a module exports through ``__all__`` must exist and be used
+outside its own definition, and no module may import a name it never uses
+(``__init__.py`` imports only to re-export, so it is exempt from the
+second check).  Importing the package
 and its CLI loads numpy and the stdlib only; ``scipy.stats`` loads on the
 first experiment that runs a chi-squared test, and that lazy load must not
 change a byte of its CSV.
@@ -13,6 +14,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +24,17 @@ import pytest
 from dpdist.cli import run_experiment
 from dpdist.experiments import ExperimentConfig
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dpdist"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "dpdist"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+# The only exported names that nothing uses yet, each with the ROADMAP item that wires it in.
+PENDING_USE = {
+    "distributed.coalition_view_distribution": "item 3",
+    "audit.round_budget": "item 4",
+    "local_model.flip_party": "item 4",
+    "local_model.run_interactive": "item 4",
+}
 
 
 def _fresh_python(code: str):
@@ -45,6 +56,47 @@ def test_all_names_exist(stem):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == [], f"{name}.__all__ names undefined: {missing}"
+
+
+def _names_used_in_src():
+    """Every name the package loads or imports; a definition does not load its own name."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def _unused_exports():
+    """``module.name`` for each ``__all__`` name of a submodule that nothing uses.
+
+    A use is a load or import in ``src/dpdist`` (so an ``__init__``
+    re-export counts), or the name as a word in ``bench/``, the acceptance
+    suite or ``pyproject.toml``.
+    """
+    used = _names_used_in_src()
+    texts = [p.read_text(encoding="utf-8") for p in sorted((REPO / "bench").glob("*.py"))]
+    texts += [(REPO / f).read_text(encoding="utf-8") for f in ("tests/test_acceptance.py", "pyproject.toml")]
+    unused = set()
+    for stem in MODULES:
+        if stem == "__init__":
+            continue
+        for name in importlib.import_module(f"dpdist.{stem}").__all__:
+            word = re.compile(rf"\b{name}\b")
+            if name not in used and not any(word.search(t) for t in texts):
+                unused.add(f"{stem}.{name}")
+    return unused
+
+
+def test_every_export_is_used():
+    unused = _unused_exports()
+    assert sorted(unused - PENDING_USE.keys()) == [], "exported names nothing uses: delete them or wire them in"
+    assert sorted(PENDING_USE.keys() - unused) == [], "these names are used now: drop them from PENDING_USE"
 
 
 def _unused_imports(tree: ast.Module):

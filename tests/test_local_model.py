@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpdist.core import GapParams, GapValue, gap_threshold
+from dpdist.core import GapParams
 from dpdist.fixtures import RelayProtocol
 from dpdist.local_model import (
     Curator,
@@ -19,18 +18,14 @@ from dpdist.local_model import (
     enumerate_noninteractive,
     flip_party,
     flip_sanitizer,
-    gapk_to_gap0,
-    identity_sanitizer,
     joint_tapes,
-    laplace_submission_sum,
-    party_consistent_probability,
     randomized_response_sum,
     rr_count_distribution,
     rr_debias,
     rr_estimate_batch,
     run_interactive,
-    run_noninteractive,
     sum_to_gap,
+    tape_mass,
 )
 from dpdist.mechanisms import flip_bias_for, flip_output_prob
 from dpdist.seeding import derive_rng
@@ -49,56 +44,16 @@ def exact_count_distribution(x, params):
     return probs
 
 
-class TestRunNoninteractive:
-    def test_identity_with_summing_curator(self):
-        out, view = run_noninteractive(
-            [identity_sanitizer()] * 3, lambda msgs: int(np.sum(msgs)), [1, 0, 1], derive_rng(0)
-        )
-        assert out == 2
-        assert [s for r in view.answers for s in r] == [1, 0, 1]
+def answer_probability(party, x_i, queries, answers):
+    """Oracle: probability that the party answers ``answers`` when fed ``queries`` round by round."""
 
-    def test_rr_output_centered_at_sum(self):
-        n, eps, runs = 10_000, 1.0, 10_000
-        x = np.zeros(n, dtype=np.uint8)
-        x[: n // 3] = 1
-        true = int(x.sum())
-        s = flip_sanitizer(flip_bias_for(eps))
-        params = flip_bias_for(eps)
-        rng = derive_rng(21)
-        curator = lambda msgs: rr_debias(float(np.sum(msgs)), n, params)
-        estimates = np.array(
-            [run_noninteractive([s] * n, curator, x, rng)[0] for _ in range(runs)]
-        )
-        # Var(estimate) = 2n at eps=1, so the mean of `runs` trials has
-        # standard error sqrt(2n/runs)
-        se = math.sqrt(2 * n / runs)
-        assert abs(estimates.mean() - true) < 3 * se
+    def reproduces(tape):
+        return all(party.answer(x_i, tuple(queries[: j + 1]), tape) == a for j, a in enumerate(answers))
 
-    def test_batches_only_specs_equal_to_the_first(self):
-        params = flip_bias_for(1.0)
-        log = []
+    return tape_mass(party.tape_space(), reproduces)
 
-        def counted(spec):
-            # fresh callables, so each counted spec is distinct from the others
-            return dataclasses.replace(
-                spec,
-                sample=lambda x, rng: log.append("one") or spec.sample(x, rng),
-                sample_many=lambda xs, rng: log.append("many") or spec.sample_many(xs, rng),
-            )
 
-        x = [1, 0, 1, 1]
-        summed = lambda msgs: int(np.sum(msgs))
-        run_noninteractive([counted(flip_sanitizer(params)) for _ in x], summed, x, derive_rng(0))
-        assert log == ["one"] * len(x)
-        log.clear()
-        s = counted(flip_sanitizer(params))
-        run_noninteractive([s] * len(x), summed, x, derive_rng(0))
-        assert log == ["many"]
-        log.clear()
-        # a copy holds the same callables, so it compares equal and is batched
-        run_noninteractive([s, dataclasses.replace(s)] * 2, summed, x, derive_rng(0))
-        assert log == ["many"]
-
+class TestEnumerateNoninteractive:
     def test_single_party_message_distribution(self):
         s = flip_sanitizer(flip_bias_for(1.0))
         dist = enumerate_noninteractive([s], [1])
@@ -106,11 +61,23 @@ class TestRunNoninteractive:
         assert dist[(0,)] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_sanitizer_count_mismatch(self):
-        with pytest.raises(ValueError):
-            run_noninteractive([identity_sanitizer()], lambda m: 0, [1, 0], derive_rng(0))
+        with pytest.raises(ValueError, match="one sanitizer per party"):
+            enumerate_noninteractive([constant_sanitizer()], [1, 0])
 
 
 class TestRandomizedResponseSum:
+    def test_rr_output_centered_at_sum(self):
+        n, eps, runs = 10_000, 1.0, 10_000
+        x = np.zeros(n, dtype=np.uint8)
+        x[: n // 3] = 1
+        true = int(x.sum())
+        rng = derive_rng(21)
+        estimates = np.array([randomized_response_sum(x, eps, rng)[0] for _ in range(runs)])
+        # Var(estimate) = 2n at eps=1, so the mean of `runs` trials has
+        # standard error sqrt(2n/runs)
+        se = math.sqrt(2 * n / runs)
+        assert abs(estimates.mean() - true) < 3 * se
+
     def test_estimator_zero_point(self):
         n, p = 100, flip_bias_for(1.0)
         assert rr_debias((0.5 - p.flip_bias) * n, n, p) == pytest.approx(0.0, abs=1e-9)
@@ -182,35 +149,6 @@ class TestSymmetry:
             assert a[k] == pytest.approx(b[k], abs=1e-15)
 
 
-class TestLaplaceSubmission:
-    def test_variance(self):
-        n, eps, trials = 10_000, 1.0, 20_000
-        x = np.zeros(n, dtype=np.uint8)
-        x[:100] = 1
-        rng = derive_rng(26)
-        errs = np.array(
-            [laplace_submission_sum(x, eps, rng)[0] - 100 for _ in range(trials)]
-        )
-        assert abs(np.var(errs) - 2 * n) / (2 * n) < 0.05
-
-    def test_empty_input(self):
-        est, _ = laplace_submission_sum([], 1.0, derive_rng(0))
-        assert est == 0.0
-
-    def test_sqrt_n_scale_with_constant_probability(self):
-        n, eps = 10_000, 1.0
-        x = np.ones(n, dtype=np.uint8)
-        rng = derive_rng(27)
-        errs = np.abs(
-            np.array([laplace_submission_sum(x, eps, rng)[0] - n for _ in range(200)])
-        )
-        assert np.mean(errs <= 3 * math.sqrt(n) / eps) > 0.5
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            laplace_submission_sum([1], 0.0, derive_rng(0))
-
-
 def _noninteractive_as_interactive(params, n):
     """Query-ignoring single-round parties that report a flipped bit."""
     return [flip_party([params]) for _ in range(n)]
@@ -256,8 +194,8 @@ class TestInteractive:
         party = flip_party([params, params])
         per_round_ratio = 1.0 + eps
         for answers in itertools.product((0, 1), repeat=2):
-            a1 = party_consistent_probability(party, 1, [None, None], answers)
-            a0 = party_consistent_probability(party, 0, [None, None], answers)
+            a1 = answer_probability(party, 1, [None, None], answers)
+            a0 = answer_probability(party, 0, [None, None], answers)
             assert a1 > 0 and a0 > 0
             ratio = max(a1 / a0, a0 / a1)
             assert ratio <= per_round_ratio**2 + 1e-12
@@ -270,7 +208,7 @@ class TestInteractive:
                 expected = flip_output_prob(x_i, answers[0], params) * flip_output_prob(
                     x_i, answers[1], params
                 )
-                got = party_consistent_probability(party, x_i, [None, None], answers)
+                got = answer_probability(party, x_i, [None, None], answers)
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_party_failure_aborts(self):
@@ -401,7 +339,7 @@ class TestMultiplicativeTranscriptLaw:
             product = 1.0
             for i in range(n):
                 answers = [key[r][i] for r in range(rounds)]
-                product *= party_consistent_probability(
+                product *= answer_probability(
                     parties[i], x[i], [None] * rounds, answers
                 )
             assert product == pytest.approx(prob, abs=1e-12)
@@ -430,58 +368,3 @@ class TestSumToGap:
             correct += gap(zeros, rng)[0] == 0
             correct += gap(high, rng)[0] == 1
         assert correct / trials >= 0.99
-
-
-class TestGapKToGap0:
-    def _perfect(self, params):
-        def oracle(x, rng):
-            value = gap_threshold(x, params)
-            assert value is not GapValue.UNDEFINED
-            return value.bit, None
-
-        return oracle
-
-    def test_reduction_exhaustive_low_kappa(self):
-        n, kappa, tau = 12, 3, 2
-        reduced = gapk_to_gap0(self._perfect(GapParams(kappa, tau)), n, GapParams(kappa, tau))
-        rng = derive_rng(0)
-        for code in range(1 << 6):
-            half = [(code >> i) & 1 for i in range(6)]
-            expected = gap_threshold(half, GapParams(0, tau))
-            if expected is GapValue.UNDEFINED:
-                continue
-            assert reduced(half, rng)[0] == expected.bit
-
-    def test_reduction_exhaustive_high_kappa(self):
-        n, kappa, tau = 12, 8, 2
-        reduced = gapk_to_gap0(self._perfect(GapParams(kappa, tau)), n, GapParams(kappa, tau))
-        rng = derive_rng(0)
-        for code in range(1 << 6):
-            half = [(code >> i) & 1 for i in range(6)]
-            expected = gap_threshold(half, GapParams(0, tau))
-            if expected is GapValue.UNDEFINED:
-                continue
-            assert reduced(half, rng)[0] == expected.bit
-
-    def test_kappa_zero_pads_with_zeros(self):
-        seen = {}
-
-        def probe(x, rng):
-            seen["x"] = list(x)
-            return 0, None
-
-        reduced = gapk_to_gap0(probe, 8, GapParams(0, 2))
-        reduced([1, 0, 1, 1], derive_rng(0))
-        assert seen["x"] == [1, 0, 1, 1, 0, 0, 0, 0]
-
-    def test_kappa_max_all_ones_gives_one(self):
-        n, tau = 12, 2
-        kappa = n - tau
-        reduced = gapk_to_gap0(self._perfect(GapParams(kappa, tau)), n, GapParams(kappa, tau))
-        assert reduced([1] * 6, derive_rng(0))[0] == 1
-
-    def test_kappa_out_of_range(self):
-        with pytest.raises(ValueError):
-            gapk_to_gap0(lambda x, rng: (0, None), 8, GapParams(7, 2))
-        with pytest.raises(ValueError):
-            gapk_to_gap0(lambda x, rng: (0, None), 7, GapParams(0, 2))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dpdist.audit import SparseBernoulli, hoeffding_bound
 from dpdist.core import sum_bits
-from dpdist.local_model import laplace_sanitizer, laplace_submission_sum
 from dpdist.mechanisms import (
     FlipParams,
     LaplaceParams,
@@ -265,12 +264,6 @@ _BAD_PARAMETER_CALLS = {
         _LAPLACE_BAD,
         None,
     ),
-    "laplace_submission_sum": (
-        lambda v, rng: laplace_submission_sum(np.ones(4, dtype=np.uint8), v, rng),
-        _LAPLACE_BAD,
-        None,
-    ),
-    "laplace_sanitizer": (lambda v, rng: laplace_sanitizer(v).sample(1, rng), _LAPLACE_BAD, None),
     "sample_gaussian": (
         lambda v, rng: sample_gaussian(0.0, v, rng, size=2),
         [_NAN, -1.0, _INF],

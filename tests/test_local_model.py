@@ -12,7 +12,9 @@ from dpdist.local_model import (
     Curator,
     InteractiveParty,
     ProtocolAbortError,
+    _frozen,
     _indexed_joint_tapes,
+    _replay_joint_tapes,
     constant_sanitizer,
     enumerate_interactive,
     enumerate_noninteractive,
@@ -63,6 +65,18 @@ class TestEnumerateNoninteractive:
     def test_sanitizer_count_mismatch(self):
         with pytest.raises(ValueError, match="one sanitizer per party"):
             enumerate_noninteractive([constant_sanitizer()], [1, 0])
+
+    def test_matches_product_of_flip_probabilities(self):
+        params = flip_bias_for(1.0)
+        x = [1, 0, 1]
+        dist = enumerate_noninteractive([flip_sanitizer(params)] * 3, x)
+        assert set(dist) == set(itertools.product((0, 1), repeat=3))
+        for c, prob in dist.items():
+            expected = math.prod(flip_output_prob(xi, ci, params) for xi, ci in zip(x, c))
+            assert prob == pytest.approx(expected, rel=1e-15)
+
+    def test_constant_sanitizers_give_a_point_mass(self):
+        assert enumerate_noninteractive([constant_sanitizer("a")] * 3, [1, 0, 1]) == {("a", "a", "a"): 1.0}
 
 
 class TestRandomizedResponseSum:
@@ -256,6 +270,32 @@ class TestInteractive:
         )
         assert list(got.items()) == list(expected.items())
 
+    def test_a_none_answer_is_cached(self):
+        # 2 parties x 2 tapes x 2 rounds histories; the per-tape loop would answer 16 times
+        calls = []
+
+        def answer(x_i, queries, tape):
+            calls.append((x_i, tape, queries))
+            return None
+
+        parties = [InteractiveParty(answer=answer, tape_space=lambda: [(0, 0.5), (1, 0.5)])] * 2
+        curator = Curator(query=lambda j, hist: (j, j), output=lambda view: view.rounds)
+        got = enumerate_interactive(parties, curator, [1, 0], 2)
+        assert got == {((None, None), (None, None)): (1.0, 2)}
+        assert len(calls) == len(set(calls)) == 8
+
+    def test_list_answers_are_keyed_like_tuples(self):
+        def parties(wrap):
+            def answer(x_i, queries, tape):
+                return wrap([x_i ^ tape, wrap([len(queries)])])
+
+            return [InteractiveParty(answer=answer, tape_space=lambda: [(0, 0.25), (1, 0.75)])] * 2
+
+        curator = Curator(query=lambda j, hist: (None, None), output=lambda view: view.rounds)
+        got = enumerate_interactive(parties(list), curator, [1, 0], 2)
+        expected = enumerate_interactive(parties(tuple), curator, [1, 0], 2)
+        assert list(got.items()) == list(expected.items())
+
     def test_invalid_input_rejected_before_any_tape_runs(self):
         seen = []
         parties = self._recording_parties(2, seen)
@@ -325,6 +365,55 @@ class TestJointTapes:
         relay = RelayProtocol(keep_prob=1.0)
         spaces = [relay.tape_space(i) for i in range(relay.n)]
         assert list(joint_tapes(spaces)) == [((True, True), 1.0)]
+
+
+class TestReplayJointTapes:
+    @staticmethod
+    def _record(log, fail_cached=()):
+        """A replay that logs (tapes, memo id, ids) and raises TypeError on cached runs of ``fail_cached``."""
+
+        def replay(tapes, memo, ids):
+            log.append((tapes, None if memo is None else id(memo), ids))
+            if memo is not None and tapes in fail_cached:
+                raise TypeError("unhashable history")
+            return sum(tapes)
+
+        return replay
+
+    _SPACES = [[(0, 0.5), (1, 0.5)], [(0, 0.1), (2, 0.9)]]
+
+    def test_yields_every_joint_tape_with_its_run(self):
+        log = []
+        got = list(_replay_joint_tapes(self._SPACES, self._record(log)))
+        assert [(tapes, prob) for tapes, _, prob in got] == list(joint_tapes(self._SPACES))
+        assert [run for _, run, _ in got] == [sum(tapes) for tapes, _, _ in got]
+        assert [ids for _, _, ids in log] == [ids for _, ids, _ in _indexed_joint_tapes(self._SPACES)]
+
+    def test_one_memo_per_call(self):
+        first, second = [], []
+        list(_replay_joint_tapes(self._SPACES, self._record(first)))
+        list(_replay_joint_tapes(self._SPACES, self._record(second)))
+        assert len({memo for _, memo, _ in first}) == len({memo for _, memo, _ in second}) == 1
+        assert None not in {memo for _, memo, _ in first + second}
+
+    def test_type_error_replays_that_tape_uncached(self):
+        log = []
+        got = list(_replay_joint_tapes(self._SPACES, self._record(log, fail_cached={(1, 0)})))
+        assert [run for _, run, _ in got] == [0, 2, 1, 3]
+        assert [(tapes, memo is None) for tapes, memo, _ in log] == [
+            ((0, 0), False), ((0, 2), False), ((1, 0), False), ((1, 0), True), ((1, 2), False)
+        ]
+
+    def test_missing_space_raises_before_any_replay(self):
+        log = []
+        with pytest.raises(ValueError, match="party 1 has no finite tape space"):
+            next(_replay_joint_tapes([self._SPACES[0], None, None], self._record(log)))
+        assert log == []
+
+    def test_frozen_makes_every_list_a_tuple(self):
+        value = [1, [2, (3, [4])], "ab", frozenset({5})]
+        assert _frozen(value) == (1, (2, (3, (4,))), "ab", frozenset({5}))
+        hash(_frozen(value))
 
 
 class TestMultiplicativeTranscriptLaw:

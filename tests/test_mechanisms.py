@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dpdist.audit import SparseBernoulli, hoeffding_bound
 from dpdist.core import sum_bits
+from dpdist.local_model import randomized_response_sum, rr_estimate_batch
 from dpdist.mechanisms import (
     FlipParams,
     LaplaceParams,
@@ -229,6 +230,21 @@ class TestLaplaceMechanism:
     def test_zero_sensitivity_is_identity(self):
         assert laplace_mechanism(7.25, SensitivitySpec(0.0), 1.0, derive_rng(0)) == 7.25
 
+    def test_variance_is_twice_squared_sensitivity_over_eps(self):
+        rng = derive_rng(24)
+        err = laplace_mechanism(0.0, SensitivitySpec(2.0), 0.5, rng, size=1_000_000)
+        assert abs(np.var(err) - 32.0) / 32.0 < 0.02
+
+    def test_summed_submissions_err_with_variance_2n_over_eps_squared(self):
+        # each party submits its bit plus Laplace(1/eps) noise; the curator sums
+        n, eps, trials = 400, 1.0, 20_000
+        x = np.zeros(n)
+        x[:100] = 1.0
+        rng = derive_rng(26)
+        submissions = laplace_mechanism(x, SensitivitySpec(1.0), eps, rng, size=(trials, n))
+        errs = submissions.sum(axis=1) - 100.0
+        assert abs(np.var(errs) - 2 * n / eps**2) / (2 * n / eps**2) < 0.05
+
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             laplace_mechanism(0.0, SensitivitySpec(1.0), 0.0, derive_rng(0))
@@ -238,8 +254,8 @@ class TestLaplaceMechanism:
         assert brute_force_global_sensitivity(sum_bits, 4) == 1
 
 
-# Every call that takes a privacy loss (or a Laplace scale, Gaussian
-# variance, round budget d or Hoeffding threshold nu): the values it must
+# Every call that takes a privacy loss (or a flip bias, Laplace scale,
+# Gaussian variance, round budget d or Hoeffding threshold nu): the values it must
 # reject, and what its error must say (None: any ValueError).
 _NAN, _INF = math.nan, math.inf
 _LAPLACE_BAD = [_NAN, 0.0, -1.0, _INF]
@@ -258,6 +274,17 @@ _BAD_PARAMETER_CALLS = {
     ),
     "hoeffding_bound.nu": (lambda v, rng: hoeffding_bound(v, 4.0), [_NAN, -_INF, 0.0, -1.0], "nu must"),
     "hoeffding_bound.d": (lambda v, rng: hoeffding_bound(64.0, v), [_NAN, _INF, -_INF, 0.0, -1.0], "d must"),
+    "FlipParams": (lambda v, rng: FlipParams(v), [_NAN, 0.0, -1.0, 0.5], "flip_bias must"),
+    "randomized_response_sum": (
+        lambda v, rng: randomized_response_sum([1, 0, 1, 1], v, rng),
+        [_NAN, 0.0, -1.0],
+        "eps must",
+    ),
+    "rr_estimate_batch": (
+        lambda v, rng: rr_estimate_batch([1, 0, 1, 1], v, 5, rng),
+        [_NAN, 0.0, -1.0],
+        "eps must",
+    ),
     "LaplaceParams": (lambda v, rng: LaplaceParams(v), _LAPLACE_BAD, "scale must"),
     "laplace_mechanism": (
         lambda v, rng: laplace_mechanism(0.0, SensitivitySpec(1.0), v, rng, size=3),

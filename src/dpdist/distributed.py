@@ -530,10 +530,12 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     ((sender, symbol), ...) tuple.  In the last round only the output party
     answers, with ("output", value).
 
-    The curator, which sees every answer, makes the engine's per-run channel
-    checks and raises the same errors: a send to oneself or on an undeclared
-    channel when it delivers that round, and a declared channel left unused
-    when it delivers the last round, before the output party answers.
+    The compiled run makes the engine's per-run channel checks and raises the
+    same errors.  Each party checks its own sends right after ``send``, as the
+    engine does, so a send to oneself or on an undeclared channel raises
+    before the next party answers.  The curator, which sees every answer,
+    raises on a declared channel left unused when it delivers the last round,
+    before the output party answers.
     """
     declared = protocol.channels()
     if not declared <= topology.channels:
@@ -552,6 +554,11 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
             received = tuple(queries[1:j])
             if j <= ell:
                 sends = protocol.send(i, x_i, tape, j, received)
+                if sends and not sends.keys() <= neighbours[i]:
+                    try:
+                        _check_receivers(i, j, sends, declared)
+                    except Exception as exc:  # raised as the engine raises it, not as a party failure
+                        raise local_model._RuleBroken(exc) from None
                 return tuple(sorted(sends.items()))
             if i == out_party:
                 return ("output", protocol.output(x_i, tape, received))
@@ -572,10 +579,7 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
         # taken in order and each names a receiver at most once, so inboxes come sorted
         inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
         for sender, sent in enumerate(answer_hist[j - 2] if j > 1 else ()):
-            allowed = neighbours[sender]
             for receiver, symbol in sent:
-                if receiver not in allowed:
-                    _check_receivers(sender, j - 1, [r for r, _ in sent], declared)
                 inboxes[receiver].append((sender, symbol))
         # a round in which every party sends to all its neighbours uses every channel
         if j == ell + 1 and all(sum(map(len, answers)) != 2 * len(declared) for answers in answer_hist):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -110,10 +111,40 @@ def _resolve(cfg: ExperimentConfig, **defaults) -> Dict[str, Any]:
     return params
 
 
-def _batches(seed: int, trials: int):
-    """Yield (index b, size, derive_rng(seed, b)) per batch of at most ``_BATCH`` trials."""
-    for b, start in enumerate(range(0, trials, _BATCH)):
-        yield b, min(_BATCH, trials - start), derive_rng(seed, b)
+_T = TypeVar("_T")
+
+
+def _batched(
+    seed: int, trials: int, fn: Callable[[int, int, np.random.Generator], _T]
+) -> List[_T]:
+    """``fn(b, size, derive_rng(seed, b))`` per batch b of at most ``_BATCH`` trials, in batch order.
+
+    The generators are derived here, in batch order.  The batches run on a
+    thread pool with one worker per CPU this process may use, at most one per
+    batch; numpy's samplers release the GIL.  Each batch draws from its own
+    generator, so the results do not depend on the worker count.  ``fn``
+    should return a batch's rows or counts, not its arrays, so that at most
+    one batch per worker holds arrays.
+    """
+    sizes = [min(_BATCH, trials - start) for start in range(0, trials, _BATCH)]
+    rngs = [derive_rng(seed, b) for b in range(len(sizes))]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        cpus = os.cpu_count() or 1
+    workers = min(len(sizes), cpus)
+    if workers <= 1:
+        return list(map(fn, range(len(sizes)), sizes, rngs))
+    # imported here: at module level it would add about 11 ms to `import dpdist.cli`
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(len(sizes)), sizes, rngs))
+
+
+def _rows(parts: List[List[Row]]) -> List[Row]:
+    """The per-batch row lists of ``_batched``, joined in batch order."""
+    return list(itertools.chain.from_iterable(parts))
 
 
 def _half_ones(n: int) -> np.ndarray:
@@ -173,14 +204,15 @@ def _laplace_tails(cfg: ExperimentConfig):
     trials, eps = params["trials"], params["eps"]
     spec = SensitivitySpec(1.0)
     params.update(gs=1.0, batch=_BATCH)
-    exceed = {1: 0, 2: 0, 3: 0}
-    for _, m, rng in _batches(cfg.seed, trials):
+
+    def batch(b: int, m: int, rng: np.random.Generator) -> List[int]:
         err = np.abs(laplace_mechanism(0.0, spec, eps, rng, size=m))
-        for k in exceed:
-            exceed[k] += int(np.count_nonzero(err > k / eps))
+        return [int(np.count_nonzero(err > k / eps)) for k in (1, 2, 3)]
+
+    exceed = [sum(counts) for counts in zip(*_batched(cfg.seed, trials, batch))]
     rows: List[Row] = []
-    for k in sorted(exceed):
-        rate = exceed[k] / trials
+    for k, count in enumerate(exceed, start=1):
+        rate = count / trials
         rows.append((k, "tail_rate", rate))
         rows.append((k, "expected", math.exp(-k)))
         rows.append((k, "abs_dev", abs(rate - math.exp(-k))))
@@ -222,15 +254,18 @@ def _v_bounds(cfg: ExperimentConfig):
         sum_mean_bound=32.0 / dist.d,
         batch=_BATCH,
     )
-    rows: List[Row] = []
-    for b, m, rng in _batches(cfg.seed, params["trials"]):
+
+    def batch(b: int, m: int, rng: np.random.Generator) -> List[Row]:
         panel = audit.flip_panel(dist, flip, m, rng)
-        rows.append((b, "views", panel.trials))
-        rows.append((b, "hard_violations", panel.hard_violations))
-        rows.append((b, "max_abs_v", panel.max_abs))
-        rows.append((b, "sum_v_total", float(panel.log_totals.sum())))
-        rows.append((b, "sum_v_sq_total", float((panel.log_totals**2).sum())))
-    return params, rows
+        return [
+            (b, "views", panel.trials),
+            (b, "hard_violations", panel.hard_violations),
+            (b, "max_abs_v", panel.max_abs),
+            (b, "sum_v_total", float(panel.log_totals.sum())),
+            (b, "sum_v_sq_total", float((panel.log_totals**2).sum())),
+        ]
+
+    return params, _rows(_batched(cfg.seed, params["trials"], batch))
 
 
 def _hoeffding_tail(cfg: ExperimentConfig):
@@ -239,12 +274,13 @@ def _hoeffding_tail(cfg: ExperimentConfig):
     params.update(
         bound=audit.hoeffding_bound(nu, dist.d), threshold_log_ratio=nu / dist.d, batch=_BATCH
     )
-    rows: List[Row] = []
-    for b, m, rng in _batches(cfg.seed, params["trials"]):
+
+    def batch(b: int, m: int, rng: np.random.Generator) -> List[Row]:
         panel = audit.flip_panel(dist, flip, m, rng)
-        rows.append((b, "views", panel.trials))
-        rows.append((b, "exceed_count", int(np.count_nonzero(panel.log_totals > nu / dist.d))))
-    return params, rows
+        exceed = int(np.count_nonzero(panel.log_totals > nu / dist.d))
+        return [(b, "views", panel.trials), (b, "exceed_count", exceed)]
+
+    return params, _rows(_batched(cfg.seed, params["trials"], batch))
 
 
 def _chernoff_tail(cfg: ExperimentConfig):
@@ -256,14 +292,13 @@ def _chernoff_tail(cfg: ExperimentConfig):
         threshold=(1.0 - gamma) * dist.expected_sum,
         batch=_BATCH,
     )
-    rows: List[Row] = []
-    for b, m, rng in _batches(cfg.seed, params["trials"]):
+
+    def batch(b: int, m: int, rng: np.random.Generator) -> List[Row]:
         sums = audit.sample_sparse_sums(dist, m, rng)
-        rows.append((b, "draws", m))
-        rows.append(
-            (b, "low_count", int(np.count_nonzero(sums <= (1.0 - gamma) * dist.expected_sum)))
-        )
-    return params, rows
+        low = int(np.count_nonzero(sums <= (1.0 - gamma) * dist.expected_sum))
+        return [(b, "draws", m), (b, "low_count", low)]
+
+    return params, _rows(_batched(cfg.seed, params["trials"], batch))
 
 
 def _phase_transition(cfg: ExperimentConfig):
@@ -280,8 +315,12 @@ def _phase_transition(cfg: ExperimentConfig):
     # sum s, which matches the bit-by-bit protocol exactly in distribution.
     rng = derive_rng(cfg.seed, 0)
     s = rng.binomial(n, dist.density, size=trials)
-    k_planted = rng.binomial(s, flip.keep_prob) + rng.binomial(n - s, 1.0 - flip.keep_prob)
-    est_planted = local_model.rr_debias(k_planted.astype(float), n, flip)
+    # summed in place and freed before the all-zero draws, to keep the peak down
+    k_planted = rng.binomial(s, flip.keep_prob)
+    k_planted += rng.binomial(n - s, 1.0 - flip.keep_prob)
+    k_planted = k_planted.astype(float)
+    est_planted = local_model.rr_debias(k_planted, n, flip)
+    del k_planted
     est_zero = local_model.rr_estimate_batch(np.zeros(n, dtype=np.uint8), eps, trials, rng)
     rows: List[Row] = []
     for idx, tau in enumerate(taus):

@@ -49,6 +49,14 @@ class ProtocolAbortError(RuntimeError):
     """A party's answer function failed mid-protocol."""
 
 
+class _RuleBroken(Exception):
+    """Raised by an answer function that broke a run rule; the run raises ``error`` as it is."""
+
+    def __init__(self, error: Exception):
+        super().__init__(error)
+        self.error = error
+
+
 _MISS = object()  # marks a cache miss: a stored answer or send may be None
 
 
@@ -345,6 +353,8 @@ def _replay_interactive(
             if a is _MISS:
                 try:
                     a = party.answer(xs[i], queries, tapes[i])
+                except _RuleBroken as broken:
+                    raise broken.error from None
                 except Exception as exc:
                     raise ProtocolAbortError(
                         f"party {i} failed answering round {j}: {exc}"
@@ -479,10 +489,10 @@ def rr_estimate_batch(
     p = flip_bias_for(eps)
     bits = as_bits(x)
     n, s = bits.size, int(bits.sum())
-    counts = rng.binomial(s, p.keep_prob, size=trials) + rng.binomial(
-        n - s, 1.0 - p.keep_prob, size=trials
-    )
-    return rr_debias(counts.astype(float), n, p)
+    counts = rng.binomial(s, p.keep_prob, size=trials)
+    counts += rng.binomial(n - s, 1.0 - p.keep_prob, size=trials)
+    counts = counts.astype(float)  # in place above and rebound here: one array less at the peak
+    return rr_debias(counts, n, p)
 
 
 # ---------------------------------------------------------------------------

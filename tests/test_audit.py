@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 from dpdist.audit import (
-    DistinguisherReport,
-    EquivalenceReport,
     SparseBernoulli,
-    chernoff_lower_tail_bound,
     chernoff_tail_check,
     definition_equivalence_check,
     distinguisher_experiment,

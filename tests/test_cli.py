@@ -3,12 +3,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import threading
 
 import pytest
 
-from dpdist import cli
+from dpdist import cli, experiments
 from dpdist.cli import main, parse_config_file, render_csv, run_experiment
 from dpdist.experiments import EXPERIMENTS, ExperimentConfig, run_rows
+from dpdist.seeding import derive_rng
 
 
 # sha256 of each experiment's CSV at the small sizes below, seed 3
@@ -320,3 +323,61 @@ class TestFormatting:
         t1 = render_csv("demo", {"b": 1, "a": 2}, [(0, "m", 1.0)])
         t2 = render_csv("demo", {"a": 2, "b": 1}, [(0, "m", 1.0)])
         assert t1 == t2
+
+
+BATCHED = ["v-bounds", "hoeffding-tail", "chernoff-tail", "laplace-tails"]
+
+
+class TestBatchedOnThreads:
+    """The batched experiments draw their batches on a thread pool; no output byte depends on it."""
+
+    @pytest.fixture
+    def threads_at_start(self):
+        start = threading.active_count()
+        yield
+        assert threading.active_count() == start
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("name", BATCHED)
+    def test_csv_is_the_same_on_any_worker_count(self, name, monkeypatch, threads_at_start):
+        monkeypatch.setattr(experiments, "_BATCH", 1024)  # 10 batches
+        cfg = ExperimentConfig(experiment=name, seed=11, trials=10_000)
+        pooled = run_experiment(cfg)
+        self.cpus(monkeypatch, 1)
+        serial = run_experiment(cfg)
+        self.cpus(monkeypatch, 4)
+        assert run_experiment(cfg) == pooled == serial
+        assert '""batch"":1024' in serial
+
+    def test_results_come_back_in_batch_order(self, monkeypatch, threads_at_start):
+        monkeypatch.setattr(experiments, "_BATCH", 4)
+        self.cpus(monkeypatch, 2)
+        later_done = threading.Event()
+        finished = []
+
+        def fn(b, size, rng):
+            if b == 0:
+                assert later_done.wait(timeout=30)  # batch 1 finishes first
+            finished.append(b)
+            later_done.set()
+            return b, size, int(rng.integers(1 << 30))
+
+        out = experiments._batched(3, 6, fn)
+        assert finished == [1, 0]
+        assert out == [(b, size, int(derive_rng(3, b).integers(1 << 30))) for b, size in [(0, 4), (1, 2)]]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_failing_batch_raises(self, n_cpus, monkeypatch, threads_at_start):
+        monkeypatch.setattr(experiments, "_BATCH", 4)
+        self.cpus(monkeypatch, n_cpus)
+
+        def fn(b, size, rng):
+            if b == 2:
+                raise ValueError("batch 2 failed")
+            return b
+
+        with pytest.raises(ValueError, match="batch 2 failed"):
+            experiments._batched(0, 20, fn)

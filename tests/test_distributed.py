@@ -17,7 +17,6 @@ from dpdist import distributed as ds
 from dpdist.core import BitVector, min_window_weight, min_window_weight_gridded
 from dpdist.distributed import (
     DEFAULT_MODULUS,
-    CoalitionView,
     Execution,
     Message,
     ObliviousnessViolationError,
@@ -56,6 +55,7 @@ from dpdist.fixtures import (
 )
 from dpdist.local_model import (
     InteractiveParty,
+    ProtocolAbortError,
     enumerate_interactive,
     joint_tapes,
     randomized_response_sum,
@@ -552,6 +552,55 @@ class TestPerTapeChannelChecks:
             with pytest.raises(error) as caught:
                 enumerate_fn(protocol, topo, x)
             assert type(caught.value) is error and str(caught.value) == message
+
+
+class _TwoFaults(Protocol):
+    """Three parties, one round, declared channels (0, 1) and (1, 2).
+
+    Party 0 sends to 1 and, with ``undeclared``, on the undeclared channel
+    0->2; party 1's ``send`` raises; party 2 sends to 1.
+    """
+
+    n, rounds, output_party = 3, 1, 1
+
+    def __init__(self, undeclared=True):
+        self.undeclared = undeclared
+
+    def channels(self):
+        return frozenset({(0, 1), (1, 2)})
+
+    def tape_space(self, i):
+        return [(0, 1.0)]
+
+    def send(self, i, x_i, tape, rnd, received):
+        if i == 1:
+            raise RuntimeError("boom")
+        if i == 0 and self.undeclared:
+            return {1: x_i, 2: x_i}
+        return {1: x_i}
+
+    def output(self, x_i, tape, received):
+        return received
+
+
+class TestTwoFaultsInOneRound:
+    """The compiled run checks each party's sends where the engine does, so the first fault wins in both."""
+
+    def test_undeclared_channel_before_a_failing_send(self):
+        protocol, topo, x = _TwoFaults(), complete_topology(3), [1, 0, 1]
+        for run in (
+            lambda: output_distribution(protocol, topo, x),
+            lambda: compile_to_local(protocol, topo).output_distribution(x),
+            lambda: compile_to_local(protocol, topo).enumerate(x),
+        ):
+            with pytest.raises(ObliviousnessViolationError) as caught:
+                run()
+            assert str(caught.value) == "round 1: undeclared channel 0->2"
+
+    def test_failing_send_alone_still_aborts_the_compiled_run(self):
+        protocol, topo = _TwoFaults(undeclared=False), complete_topology(3)
+        with pytest.raises(ProtocolAbortError, match="party 1 failed answering round 1: boom"):
+            compile_to_local(protocol, topo).output_distribution([1, 0, 1])
 
 
 class _CountingExchange(Protocol):

@@ -1,12 +1,13 @@
 """Source and import hygiene checks on the dpdist package.
 
 Every name a module exports through ``__all__`` must exist and be used
-outside its own definition, and no module may import a name it never uses
-(``__init__.py`` imports only to re-export, so it is exempt from the
-second check).  Importing the package
-and its CLI loads numpy and the stdlib only; ``scipy.stats`` loads on the
-first experiment that runs a chi-squared test, and that lazy load must not
-change a byte of its CSV.
+outside its own definition, and no module or test file may import a name
+it never uses (``__init__.py`` imports only to re-export, so it is exempt
+from the second check).  Importing the package and its CLI loads numpy and
+the stdlib only, and not ``concurrent.futures``, which the batched
+experiments load on their first run; ``scipy.stats`` loads on the first
+experiment that runs a chi-squared test, and that lazy load must not change
+a byte of its CSV.
 """
 
 import ast
@@ -123,6 +124,12 @@ def test_no_unused_imports(stem):
     assert _unused_imports(tree) == [], f"{stem}.py imports names it never uses"
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "tests").glob("*.py")))
+def test_no_unused_imports_in_tests(name):
+    tree = ast.parse((REPO / "tests" / name).read_text(encoding="utf-8"))
+    assert _unused_imports(tree) == [], f"tests/{name} imports names it never uses"
+
+
 def test_import_loads_numpy_and_stdlib_only():
     report = _fresh_python(
         "import json, sys\n"
@@ -130,10 +137,12 @@ def test_import_loads_numpy_and_stdlib_only():
         "import dpdist, dpdist.cli\n"
         "print(json.dumps({'file': dpdist.__file__,\n"
         "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "    'futures': 'concurrent.futures' in sys.modules,\n"
         "    'new': sorted({m.split('.')[0] for m in set(sys.modules) - before})}))\n"
     )
     assert Path(report["file"]).parent == SRC
     assert report["scipy"] == []
+    assert not report["futures"], "import dpdist.cli loads concurrent.futures; the batched experiments load it"
     assert "numpy" in report["new"]
     foreign = [m for m in report["new"] if m not in ("dpdist", "numpy") and m not in sys.stdlib_module_names]
     assert foreign == [], f"import dpdist.cli loads third-party modules {foreign}"

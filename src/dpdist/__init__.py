@@ -7,28 +7,19 @@ finite and statistically elsewhere.
 """
 
 from .core import (
-    ApproxSpec,
-    BitVector,
     GapParams,
-    GapValue,
-    NeighborSpec,
     as_bits,
-    gap_threshold,
-    is_neighbor,
     min_window_weight,
     min_window_weight_gridded,
-    sum_bits,
 )
 from .mechanisms import (
     FlipParams,
     LaplaceParams,
-    PrivacyParams,
     SensitivitySpec,
     flip,
     flip_bias_for,
     flip_output_prob,
     laplace_mechanism,
-    sample_gaussian,
     sample_laplace,
 )
 from .seeding import derive_rng

@@ -152,6 +152,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"dpdist: invalid parameters: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"dpdist: {exc}", file=sys.stderr)
+        return 2
     if not cfg.out:
         sys.stdout.write(text)
     return 0

@@ -419,11 +419,14 @@ def consistent_probability(
 
     The party is replayed against the messages the transcript delivers to
     it; tape probabilities are summed over tapes whose sends match the
-    transcript in every round.  A party outside ``0..n-1`` or a message
-    round outside ``1..rounds`` raises ``ValueError``.
+    transcript in every round.  A party outside ``0..n-1``, an input bit
+    other than 0 or 1, or a message round outside ``1..rounds`` raises
+    ``ValueError``.
     """
     if not 0 <= i < protocol.n:
         raise ValueError(f"party {i} out of range for n={protocol.n}")
+    if x_i not in (0, 1):
+        raise ValueError(f"input bit {x_i!r} of party {i} is not 0 or 1")
     space = protocol.tape_space(i)
     if space is None:
         raise ValueError(f"party {i} has no finite tape space")

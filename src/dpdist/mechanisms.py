@@ -1,9 +1,9 @@
 """Noise primitives and single-party sanitizing maps.
 
-Laplace and Gaussian samplers, the randomized-response bit flip with its
-exact output-probability oracle, and the global-sensitivity Laplace
-mechanism.  Every sampler takes an explicit ``numpy.random.Generator``; there
-is no ambient global randomness.
+The Laplace sampler, the randomized-response bit flip with its exact
+output-probability oracle, and the global-sensitivity Laplace mechanism.
+Every sampler takes an explicit ``numpy.random.Generator``; there is no
+ambient global randomness.
 """
 
 from __future__ import annotations
@@ -17,31 +17,15 @@ import numpy as np
 from .core import _check_bits
 
 __all__ = [
-    "PrivacyParams",
     "LaplaceParams",
     "FlipParams",
     "SensitivitySpec",
     "sample_laplace",
-    "sample_gaussian",
     "flip_bias_for",
     "flip",
     "flip_output_prob",
     "laplace_mechanism",
 ]
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    """Privacy loss ``epsilon`` and relaxation ``delta`` (0 for pure DP)."""
-
-    epsilon: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -106,25 +90,6 @@ def sample_laplace(
     # smallest positive double instead of returning inf.
     q = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny)
     out = -p.lam * np.sign(u) * np.log(q)
-    if size is None:
-        return float(out)
-    return out
-
-
-def sample_gaussian(
-    mu: float,
-    sigma2: float,
-    rng: np.random.Generator,
-    size: Optional[Union[int, tuple]] = None,
-) -> Union[float, np.ndarray]:
-    """Sample from N(mu, sigma2); sigma2 = 0 returns mu exactly."""
-    if not 0 <= sigma2 < math.inf:
-        raise ValueError("variance must be finite and non-negative")
-    if sigma2 == 0:
-        if size is None:
-            return float(mu)
-        return np.full(size, float(mu))
-    out = rng.normal(mu, math.sqrt(sigma2), size)
     if size is None:
         return float(out)
     return out

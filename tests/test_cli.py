@@ -238,6 +238,20 @@ class TestErrors:
     def test_missing_experiment(self, capsys):
         assert main(["run"]) == 2
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_exits_2(self, where, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+        assert main(["run", "--experiment", "message-accounting", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dpdist: ") and str(out) in err and "Traceback" not in err
+
+    def test_unwritable_out_from_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"experiment = message-accounting\nout = {tmp_path / 'no' / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("dpdist: ")
+
     def test_stdout_output(self, capsys):
         assert main(["run", "--experiment", "rr-exact-epsilon"]) == 0
         out = capsys.readouterr().out

@@ -4,18 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpdist.core import (
-    ApproxSpec,
-    BitVector,
     GapParams,
-    GapValue,
-    NeighborSpec,
     _window_sums,
     as_bits,
-    gap_threshold,
-    is_neighbor,
     min_window_weight,
     min_window_weight_gridded,
-    sum_bits,
 )
 
 
@@ -40,33 +33,57 @@ def _read_only(bits):
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 
 
-class TestBitVector:
-    def test_valid_construction(self):
-        v = BitVector([1, 0, 1])
-        assert v.n == 3 and len(v) == 3
-        assert list(v) == [1, 0, 1]
-        assert v[1] == 0
+class TestAsBits:
+    @pytest.mark.parametrize(
+        "bad",
+        [[[0, 1], [1, 0]], _read_only([[0, 1], [1, 0]]), np.array(1), [[1]], np.zeros((0, 2))],
+        ids=["nested-list", "read-only-uint8-2d", "0-d-array", "1x1", "empty-2d"],
+    )
+    def test_rejects_other_than_one_dimension(self, bad):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            as_bits(bad)
 
-    def test_rejects_non_bits(self):
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: (b for b in [1, 0, 1]), lambda: iter([1, 0, 1]), lambda: map(int, "101")],
+        ids=["generator", "iterator", "map"],
+    )
+    def test_accepts_inputs_without_len(self, make):
+        out = as_bits(make())
+        assert out.dtype == np.uint8 and out.tolist() == [1, 0, 1]
+
+    def test_rejects_non_bits_without_len(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            as_bits(b for b in [0, 2, 1])
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [1, 0],
+            (1, 0),
+            range(1, -1, -1),
+            np.array([1, 0]),
+            np.array([1, 0], dtype=np.uint8),
+            np.array([True, False]),
+        ],
+        ids=["list", "tuple", "range", "int-array", "uint8-array", "bool-array"],
+    )
+    def test_result_is_read_only_uint8(self, x):
+        out = as_bits(x)
+        assert out.dtype == np.uint8 and out.ndim == 1 and out.flags.owndata
         with pytest.raises(ValueError):
-            BitVector([0, 2, 1])
-        with pytest.raises(ValueError):
-            BitVector([[0, 1], [1, 0]])
+            out[0] = 0
 
-    def test_immutable(self):
-        v = BitVector([1, 0])
-        with pytest.raises(ValueError):
-            v.bits[0] = 0
+    @given(bit_lists)
+    def test_round_trips_bit_lists(self, bits):
+        out = as_bits(bits)
+        assert out.tolist() == bits
+        assert as_bits(out) is out
+        assert as_bits(np.array(bits, dtype=bool)).tolist() == bits
 
-    def test_zeros_ones_replace(self):
-        assert sum_bits(BitVector.zeros(5)) == 0
-        assert sum_bits(BitVector.ones(5)) == 5
-        assert list(BitVector.zeros(3).replace(1, 1)) == [0, 1, 0]
-
-    def test_equality_and_hash(self):
-        assert BitVector([1, 0]) == BitVector([1, 0])
-        assert BitVector([1, 0]) != BitVector([0, 1])
-        assert hash(BitVector([1, 0])) == hash(BitVector([1, 0]))
+    def test_empty_input(self):
+        out = as_bits([])
+        assert out.dtype == np.uint8 and out.shape == (0,) and not out.flags.writeable
 
     def test_as_bits_accepts_sequences(self):
         assert np.array_equal(as_bits([1, 0, 1]), np.array([1, 0, 1], dtype=np.uint8))
@@ -111,59 +128,24 @@ class TestBitVector:
         assert list(out) == [0, 0, 1]
 
 
-class TestSum:
-    def test_all_zero(self):
-        assert sum_bits(BitVector.zeros(8)) == 0
-
-    def test_all_one(self):
-        assert sum_bits(BitVector.ones(5)) == 5
-
-    def test_direct_count(self):
-        assert sum_bits([1, 0, 1, 1, 0]) == 3
-
-    @given(bit_lists)
-    def test_bounded_by_length(self, bits):
-        assert 0 <= sum_bits(bits) <= len(bits)
-
-
-class TestGapThreshold:
-    def test_zero_sum(self):
-        assert gap_threshold(BitVector.zeros(10), GapParams(0, 5)) is GapValue.ZERO
-
-    def test_above_gap(self):
-        x = [1] * 7 + [0] * 3
-        assert gap_threshold(x, GapParams(0, 5)) is GapValue.ONE
-
-    def test_promise_violation_is_a_value(self):
-        x = [1, 1, 1] + [0] * 7
-        assert gap_threshold(x, GapParams(0, 5)) is GapValue.UNDEFINED
-        with pytest.raises(ValueError):
-            gap_threshold(x, GapParams(0, 5)).bit
-
+class TestGapParams:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             GapParams(-1, 5)
         with pytest.raises(ValueError):
             GapParams(0, 0)
 
-    @given(bit_lists, st.integers(0, 8), st.integers(1, 8))
-    def test_agrees_with_sign_test(self, bits, kappa, tau):
-        value = gap_threshold(bits, GapParams(kappa, tau))
-        s = sum(bits)
-        if value is GapValue.ZERO:
-            assert s <= kappa
-        elif value is GapValue.ONE:
-            assert s >= kappa + tau
-        else:
-            assert kappa < s < kappa + tau
+    def test_smallest_valid_params(self):
+        p = GapParams(0, 1)
+        assert (p.kappa, p.tau) == (0, 1)
 
 
 class TestMinWindowWeight:
     def test_all_zero(self):
-        assert min_window_weight(BitVector.zeros(10), 4) == 0
+        assert min_window_weight(np.zeros(10, dtype=np.uint8), 4) == 0
 
     def test_all_one(self):
-        assert min_window_weight(BitVector.ones(10), 4) == 4
+        assert min_window_weight(np.ones(10, dtype=np.uint8), 4) == 4
 
     def test_brute_force_example(self):
         x = [1, 1, 0, 0, 0, 1, 1, 1]
@@ -219,10 +201,10 @@ class TestMinWindowWeight:
 
 class TestMinWindowWeightGridded:
     def test_all_zero(self):
-        assert min_window_weight_gridded(BitVector.zeros(12), 4, 2) == 0
+        assert min_window_weight_gridded(np.zeros(12, dtype=np.uint8), 4, 2) == 0
 
     def test_all_one(self):
-        assert min_window_weight_gridded(BitVector.ones(12), 4, 2) == 4
+        assert min_window_weight_gridded(np.ones(12, dtype=np.uint8), 4, 2) == 4
 
     def test_divisibility_errors(self):
         with pytest.raises(ValueError):
@@ -256,52 +238,3 @@ class TestMinWindowWeightGridded:
         assert min_window_weight_gridded(bits, window, interval) == naive_min_window_gridded(
             bits, window, interval
         )
-
-
-class TestIsNeighbor:
-    def test_single_difference(self):
-        assert is_neighbor([0, 0, 0], [0, 1, 0])
-
-    def test_zero_difference(self):
-        assert not is_neighbor([0, 0, 0], [0, 0, 0])
-
-    def test_two_differences(self):
-        assert not is_neighbor([0, 0, 0], [1, 1, 0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            is_neighbor([0, 0], [0, 0, 0])
-
-    def test_index_constraint(self):
-        assert is_neighbor([0, 0, 0], [0, 1, 0], NeighborSpec(index=1))
-        assert not is_neighbor([0, 0, 0], [0, 1, 0], NeighborSpec(index=2))
-
-    def test_excluded_constraint(self):
-        spec = NeighborSpec(excluded=frozenset({1}))
-        assert not is_neighbor([0, 0, 0], [0, 1, 0], spec)
-        assert is_neighbor([0, 0, 0], [0, 0, 1], spec)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NeighborSpec(index=1, excluded=frozenset({1}))
-
-    @given(bit_lists, st.data())
-    def test_flip_one_bit_is_neighbor(self, bits, data):
-        i = data.draw(st.integers(0, len(bits) - 1))
-        other = list(bits)
-        other[i] ^= 1
-        assert is_neighbor(bits, other)
-        assert is_neighbor(bits, other, NeighborSpec(index=i))
-
-
-class TestApproxSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ApproxSpec(gamma=1.5, tau=1.0)
-        with pytest.raises(ValueError):
-            ApproxSpec(gamma=0.5, tau=-1.0)
-
-    def test_satisfied_by(self):
-        spec = ApproxSpec(gamma=0.5, tau=2.0)
-        assert spec.satisfied_by(np.array([0.0, 1.0, 3.0, 1.5]))
-        assert not spec.satisfied_by(np.array([3.0, 4.0, 5.0, 1.0]))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from dpdist import distributed as ds
-from dpdist.core import BitVector, min_window_weight, min_window_weight_gridded
+from dpdist.core import min_window_weight, min_window_weight_gridded
 from dpdist.distributed import (
     DEFAULT_MODULUS,
     Execution,
@@ -218,8 +218,8 @@ def _broadcast_inbox(i, rnd):
 class TestEngine:
     @pytest.mark.parametrize(
         "x",
-        [[1, 0], np.array([1, 0], dtype=np.uint8), BitVector([1, 0])],
-        ids=["list", "array", "bitvector"],
+        [[1, 0], np.array([1, 0], dtype=np.uint8)],
+        ids=["list", "array"],
     )
     def test_parties_receive_python_ints(self, x):
         p = _RecordingRelay()
@@ -714,6 +714,21 @@ class TestConsistentProbabilityInput:
     def test_message_round_out_of_range_raises(self, rnd):
         with pytest.raises(ValueError, match=f"message round {rnd} outside 1..1"):
             consistent_probability(RelayProtocol(0.8), 0, 1, [Message(rnd, 0, 1, 1)])
+
+    @pytest.mark.parametrize("x_i", [2, -1, 0.5, math.nan], ids=["two", "minus-one", "half", "nan"])
+    def test_non_bit_input_raises(self, x_i):
+        with pytest.raises(ValueError, match="of party 0 is not 0 or 1"):
+            consistent_probability(RelayProtocol(0.8), 0, x_i, [Message(1, 0, 1, 1)])
+
+    def test_non_bit_input_raises_before_any_replay(self):
+        p = _RecordingRelay()
+        with pytest.raises(ValueError, match="input bit 2"):
+            consistent_probability(p, 0, 2, [Message(1, 0, 1, 2)])
+        assert p.seen == []
+
+    @pytest.mark.parametrize("x_i", [True, np.uint8(1), np.int64(1)], ids=["bool", "uint8", "int64"])
+    def test_bit_of_any_integer_type_accepted(self, x_i):
+        assert consistent_probability(RelayProtocol(0.8), 0, x_i, [Message(1, 0, 1, 1)]) == 0.8
 
     def test_valid_transcript_unchanged(self):
         p = RelayProtocol(0.8)

@@ -1,9 +1,10 @@
 """Source and import hygiene checks on the dpdist package.
 
 Every name a module exports through ``__all__`` must exist and be used
-outside its own definition, and no module or test file may import a name
-it never uses (``__init__.py`` imports only to re-export, so it is exempt
-from the second check).  Importing the package and its CLI loads numpy and
+outside its own definition and outside any definition that is itself
+unused; an ``__init__.py`` re-export is not a use.  No module or test file
+may import a name it never uses (``__init__.py`` imports only to re-export,
+so it is exempt from that check too).  Importing the package and its CLI loads numpy and
 the stdlib only, and not ``concurrent.futures``, which the batched
 experiments load on their first run; ``scipy.stats`` loads on the first
 experiment that runs a chi-squared test, and that lazy load must not change
@@ -61,44 +62,119 @@ def test_all_names_exist(stem):
     assert missing == [], f"{name}.__all__ names undefined: {missing}"
 
 
-def _names_used_in_src():
-    """Every name the package loads or imports; a definition does not load its own name."""
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_used(trees, dead=frozenset()):
+    """Every name the modules load or import, outside the top-level definitions in ``dead``.
+
+    ``trees`` maps a module stem to its AST and ``dead`` holds ``stem.name``
+    keys.  A top-level definition's loads of its own name (recursion, a
+    class naming itself) are not a use of it.
+    """
     used = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+    for stem, tree in trees.items():
+        for top in tree.body:
+            own = top.name if isinstance(top, _DEFS) else None
+            if own and f"{stem}.{own}" in dead:
+                continue
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            used |= names - {own}
     return used
+
+
+def _dead_exports(trees, exports, texts=()):
+    """``stem.name`` for each name in ``exports`` (stem -> names) that nothing live uses.
+
+    A use is a load or import in ``trees`` outside a definition already
+    found dead, or the name as a word in one of ``texts``.  Skipping a dead
+    definition can expose more, so this repeats until nothing new is found.
+    """
+    dead = frozenset()
+    while True:
+        used = _names_used(trees, dead)
+        found = frozenset(
+            f"{stem}.{name}"
+            for stem, names in exports.items()
+            for name in names
+            if name not in used and not any(re.search(rf"\b{name}\b", t) for t in texts)
+        )
+        if found == dead:
+            return dead
+        dead = found
 
 
 @functools.lru_cache(maxsize=None)
 def _unused_exports():
-    """``module.name`` for each ``__all__`` name of a submodule that nothing uses.
+    """``module.name`` for each ``__all__`` name of a submodule that nothing live uses.
 
-    A use is a load or import in ``src/dpdist`` (so an ``__init__``
-    re-export counts), or the name as a word in ``bench/``, the acceptance
-    suite or ``pyproject.toml``.
+    A use is a load or import in a submodule of ``src/dpdist`` (an
+    ``__init__`` re-export is not one), or the name as a word in ``bench/``,
+    the acceptance suite or ``pyproject.toml``.
     """
-    used = _names_used_in_src()
+    trees = {stem: ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")) for stem in SUBMODULES}
+    exports = {stem: importlib.import_module(f"dpdist.{stem}").__all__ for stem in SUBMODULES}
     texts = [p.read_text(encoding="utf-8") for p in sorted((REPO / "bench").glob("*.py"))]
     texts += [(REPO / f).read_text(encoding="utf-8") for f in ("tests/test_acceptance.py", "pyproject.toml")]
-    unused = set()
-    for stem in SUBMODULES:
-        for name in importlib.import_module(f"dpdist.{stem}").__all__:
-            word = re.compile(rf"\b{name}\b")
-            if name not in used and not any(word.search(t) for t in texts):
-                unused.add(f"{stem}.{name}")
-    return frozenset(unused)
+    return _dead_exports(trees, exports, texts)
 
 
 @pytest.mark.parametrize("stem", SUBMODULES)
 def test_every_export_is_used(stem):
     unused = sorted(key for key in _unused_exports() - PENDING_USE.keys() if key.split(".")[0] == stem)
     assert unused == [], f"{stem} exports names nothing uses: delete them or wire them in"
+
+
+PLANTED = """
+def b():
+    return 1
+
+
+def a():
+    return b()
+
+
+class C:
+    def copy(self):
+        return C()
+
+
+def d():
+    return d()
+
+
+def e():
+    return 2
+"""
+
+
+@pytest.mark.parametrize(
+    "user,texts,dead",
+    [
+        ("", (), {"a", "b", "C", "d", "e"}),
+        ("from .planted import e\ne()\n", (), {"a", "b", "C", "d"}),
+        ("from .planted import a, e\na(); e()\n", (), {"C", "d"}),
+        ("", ("C, d and e are named in this script",), {"a", "b"}),
+        ("import planted\nplanted.C(); planted.e()\n", (), {"a", "b", "d"}),
+    ],
+    ids=["nothing-used", "dead-def-uses-b", "live-a-keeps-b", "named-in-text", "attribute-use"],
+)
+def test_dead_exports_skips_dead_definitions(user, texts, dead):
+    trees = {"planted": ast.parse(PLANTED), "user": ast.parse(user)}
+    found = _dead_exports(trees, {"planted": ["a", "b", "C", "d", "e"]}, texts)
+    assert found == {f"planted.{name}" for name in dead}
+
+
+def test_dead_exports_follows_a_chain():
+    chain = "def a():\n    return b()\n\ndef b():\n    return c()\n\ndef c():\n    return 0\n"
+    assert _dead_exports({"m": ast.parse(chain)}, {"m": ["a", "b", "c"]}) == {"m.a", "m.b", "m.c"}
 
 
 def test_pending_names_are_still_unused():

@@ -28,7 +28,12 @@ __all__ = [
 def _check_bits(arr: np.ndarray) -> None:
     # runs before any uint8 cast, which would truncate 1.7 to 1 and wrap 256 to 0
     if arr.size and arr.dtype != np.bool_:
-        ok = arr.max() <= 1 if arr.dtype == np.uint8 else np.isin(arr, (0, 1)).all()
+        if arr.dtype == np.uint8:
+            ok = arr.max() <= 1
+        elif arr.dtype.kind in "iu":  # integers: a range check is exact and cheaper than isin
+            ok = arr.min() >= 0 and arr.max() <= 1
+        else:  # floats, objects, strings: only the exact values 0 and 1 pass
+            ok = np.isin(arr, (0, 1)).all()
         if not ok:
             raise ValueError("every element must be 0 or 1")
 

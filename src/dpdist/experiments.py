@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from . import audit, distributed, fixtures, local_model
+from . import audit, distributed, fixtures, local_model, mechanisms
 from .core import _window_sums, min_window_weight, min_window_weight_gridded
 from .mechanisms import SensitivitySpec, flip_bias_for, laplace_mechanism
 from .seeding import derive_rng
@@ -150,7 +150,27 @@ def _rows(parts: List[List[Row]]) -> List[Row]:
 def _half_ones(n: int) -> np.ndarray:
     x = np.zeros(n, dtype=np.uint8)
     x[: n // 2] = 1
+    x.setflags(write=False)  # so that as_bits takes it as it is
     return x
+
+
+def _rr_runs(rows: np.ndarray, eps: float, runs: int, rng: np.random.Generator) -> np.ndarray:
+    """Estimates of ``runs`` randomized-response runs on each of the k rows, shape (runs, k).
+
+    The draws are those of ``runs`` rounds of ``randomized_response_sum``
+    calls, one per row in row order, on ``rng``: one ``flip`` of an (m, k, n)
+    chunk fills its uniforms in the same order as m*k calls of n each.  A
+    chunk holds at most ``_BATCH`` uniforms, or one run when a run is larger.
+    """
+    p = flip_bias_for(eps)
+    k, n = rows.shape
+    m = max(1, _BATCH // (k * n))
+    counts = np.empty((runs, k))
+    for start in range(0, runs, m):
+        size = min(m, runs - start)
+        z = mechanisms.flip(np.broadcast_to(rows, (size, k, n)), p, rng)
+        counts[start : start + size] = z.sum(axis=2)
+    return local_model.rr_debias(counts, n, p)
 
 
 def _chi2_rows(idx: int, table: np.ndarray) -> List[Row]:
@@ -478,14 +498,13 @@ def _rr_distributed(cfg: ExperimentConfig):
     n, eps, trials = params["n"], params["eps"], params["trials"]
     x = _half_ones(n)
     rng_d = derive_rng(cfg.seed, 0)
-    rng_l = derive_rng(cfg.seed, 1)
     dist_counts: Dict[float, int] = {}
-    local_counts: Dict[float, int] = {}
     for _ in range(trials):
         e = distributed.randomized_response_distributed(x, eps, rng_d, record=False)
         dist_counts[e.output] = dist_counts.get(e.output, 0) + 1
-        est, _ = local_model.randomized_response_sum(x, eps, rng_l)
-        local_counts[est] = local_counts.get(est, 0) + 1
+    est = _rr_runs(x[None], eps, trials, derive_rng(cfg.seed, 1))
+    values, freqs = np.unique(est, return_counts=True)
+    local_counts = dict(zip(values.tolist(), freqs.tolist()))
     support = sorted(set(dist_counts) | set(local_counts))
     table = [[counts.get(v, 0) for v in support] for counts in (dist_counts, local_counts)]
     rows = _chi2_rows(0, np.array(table))
@@ -578,11 +597,7 @@ def _symmetry(cfg: ExperimentConfig):
     rng = derive_rng(cfg.seed, 0)
     x = _half_ones(n_big)
     pi_x = x[rng.permutation(n_big)]
-    est_x = np.empty(trials)
-    est_p = np.empty(trials)
-    for k in range(trials):
-        est_x[k], _ = local_model.randomized_response_sum(x, eps, rng)
-        est_p[k], _ = local_model.randomized_response_sum(pi_x, eps, rng)
+    est_x, est_p = _rr_runs(np.array([x, pi_x]), eps, trials, rng).T
     lo = min(est_x.min(), est_p.min())
     hi = max(est_x.max(), est_p.max())
     edges = np.linspace(lo, hi + 1e-9, 21)

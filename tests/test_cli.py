@@ -90,6 +90,28 @@ class TestRegistry:
         float(first[4])
         assert hashlib.sha256(text.encode()).hexdigest() == SMALL_CSV_SHA256[name]
 
+    @pytest.mark.parametrize(
+        "name, size, digest",
+        [
+            # the lean-trials size: eight chunks of randomized-response runs, the last partial
+            (
+                "symmetry",
+                dict(n=100, trials=2500),
+                "a393a6733509b191087d6b45874f4f9f16e4fef23ae6f259a52097b06adf90be",
+            ),
+            # two chunks of the local twin (4,096 runs each at n=16)
+            (
+                "rr-distributed",
+                dict(n=16, trials=5000),
+                "8830033a0e90be6dec4ce5c50279cef4d76ef83e21c536a5a8406a5c76135ae7",
+            ),
+        ],
+    )
+    def test_chunked_sizes_pinned(self, name, size, digest):
+        # recorded with one randomized_response_sum call per run, before the runs were chunked
+        params, rows = run_rows(ExperimentConfig(experiment=name, seed=3, **size))
+        assert hashlib.sha256(render_csv(name, params, rows).encode()).hexdigest() == digest
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):

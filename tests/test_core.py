@@ -90,8 +90,36 @@ class TestAsBits:
 
     @pytest.mark.parametrize(
         "bad",
-        [[0.5, 1.7], np.array([0.9, 0.2]), [256], [-1], [2], _read_only([0, 2])],
-        ids=["floats", "float-array", "256", "minus-one", "two", "read-only-uint8"],
+        [
+            [0.5, 1.7],
+            np.array([0.9, 0.2]),
+            [float("nan"), 1.0],
+            ["a"],
+            np.array([1, None], dtype=object),
+            [256],
+            [-1],
+            [2],
+            np.array([0, 2]),
+            np.array([-1, 1], dtype=np.int8),
+            np.array([1, 256], dtype=np.uint16),
+            [2**70, 1],
+            _read_only([0, 2]),
+        ],
+        ids=[
+            "floats",
+            "float-array",
+            "nan",
+            "string",
+            "object-none",
+            "256",
+            "minus-one",
+            "two",
+            "int64-two",
+            "int8-minus-one",
+            "uint16-256",
+            "big-int",
+            "read-only-uint8",
+        ],
     )
     def test_as_bits_validates_before_casting(self, bad):
         # a uint8 cast first would truncate 0.5 to 0 and wrap 256 to 0; the
@@ -101,8 +129,16 @@ class TestAsBits:
 
     @pytest.mark.parametrize(
         "good",
-        [[True, False], np.array([True, False]), [1.0, 0.0]],
-        ids=["bools", "bool-array", "whole-floats"],
+        [
+            [True, False],
+            np.array([True, False]),
+            [True, 0],
+            [1.0, 0.0],
+            np.array([1, 0], dtype=np.uint16),
+            np.array([1, 0], dtype=np.int8),
+            np.array([1, 0], dtype=object),
+        ],
+        ids=["bools", "bool-array", "bool-and-int", "whole-floats", "uint16", "int8", "object"],
     )
     def test_as_bits_accepts_exact_bits_of_any_dtype(self, good):
         out = as_bits(good)

@@ -163,6 +163,7 @@ class TestFlipMatchesWhereOracle:
             np.array([0, 2], dtype=np.uint8),
             np.array([[1, 0], [255, 1]], dtype=np.uint8),
             np.array([0, -1]),
+            np.array([1, 2]),
             np.array([1.0, 0.5]),
             np.array([np.nan]),
         ],

@@ -7,6 +7,12 @@ ordered transcript and per-party randomness, so coalition views can be
 extracted exactly and small protocols can be audited by exhaustive
 enumeration over the parties' finite tapes.
 
+Every transcript, whether the engine or a vectorized protocol recorded it, a
+coalition view selected it or ``read_execution_records`` parsed it, is one
+``Transcript``: four column tuples (round, sender, receiver, symbol) that
+iterate as ``Message``s built on demand, and compare and hash as the tuple
+of those messages.
+
 Also provides the compiler that reroutes any such protocol through an
 untrusted curator (one extra round), additive secret sharing over a prime
 field, and three concrete protocols: star-topology randomized response,
@@ -19,9 +25,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice, repeat
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from . import local_model
 
 __all__ = [
     "Message",
+    "Transcript",
     "Topology",
     "PartyClassification",
     "classify",
@@ -78,6 +86,66 @@ class Message(NamedTuple):
 
 
 _as_message = functools.partial(tuple.__new__, Message)  # from a 4-item iterable, at C speed
+
+
+class Transcript(Sequence):
+    """A run's messages in order, held as four equal-length column tuples.
+
+    ``round``, ``sender``, ``receiver`` and ``symbol`` hold one entry per
+    message; ``columns`` is the four of them.  As a read-only sequence it
+    yields ``Message``s built on demand, and a slice is a ``Transcript``.  It
+    equals any tuple, list or ``Transcript`` of the same messages in the same
+    order and hashes as the tuple of its messages, so a list symbol makes
+    ``hash`` raise ``TypeError``.
+    """
+
+    __slots__ = ("columns", "_hash")
+
+    def __init__(self, round: Iterable[int] = (), sender: Iterable[int] = (),
+                 receiver: Iterable[int] = (), symbol: Iterable[Any] = ()):
+        self.columns = r, s, v, y = tuple(round), tuple(sender), tuple(receiver), tuple(symbol)
+        if not len(r) == len(s) == len(v) == len(y):
+            raise ValueError("transcript columns must have equal lengths")
+        self._hash: Optional[int] = None
+
+    round = property(lambda self: self.columns[0])
+    sender = property(lambda self: self.columns[1])
+    receiver = property(lambda self: self.columns[2])
+    symbol = property(lambda self: self.columns[3])
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Transcript(*(c[k] for c in self.columns))
+        return _as_message(c[k] for c in self.columns)
+
+    def rows(self) -> Iterator[Tuple[int, int, int, Any]]:
+        """The messages as plain (round, sender, receiver, symbol) tuples, which compare and hash as they do."""
+        return zip(*self.columns)
+
+    def __iter__(self) -> Iterator[Message]:
+        return map(_as_message, zip(*self.columns))
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, Transcript):
+            return self.columns == other.columns
+        if isinstance(other, (tuple, list)):
+            # one pair at a time, with no second list
+            return len(self) == len(other) and all(map(operator.eq, self.rows(), other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(self.rows()))
+        return self._hash
+
+    def __reduce__(self):
+        return Transcript, self.columns  # not the cached hash, which a NaN symbol's copy changes
+
+    def __repr__(self) -> str:
+        return f"Transcript({tuple(self)!r})"
 
 
 class ObliviousnessViolationError(RuntimeError):
@@ -218,40 +286,47 @@ class FlipTapeProtocol(Protocol):
         return int(x_i) if keep else 1 - int(x_i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Execution:
     """Complete record of one protocol run.
 
-    ``transcript`` is ordered by (round, sender, receiver); ``tapes`` holds
-    each party's random tape, so the run can be replayed deterministically.
-    Lean runs (``record=False``) drop both but keep exact message counts.
+    ``bits`` is the validated read-only uint8 input, and ``inputs`` the same
+    bits as a tuple of Python ints, built when first read.  ``transcript`` is
+    ordered by (round, sender, receiver); ``tapes`` holds each party's random
+    tape, so the run can be replayed deterministically.  Lean runs
+    (``record=False``) drop both but keep exact message counts.
     """
 
     n: int
     rounds: int
-    inputs: Tuple[int, ...]
+    bits: np.ndarray
     output: Any
     n_messages: int
-    transcript: Optional[Tuple[Message, ...]] = None
+    transcript: Optional[Transcript] = None
     tapes: Optional[Tuple[Any, ...]] = None
+
+    @functools.cached_property
+    def inputs(self) -> Tuple[int, ...]:
+        return tuple(self.bits.tolist())
 
 
 def _check_run(
     protocol: Protocol, topology: Topology, x: Bits
-) -> Tuple[Tuple[int, ...], FrozenSet[Tuple[int, int]], List[set]]:
+) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], FrozenSet[Tuple[int, int]], List[set]]]:
     """Checks that depend on (protocol, topology, input) only, made once per call.
 
-    Returns the input bits, the declared channels and each party's declared
-    neighbours, which every replay on these three reads.
+    Returns the validated input bits, and what every replay on these three
+    reads: the bits as Python ints, the declared channels and each party's
+    declared neighbours.
     """
-    xs = tuple(as_bits(x).tolist())
+    bits = as_bits(x)
     n = protocol.n
-    if len(xs) != n or topology.n != n:
+    if bits.size != n or topology.n != n:
         raise ValueError("protocol, topology, and input sizes must agree")
     declared = protocol.channels()
     if not declared <= topology.channels:
         raise ValueError("protocol uses channels missing from the topology")
-    return xs, declared, _neighbours(n, declared)
+    return bits, (tuple(bits.tolist()), declared, _neighbours(n, declared))
 
 
 def _neighbours(n: int, declared: FrozenSet[Tuple[int, int]]) -> List[set]:
@@ -288,10 +363,10 @@ def _replay(
     tapes: Sequence[Any],
     memo: Optional[Dict[Tuple, Any]] = None,
     ids: Sequence[int] = (),
-) -> Tuple[Any, int, List[Message]]:
+) -> Tuple[Any, int, Optional[Transcript]]:
     """One run on fixed tapes after ``_check_run``: (output, message count, transcript).
 
-    The per-run channel checks are made here; the transcript stays empty
+    The per-run channel checks are made here; the transcript is None
     unless ``record``.
 
     With ``memo``, sends are looked up and stored under (party, tape index in
@@ -301,7 +376,8 @@ def _replay(
     """
     n = len(xs)
     received: List[Tuple[Tuple[Tuple[int, Any], ...], ...]] = [()] * n
-    transcript: List[Message] = []
+    columns: Tuple[List[Any], ...] = ([], [], [], [])  # round, sender, receiver, symbol
+    add_round, add_sender, add_receiver, add_symbol = (c.append for c in columns)
     used: List[set] = [set() for _ in range(n)]  # receivers each party sent to
     n_messages = 0
     send = protocol.send
@@ -322,29 +398,34 @@ def _replay(
             for receiver, symbol in sends.items():
                 inboxes[receiver].append((i, symbol))
             if record:
-                transcript += [_as_message((rnd, i, r, sends[r])) for r in sorted(sends)]
+                for r in sorted(sends):
+                    add_round(rnd)
+                    add_sender(i)
+                    add_receiver(r)
+                    add_symbol(sends[r])
             n_messages += len(sends)
         received = [r + (tuple(box),) for r, box in zip(received, inboxes)]
     # each party sending to all its neighbours uses every channel; otherwise collect the used pairs
     if sum(map(len, used)) != 2 * len(declared):
         _check_all_used({(i, j) if i < j else (j, i) for i, to in enumerate(used) for j in to}, declared)
     p = protocol.output_party
+    transcript = Transcript(*columns) if record else None
     return protocol.output(xs[p], tapes[p], received[p]), n_messages, transcript
 
 
 def _execution(
-    protocol: Protocol, xs: Tuple[int, ...], tapes: Sequence[Any], record: bool,
-    run: Tuple[Any, int, List[Message]],
+    protocol: Protocol, bits: np.ndarray, tapes: Sequence[Any], record: bool,
+    run: Tuple[Any, int, Optional[Transcript]],
 ) -> Execution:
     """The ``Execution`` of a ``_replay`` result; it keeps the transcript and tapes only with ``record``."""
     output, n_messages, transcript = run
     return Execution(
-        n=len(xs),
+        n=bits.size,
         rounds=protocol.rounds,
-        inputs=xs,
+        bits=bits,
         output=output,
         n_messages=n_messages,
-        transcript=tuple(transcript) if record else None,
+        transcript=transcript,
         tapes=tuple(tapes) if record else None,
     )
 
@@ -357,8 +438,8 @@ def run_protocol_with_tapes(
     record: bool = True,
 ) -> Execution:
     """Deterministic synchronous execution with all tapes fixed."""
-    checked = _check_run(protocol, topology, x)
-    return _execution(protocol, checked[0], tapes, record, _replay(protocol, *checked, record, tapes))
+    bits, checked = _check_run(protocol, topology, x)
+    return _execution(protocol, bits, tapes, record, _replay(protocol, *checked, record, tapes))
 
 
 def run_protocol(
@@ -386,18 +467,18 @@ def _tape_distribution(
     With ``key`` None the runs are keyed by their output, unrecorded and
     with no ``Execution`` built.
     """
-    checked = _check_run(protocol, topology, x)
+    bits, checked = _check_run(protocol, topology, x)
     spaces = [protocol.tape_space(i) for i in range(protocol.n)]
     record = key is not None
     replay = functools.partial(_replay, protocol, *checked, record)
     out: Dict[Any, float] = {}
     for tapes, run, prob in local_model._replay_joint_tapes(spaces, replay):
-        k = key(_execution(protocol, checked[0], tapes, record, run)) if record else run[0]
+        k = key(_execution(protocol, bits, tapes, record, run)) if record else run[0]
         out[k] = out.get(k, 0.0) + prob
     return out
 
 
-def enumerate_executions(protocol: Protocol, topology: Topology, x: Bits) -> Dict[Tuple, float]:
+def enumerate_executions(protocol: Protocol, topology: Topology, x: Bits) -> Dict[Transcript, float]:
     """Exact transcript distribution: ``{transcript: probability}``.
 
     Requires finite tape spaces for every party.  Tapes that influence
@@ -432,13 +513,14 @@ def consistent_probability(
         raise ValueError(f"party {i} has no finite tape space")
     recv_by_round: List[List[Tuple[int, Any]]] = [[] for _ in range(protocol.rounds)]
     sent_by_round: List[Dict[int, Any]] = [dict() for _ in range(protocol.rounds)]
-    for m in transcript:
-        if not 1 <= m.round <= protocol.rounds:
-            raise ValueError(f"message round {m.round} outside 1..{protocol.rounds}")
-        if m.receiver == i:
-            recv_by_round[m.round - 1].append((m.sender, m.symbol))
-        if m.sender == i:
-            sent_by_round[m.round - 1][m.receiver] = m.symbol
+    rows = transcript.rows() if isinstance(transcript, Transcript) else transcript
+    for rnd, sender, receiver, symbol in rows:
+        if not 1 <= rnd <= protocol.rounds:
+            raise ValueError(f"message round {rnd} outside 1..{protocol.rounds}")
+        if receiver == i:
+            recv_by_round[rnd - 1].append((sender, symbol))
+        if sender == i:
+            sent_by_round[rnd - 1][receiver] = symbol
     recv = tuple(tuple(sorted(r)) for r in recv_by_round)
 
     def reproduces(tape: Any) -> bool:
@@ -462,7 +544,7 @@ class CoalitionView:
     coalition: Tuple[int, ...]
     inputs: Tuple[int, ...]
     tapes: Tuple[Any, ...]
-    received: Tuple[Message, ...]
+    received: Transcript
 
     def key(self) -> Tuple:
         return (self.coalition, self.inputs, self.tapes, self.received)
@@ -476,13 +558,12 @@ def coalition_view(e: Execution, coalition: Iterable[int]) -> CoalitionView:
             raise ValueError(f"party {i} out of range")
     if e.transcript is None or e.tapes is None:
         raise ValueError("coalition views require a recorded execution")
-    member_set = set(members)
-    received = tuple(m for m in e.transcript if m.receiver in member_set)
+    selected = list(map(set(members).__contains__, e.transcript.receiver))
     return CoalitionView(
         coalition=members,
-        inputs=tuple(e.inputs[i] for i in members),
+        inputs=tuple(map(e.bits.item, members)),
         tapes=tuple(e.tapes[i] for i in members),
-        received=received,
+        received=Transcript(*(compress(c, selected) for c in e.transcript.columns)),
     )
 
 
@@ -710,14 +791,18 @@ def gaussian_aggregator_sum(
     estimate = float(y.sum())
     transcript = tapes = None
     if record:
-        reports = zip(repeat(1), range(1, n), repeat(0), y[1:].tolist())
-        announce = zip(repeat(2), repeat(0), range(1, n), repeat(estimate))
-        transcript = tuple(map(_as_message, chain(reports, announce)))
+        parties = tuple(range(1, n))  # each reports to party 0, which announces to each
+        transcript = Transcript(
+            (1,) * (n - 1) + (2,) * (n - 1),
+            parties + (0,) * (n - 1),
+            (0,) * (n - 1) + parties,
+            tuple(y[1:].tolist()) + (estimate,) * (n - 1),
+        )
         tapes = tuple(noise.tolist())
     e = Execution(
         n=n,
         rounds=2,
-        inputs=tuple(bits.tolist()),
+        bits=bits,
         output=estimate,
         n_messages=2 * (n - 1),
         transcript=transcript,
@@ -885,21 +970,24 @@ def windowed_min_protocol(
     n_messages = (t + 1) * (n - 1) + t * n_intervals + (n - 1)
     transcript = tapes = None
     if record:
-        rows = shares.tolist()  # Python ints, shared by the records and the tapes
-        senders = chain.from_iterable(map(repeat, range(n), repeat(t + 1)))
-        receivers = chain.from_iterable(repeat(range(t + 1), n))
+        flat = shares.ravel().tolist()  # Python ints, shared by the records and the tapes
         sent = (~np.eye(n, t + 1, dtype=bool)).ravel().tolist()  # no share to oneself
-        sharing = compress(zip(repeat(1), senders, receivers, chain.from_iterable(rows)), sent)
-        sums = zip(repeat(2), np.repeat(np.arange(1, t + 1), n_intervals).tolist(), repeat(0),
-                   chain.from_iterable(agg[:, 1:].T.tolist()))
-        announce = zip(repeat(3), repeat(0), range(1, n), repeat(estimate))
-        transcript = tuple(map(_as_message, chain(sharing, sums, announce)))
-        tapes = tuple(zip((noisy - bits).tolist(), map(tuple, rows)))
+        n_shares, n_sums = (t + 1) * (n - 1), t * n_intervals
+        transcript = Transcript(
+            (1,) * n_shares + (2,) * n_sums + (3,) * (n - 1),
+            chain(compress(chain.from_iterable(map(repeat, range(n), repeat(t + 1))), sent),
+                  np.repeat(np.arange(1, t + 1), n_intervals).tolist(), repeat(0, n - 1)),
+            chain(compress(chain.from_iterable(repeat(range(t + 1), n)), sent),
+                  repeat(0, n_sums), range(1, n)),
+            chain(compress(flat, sent),
+                  chain.from_iterable(agg[:, 1:].T.tolist()), repeat(estimate, n - 1)),
+        )
+        tapes = tuple(zip((noisy - bits).tolist(), zip(*[iter(flat)] * (t + 1))))  # party i's row of shares
         assert len(transcript) == n_messages
     e = Execution(
         n=n,
         rounds=3,
-        inputs=tuple(bits.tolist()),
+        bits=bits,
         output=estimate,
         n_messages=n_messages,
         transcript=transcript,
@@ -916,19 +1004,40 @@ def windowed_min_protocol(
 _CHUNK_LINES = 1024  # transcript files are read and written this many lines at a time
 
 
+def _symbol_texts(symbols: Tuple[Any, ...]) -> Sequence[Any]:
+    """The symbols, each of which ``%s`` formats as ``json.dumps`` writes it.
+
+    A column of ints is returned as it is, since ``json.dumps`` writes an
+    int as its ``repr``, which is also its ``str``.  Otherwise each distinct
+    symbol object is made into its text once, as the n-1 announcements of
+    one value are one object; an int or a finite float skips ``json.dumps``
+    for its ``repr``.
+    """
+    if set(map(type, symbols)) <= {int}:
+        return symbols
+    ids = list(map(id, symbols))
+    text = {
+        k: repr(y) if type(y) is int or (type(y) is float and math.isfinite(y)) else json.dumps(y)
+        for k, y in dict(zip(ids, symbols)).items()
+    }
+    return list(map(text.__getitem__, ids))
+
+
 def execution_records(e: Execution) -> List[str]:
     """Line-delimited transcript: ``round,sender,receiver,symbol`` per line.
 
-    The symbol is as ``json.dumps`` writes it, which for an int or a finite
-    float is its ``repr``, so those skip the call; field order is as written.
+    The symbol is as ``json.dumps`` writes it; field order is as written.
+    The lines are formatted by one ``%`` over the transcript's columns.
     """
     if e.transcript is None:
         raise ValueError("execution was run without transcript recording")
-    return [
-        f"{r},{s},{v},{y!r}" if type(y) is int or (type(y) is float and math.isfinite(y))
-        else f"{r},{s},{v},{json.dumps(y)}"
-        for r, s, v, y in e.transcript
-    ]
+    k = len(e.transcript)
+    if not k:
+        return []
+    fields: List[Any] = [None] * (4 * k)
+    fields[0::4], fields[1::4], fields[2::4], symbols = e.transcript.columns
+    fields[3::4] = _symbol_texts(symbols)
+    return (("%s,%s,%s,%s\n" * k)[:-1] % tuple(fields)).split("\n")
 
 
 def write_execution(e: Execution, path: str) -> None:
@@ -941,20 +1050,22 @@ def write_execution(e: Execution, path: str) -> None:
             fh.write("\n".join(execution_records(chunk)) + "\n")
 
 
-def read_execution_records(path: str) -> List[Message]:
+def read_execution_records(path: str) -> Transcript:
     """Parse ``write_execution`` output in chunks of lines; blank lines are skipped.
 
     A line that is not three ints and a JSON symbol raises ``ValueError``.  A
     chunk of scalar symbols (no quote, bracket or brace) is one ``json.loads``
     of its lines joined by commas once each line is seen to hold three; other
     chunks go line by line, as one line's bracket could pair with the next's.
+    Each chunk's fields are appended to the columns of the ``Transcript``
+    returned.
     """
-    out: List[Message] = []
+    columns: Tuple[List[Any], ...] = ([], [], [], [])
     with open(path, encoding="utf-8") as fh:
         while True:
             raw = list(islice(fh, _CHUNK_LINES))
             if not raw:
-                return out
+                return Transcript(*columns)
             lines = list(filter(None, map(str.strip, raw)))
             text = ",".join(lines)
             if '"' in text or "[" in text or "{" in text:
@@ -962,9 +1073,10 @@ def read_execution_records(path: str) -> List[Message]:
                 commas = {len(row) - 1 for row in rows}
                 fields = list(chain.from_iterable(rows))
             else:
-                commas = {line.count(",") for line in lines}
+                commas = set(map(str.count, lines, repeat(",")))
                 fields = json.loads(f"[{text}]")
-            if commas - {3} or set(map(type, fields[0::4] + fields[1::4] + fields[2::4])) - {int}:
+            parts = [fields[j::4] for j in range(4)]
+            if commas - {3} or set(map(type, chain(*parts[:3]))) - {int}:
                 raise ValueError(f"{path}: each line must be round,sender,receiver,symbol")
-            it = iter(fields)
-            out.extend(map(_as_message, zip(it, it, it, it)))
+            for column, part in zip(columns, parts):
+                column += part

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 from dataclasses import replace
 import json
 import math
 import os
+import pickle
 import tempfile
 import warnings
 from typing import Dict
@@ -21,7 +23,9 @@ from dpdist.distributed import (
     Message,
     ObliviousnessViolationError,
     Protocol,
+    RRStarProtocol,
     Topology,
+    Transcript,
     classify,
     coalition_view,
     coalition_view_distribution,
@@ -1142,13 +1146,15 @@ _SYMBOLS = st.recursive(
 
 
 def _execution(transcript):
+    if not isinstance(transcript, Transcript):
+        transcript = Transcript(*zip(*transcript))
     return Execution(
         n=0,
         rounds=1,
-        inputs=(),
+        bits=np.zeros(0, dtype=np.uint8),
         output=None,
         n_messages=len(transcript),
-        transcript=tuple(transcript),
+        transcript=transcript,
         tapes=(),
     )
 
@@ -1182,7 +1188,7 @@ def _check_against_per_line_json(transcript):
         got = read_execution_records(path)
     finally:
         os.remove(path)
-    assert type(got) is list and len(got) == len(expected)
+    assert type(got) is Transcript and len(got) == len(expected)
     assert all(map(_same, got, expected))
 
 
@@ -1198,10 +1204,10 @@ class TestSerialization:
         e = Execution(
             n=2,
             rounds=1,
-            inputs=(1, 0),
+            bits=np.array([1, 0], dtype=np.uint8),
             output=None,
             n_messages=1,
-            transcript=(Message(1, 0, 1, 0.5),),
+            transcript=Transcript([1], [0], [1], [0.5]),
             tapes=(None, None),
         )
         assert execution_records(e) == ["1,0,1,0.5"]
@@ -1245,6 +1251,17 @@ class TestSerialization:
         transcript[9000] = Message(1, 9000, 0, math.nan)
         _check_against_per_line_json(transcript)
 
+    def test_recorded_runs_match_per_line_json(self):
+        # every announcement is one float object, formatted once per chunk;
+        # windowed-min's 2,743 records span three chunks, and its last two
+        # mix int shares and sums with that float
+        x = (derive_rng(61).random(256) < 0.5).astype(np.uint8)
+        _, e = windowed_min_protocol(x, 1.0, 0.01, 7, 0.75, derive_rng(62))
+        assert len(e.transcript) > 2 * ds._CHUNK_LINES
+        _check_against_per_line_json(e.transcript)
+        _, e = gaussian_aggregator_sum(x[:64], 1.0, derive_rng(63))
+        _check_against_per_line_json(e.transcript)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -1271,6 +1288,168 @@ class TestSerialization:
             read_execution_records(str(path))
 
 
+_ROWS = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3), _SYMBOLS), max_size=8)
+
+# sha256 of every input's {tuple(transcript): probability}, recorded before
+# transcripts became columnar
+_ENUMERATION_DIGESTS = {
+    "relay": "9fa797b6c358c1f1806de21b9044b07bce3eb62a703fd5ddd1df09d9ff3705b8",
+    "parity": "bd47082ea5bc266ee38743f9d0fd593204640839b7d2596857bb6e9c4b1db3e4",
+    "chain": "30f200816ed4d8856a2768c9c9d15b0e6a41bc1ce62192eb99808c8370da7c44",
+    "shared-sum": "e25ed9d3b3163e34439867115420c6be6303c5d1f30e2a1bb6bea7c0da9685ec",
+    "rr-star": "4005a28d61bf7a2a36f501f898a7874f55e372a8deed4407e2b0042c586ee963",
+}
+
+
+class TestTranscript:
+    """``Transcript`` against the tuple of its messages."""
+
+    @given(_ROWS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_behaves_as_its_tuple(self, rows, data):
+        t = Transcript(*zip(*rows))
+        ref = tuple(Message(*row) for row in rows)
+        assert len(t) == len(ref)
+        got = list(t)
+        assert all(type(m) is Message for m in got) and all(map(_same, got, ref))
+        for k in range(-len(ref), len(ref)):
+            assert type(t[k]) is Message and _same(t[k], ref[k])
+        for k in (len(ref), -len(ref) - 1):
+            with pytest.raises(IndexError):
+                t[k]
+        cut = data.draw(st.slices(len(ref) + 2))
+        assert type(t[cut]) is Transcript and len(t[cut]) == len(ref[cut])
+        assert all(map(_same, t[cut], ref[cut]))
+        # each symbol object is shared with ref, so NaN compares as in ref == ref
+        for other in (ref, list(ref), Transcript(*zip(*rows))):
+            assert t == other and other == t and not t != other
+        longer = ref + (Message(1, 0, 0, 0),)
+        for other in (longer, list(longer), Transcript(*zip(*longer))):
+            assert t != other and other != t and not t == other
+        if ref:
+            changed = ref[:-1] + (ref[-1]._replace(receiver=ref[-1].receiver + 1),)
+            assert t != changed and t != Transcript(*zip(*changed))
+        try:
+            expected = hash(ref)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(t)
+        else:
+            assert hash(t) == expected and {ref: 1}[t] == 1 and {t: 1}[ref] == 1
+
+    def test_empty(self):
+        t = Transcript()
+        assert len(t) == 0 and list(t) == [] and t == () and t == [] and t == Transcript()
+        assert hash(t) == hash(()) and type(t[:3]) is Transcript and t[:3] == ()
+        with pytest.raises(IndexError):
+            t[0]
+
+    def test_list_symbol_unhashable(self):
+        t = Transcript([1, 2], [0, 1], [1, 0], [1, [1, 2]])
+        with pytest.raises(TypeError):
+            hash(t)
+        assert t == (Message(1, 0, 1, 1), Message(2, 1, 0, [1, 2]))
+
+    def test_pickled_copy_hashes_as_its_tuple(self):
+        t = Transcript([1, 2], [0, 1], [1, 0], [math.nan, "a"])
+        hash(t)
+        u = pickle.loads(pickle.dumps(t))
+        assert type(u) is Transcript and math.isnan(u[0].symbol) and u[1] == Message(2, 1, 0, "a")
+        assert hash(u) == hash(tuple(u))
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError):
+            Transcript([1, 1], [0, 1], [1, 0], [0])
+
+    def test_not_equal_to_other_types(self):
+        assert Transcript() != "" and Transcript([1], [0], [1], [0]) != {Message(1, 0, 1, 0)}
+
+    @given(_ROWS, st.sets(st.integers(0, 3)))
+    @settings(max_examples=200, deadline=None)
+    def test_coalition_view_selects_by_receiver(self, rows, coalition):
+        e = replace(
+            _execution(rows), n=4, bits=np.array([1, 0, 1, 1], dtype=np.uint8), tapes=("a", "b", "c", "d")
+        )
+        view = coalition_view(e, coalition)
+        expected = [m for m in e.transcript if m.receiver in coalition]
+        assert type(view.received) is Transcript and len(view.received) == len(expected)
+        assert all(map(_same, view.received, expected))
+        assert view.inputs == tuple(e.inputs[i] for i in sorted(coalition))
+
+    @pytest.mark.parametrize(
+        "protocol, topology",
+        [(p, fixture_topology(p)) for p in _ENUMERATION_FIXTURES] + [(RRStarProtocol(4, 1.0), star_topology(4))],
+        ids=_FIXTURE_IDS + ["rr-star"],
+    )
+    def test_enumeration_unchanged(self, request, protocol, topology):
+        h = hashlib.sha256()
+        for bits in itertools.product((0, 1), repeat=protocol.n):
+            dist = enumerate_executions(protocol, topology, list(bits))
+            assert all(type(t) is Transcript for t in dist)
+            dist = {tuple(t): p for t, p in dist.items()}
+            h.update(repr(sorted((tuple(map(tuple, k)), p) for k, p in dist.items())).encode())
+        assert h.hexdigest() == _ENUMERATION_DIGESTS[request.node.callspec.id]
+
+    def test_every_producer_gives_a_transcript(self, tmp_path):
+        x = np.array([1, 0, 1, 1, 0, 1, 0, 0], dtype=np.uint8)
+        parity = NoisyParityProtocol(flip_bias_for(1.0))
+        runs = [
+            run_protocol(parity, fixture_topology(parity), x[:3], derive_rng(64)),
+            randomized_response_distributed(x, 1.0, derive_rng(65)),
+            gaussian_aggregator_sum(x, 1.0, derive_rng(66))[1],
+            windowed_min_protocol(np.tile(x, 2), 1.0, 0.01, 1, 0.75, derive_rng(67))[1],
+        ]
+        path = str(tmp_path / "transcript.log")
+        for e in runs:
+            assert type(e.transcript) is Transcript and len(e.transcript) == e.n_messages
+            assert type(coalition_view(e, [0, 1]).received) is Transcript
+            write_execution(e, path)
+            back = read_execution_records(path)
+            assert type(back) is Transcript and back == e.transcript
+
+    def test_no_message_built_to_record_view_write_or_read(self, tmp_path, monkeypatch):
+        def no_message(fields):
+            raise AssertionError("a Message was built")
+
+        monkeypatch.setattr(ds, "_as_message", no_message)
+        x = (derive_rng(72).random(64) < 0.5).astype(np.uint8)
+        runs = [
+            randomized_response_distributed(x, 1.0, derive_rng(73)),
+            gaussian_aggregator_sum(x, 1.0, derive_rng(74))[1],
+            windowed_min_protocol(x[:16], 1.0, 0.01, 3, 0.75, derive_rng(75))[1],
+        ]
+        path = str(tmp_path / "transcript.log")
+        for e in runs:
+            view = coalition_view(e, [0, 5])
+            write_execution(e, path)
+            back = read_execution_records(path)
+            assert back == e.transcript and hash(view.received) == hash(tuple(view.received.rows()))
+        with pytest.raises(AssertionError):
+            list(back)
+
+
+class TestLazyInputs:
+    def test_inputs_built_when_first_read(self):
+        x = np.array([1, 0, 1, 1], dtype=np.uint8)
+        _, e = gaussian_aggregator_sum(x, 1.0, derive_rng(68), record=False)
+        assert "inputs" not in vars(e)
+        assert e.bits.dtype == np.uint8 and not e.bits.flags.writeable
+        assert np.array_equal(e.bits, x)
+        assert e.inputs == (1, 0, 1, 1) and all(type(b) is int for b in e.inputs)
+        assert e.inputs is e.inputs
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_every_producer_keeps_the_bits(self, record):
+        x = [1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0]
+        runs = [
+            randomized_response_distributed(x, 1.0, derive_rng(69), record=record),
+            gaussian_aggregator_sum(x, 1.0, derive_rng(70), record=record)[1],
+            windowed_min_protocol(x, 1.0, 0.01, 1, 0.75, derive_rng(71), record=record)[1],
+        ]
+        for e in runs:
+            assert e.bits.tolist() == x and e.inputs == tuple(x)
+
+
 class TestRecordingMatchesPerElementConstruction:
     """Recorded transcripts and tapes against the per-element construction.
 
@@ -1279,13 +1458,13 @@ class TestRecordingMatchesPerElementConstruction:
     """
 
     def _assert_same_run(self, e, records, tapes):
-        assert type(e.transcript) is tuple and all(type(m) is Message for m in e.transcript)
+        assert type(e.transcript) is Transcript and all(type(m) is Message for m in e.transcript)
         assert all(map(_same, e.transcript, records)) and len(e.transcript) == len(records)
         assert _same(e.tapes, tapes)
         coalition = {0, 2}
-        assert coalition_view(e, coalition).received == tuple(
-            m for m in records if m.receiver in coalition
-        )
+        received = coalition_view(e, coalition).received
+        assert type(received) is Transcript
+        assert received == tuple(m for m in records if m.receiver in coalition)
 
     @pytest.mark.parametrize("zero_noise", [False, True])
     def test_gaussian_aggregator(self, zero_noise):

@@ -20,7 +20,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .local_model import CuratorView, SanitizerSpec, enumerate_noninteractive
+from .local_model import CuratorView, SanitizerSpec, enumerate_noninteractive, rr_report_counts
 from .mechanisms import FlipParams
 
 __all__ = [
@@ -98,8 +98,8 @@ def round_budget(ell: int) -> Tuple[float, float]:
     here are one workable choice; callers needing different ones pass d and
     nu explicitly.
     """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
+    if not 1 <= ell < math.inf:  # max(4.0, nan) would return 4.0
+        raise ValueError("ell must be finite and at least 1")
     d = max(4.0, 16.0 * ell * ell * math.log(ell + 2))
     nu = max(64.0, 16.0 * ell * math.log(ell + 2))
     return d, nu
@@ -192,7 +192,6 @@ def likelihood_ratios(
         for r in range(rounds):
             spec = per_party[i][r]
             symbol = view.answers[r][i]
-            symbol = symbol.item() if isinstance(symbol, np.generic) else symbol
             prob1 *= spec.output_prob(1, symbol)
             prob0 *= spec.output_prob(0, symbol)
         mixed = a * prob1 + (1.0 - a) * prob0
@@ -234,7 +233,6 @@ class FlipPanel:
     v_one: float
     v_zero: float
     log_totals: np.ndarray
-    hard_bound: float
     hard_violations: int
     max_abs: float
 
@@ -260,8 +258,7 @@ def flip_panel(
     r_zero = (a * (1.0 - keep) + (1.0 - a) * keep) / keep
     v_one, v_zero = math.log(r_one), math.log(r_zero)
 
-    s = rng.binomial(n, a, size=trials)
-    k = rng.binomial(s, keep) + rng.binomial(n - s, 1.0 - keep)
+    k = rr_report_counts(n, sample_sparse_sums(p, trials, rng), flip, rng)
     log_totals = k * v_one + (n - k) * v_zero
 
     hard = _ratio_hard_bound(p)
@@ -279,7 +276,6 @@ def flip_panel(
         v_one=v_one,
         v_zero=v_zero,
         log_totals=log_totals,
-        hard_bound=hard,
         hard_violations=viol,
         max_abs=max_abs,
     )
@@ -292,7 +288,6 @@ class TailCheck:
     empirical_rate: float
     bound: float
     stderr: float
-    trials: int
 
     @property
     def passed(self) -> bool:
@@ -315,7 +310,7 @@ def _tail_check(exceeds: np.ndarray, bound: float) -> TailCheck:
         raise ValueError("a tail check needs at least one sample")
     rate = float(np.mean(exceeds))
     stderr = math.sqrt(rate * (1.0 - rate) / trials)
-    return TailCheck(empirical_rate=rate, bound=bound, stderr=stderr, trials=trials)
+    return TailCheck(empirical_rate=rate, bound=bound, stderr=stderr)
 
 
 def hoeffding_tail_check(log_totals: np.ndarray, nu: float, d: float) -> TailCheck:
@@ -377,7 +372,6 @@ class DistinguisherReport:
 
     error_case_i: float
     error_case_ii: float
-    trials: int
     tau: float
 
     @property
@@ -386,7 +380,7 @@ class DistinguisherReport:
 
 
 def distinguisher_experiment(
-    gap_protocol: Callable[[np.ndarray, np.random.Generator], Any],
+    gap_protocol: Callable[[np.ndarray, np.random.Generator], Tuple[int, Any]],
     p: SparseBernoulli,
     tau: Optional[float] = None,
     trials: int = 1000,
@@ -394,10 +388,11 @@ def distinguisher_experiment(
 ) -> DistinguisherReport:
     """Measure both failure modes of a 0/1 gap protocol.
 
-    Runs the protocol on planted inputs and on the all-zero input; a
-    protocol that tracks the true sum to within the planted sum's scale
-    must exhibit at least one error rate bounded away from zero when tau
-    is half the expected planted sum (the default).
+    ``gap_protocol`` returns (answer, aux), as ``sum_to_gap``'s do.  Runs
+    the protocol on planted inputs and on the all-zero input; a protocol
+    that tracks the true sum to within the planted sum's scale must exhibit
+    at least one error rate bounded away from zero when tau is half the
+    expected planted sum (the default).
     """
     if rng is None:
         raise ValueError("an explicitly seeded generator is required")
@@ -409,18 +404,15 @@ def distinguisher_experiment(
     err_i = err_ii = 0
     for _ in range(trials):
         x = sample_sparse(p, rng)
-        out = gap_protocol(x, rng)
-        out = out[0] if isinstance(out, tuple) else out
+        out, _ = gap_protocol(x, rng)
         if int(x.sum()) >= tau and int(out) == 0:
             err_i += 1
-        out0 = gap_protocol(zeros, rng)
-        out0 = out0[0] if isinstance(out0, tuple) else out0
+        out0, _ = gap_protocol(zeros, rng)
         if int(out0) == 1:
             err_ii += 1
     return DistinguisherReport(
         error_case_i=err_i / trials,
         error_case_ii=err_ii / trials,
-        trials=trials,
         tau=float(tau),
     )
 

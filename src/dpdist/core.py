@@ -11,6 +11,7 @@ Everything here is pure and immutable; no randomness is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -64,10 +65,10 @@ class GapParams:
     tau: int
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
-        if self.tau <= 0:
-            raise ValueError("tau must be a positive integer")
+        if not 0 <= self.kappa < math.inf:  # a NaN threshold would answer 1 on every input
+            raise ValueError("kappa must be finite and non-negative")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and positive")
 
 
 def _window_sums(bits: np.ndarray, window: int) -> np.ndarray:

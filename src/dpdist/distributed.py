@@ -769,7 +769,6 @@ def gaussian_aggregator_sum(
     x: Bits,
     eps: float,
     rng: np.random.Generator,
-    zero_noise: bool = False,
     record: bool = True,
 ) -> Tuple[float, Execution]:
     """Sum protocol where each party submits a Gaussian-noised bit.
@@ -785,8 +784,7 @@ def gaussian_aggregator_sum(
     n = bits.size
     if n < 2:
         raise ValueError("need at least two parties")
-    sd = math.sqrt(gaussian_noise_variance(n, eps))  # checks eps even with zero_noise
-    noise = np.zeros(n) if zero_noise else rng.normal(0.0, sd, n)
+    noise = rng.normal(0.0, math.sqrt(gaussian_noise_variance(n, eps)), n)
     y = bits + noise
     estimate = float(y.sum())
     transcript = tapes = None
@@ -908,6 +906,8 @@ def windowed_min_sizes(n: int, alpha_exp: float) -> Tuple[int, int]:
     """
     if not 0.0 < alpha_exp < 1.0:
         raise ValueError("alpha_exp must lie in (0, 1)")
+    if n < 1:
+        raise ValueError(f"n must be positive; got {n!r}")
     window_f = n**alpha_exp
     interval_f = n ** (alpha_exp / 3.0)
     window, interval = round(window_f), round(interval_f)

@@ -331,16 +331,10 @@ def _phase_transition(cfg: ExperimentConfig):
         taus = [m * math.sqrt(n) / eps for m in (0.1, 0.3, 1.0, 3.0, 10.0)]
     params.update(density=dist.density, taus=taus)
     # One batch of planted and all-zero runs, reused across the tau sweep.
-    # The report count is Bin(s, keep) + Bin(n-s, 1-keep) given the input
-    # sum s, which matches the bit-by-bit protocol exactly in distribution.
     rng = derive_rng(cfg.seed, 0)
-    s = rng.binomial(n, dist.density, size=trials)
-    # summed in place and freed before the all-zero draws, to keep the peak down
-    k_planted = rng.binomial(s, flip.keep_prob)
-    k_planted += rng.binomial(n - s, 1.0 - flip.keep_prob)
-    k_planted = k_planted.astype(float)
-    est_planted = local_model.rr_debias(k_planted, n, flip)
-    del k_planted
+    s = audit.sample_sparse_sums(dist, trials, rng)
+    # the counts are freed before the all-zero draws, to keep the peak down
+    est_planted = local_model.rr_debias(local_model.rr_report_counts(n, s, flip, rng), n, flip)
     est_zero = local_model.rr_estimate_batch(np.zeros(n, dtype=np.uint8), eps, trials, rng)
     rows: List[Row] = []
     for idx, tau in enumerate(taus):

@@ -40,6 +40,7 @@ __all__ = [
     "randomized_response_sum",
     "rr_debias",
     "rr_count_distribution",
+    "rr_report_counts",
     "rr_estimate_batch",
     "sum_to_gap",
 ]
@@ -75,7 +76,6 @@ class SanitizerSpec:
     sanitizer declares; the audit module can verify it.
     """
 
-    name: str
     alphabet: Tuple[Any, ...]
     output_prob: Callable[[int, Any], float]
     claimed_epsilon: Optional[float] = None
@@ -88,7 +88,6 @@ class SanitizerSpec:
 def flip_sanitizer(p: FlipParams) -> SanitizerSpec:
     """Randomized-response sanitizer: keep the bit w.p. 0.5 + flip_bias."""
     return SanitizerSpec(
-        name=f"flip(bias={p.flip_bias:g})",
         alphabet=(0, 1),
         output_prob=lambda x, c: flip_output_prob(x, c, p),
         claimed_epsilon=p.exact_epsilon,
@@ -98,7 +97,6 @@ def flip_sanitizer(p: FlipParams) -> SanitizerSpec:
 def constant_sanitizer(symbol: Any = 0) -> SanitizerSpec:
     """Ignores the input and always sends ``symbol`` (zero privacy loss)."""
     return SanitizerSpec(
-        name=f"constant({symbol!r})",
         alphabet=(symbol,),
         output_prob=lambda x, c: 1.0 if c == symbol else 0.0,
         claimed_epsilon=0.0,
@@ -132,22 +130,12 @@ class CuratorView:
         return len(self.answers[0]) if self.answers else 0
 
     def key(self) -> Tuple:
-        """Hashable identity of the received-message log."""
-        return tuple(
-            roundmsgs if type(roundmsgs) is tuple and _PLAIN_TYPES.issuperset(map(type, roundmsgs))
-            else tuple(map(_plain, roundmsgs))
-            for roundmsgs in self.answers
-        )
+        """Hashable identity of the received-message log.
 
-
-_PLAIN_TYPES = frozenset({bool, int, float, str, tuple, type(None)})  # a tuple of these is its own key
-
-
-def _plain(symbol: Any) -> Any:
-    """Strip numpy scalar types so view keys compare and hash plainly."""
-    if isinstance(symbol, np.generic):
-        return symbol.item()
-    return symbol
+        A numpy scalar symbol stays as it is: it compares and hashes as its
+        Python value, so the key equals the one built from Python symbols.
+        """
+        return tuple(map(tuple, self.answers))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +424,8 @@ def _frozen(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def rr_debias(count: float, n: int, p: FlipParams) -> float:
-    """Unbiased sum estimate from the count of reported ones."""
+def rr_debias(count, n: int, p: FlipParams):
+    """Unbiased sum estimate from the count (or an integer array of counts) of reported ones."""
     return (count - (0.5 - p.flip_bias) * n) / (2.0 * p.flip_bias)
 
 
@@ -464,15 +452,27 @@ def rr_count_distribution(x: Bits, p: FlipParams) -> Dict[int, float]:
     Convolution of the per-party Bernoulli report probabilities; feasible
     for small n and used by symmetry and permutation audits.
     """
-    bits = as_bits(x)
     dist = np.array([1.0])
-    for b in bits:
-        q = flip_output_prob(int(b), 1, p)
-        nxt = np.zeros(dist.size + 1)
-        nxt[: dist.size] += dist * (1.0 - q)
-        nxt[1:] += dist * q
-        dist = nxt
+    for b in as_bits(x).tolist():
+        q = flip_output_prob(b, 1, p)
+        dist = np.convolve(dist, (1.0 - q, q))
     return {k: float(v) for k, v in enumerate(dist)}
+
+
+def rr_report_counts(
+    n: int, s, p: FlipParams, rng: np.random.Generator, size: Optional[int] = None
+) -> np.ndarray:
+    """Counts of reported ones when ``s`` of ``n`` parties hold a one, as int64.
+
+    The count is a sum of independent Bernoullis, keep on the s one-bits
+    and 1-keep on the n-s zero-bits, so drawing Bin(s, keep) and then
+    Bin(n-s, 1-keep), added in place, is distribution-identical to flipping
+    bit by bit.  ``s`` is an int (with ``size`` draws) or an array of input
+    sums (one draw each).
+    """
+    counts = rng.binomial(s, p.keep_prob, size=size)
+    counts += rng.binomial(n - s, 1.0 - p.keep_prob, size=size)
+    return counts
 
 
 def rr_estimate_batch(
@@ -480,19 +480,13 @@ def rr_estimate_batch(
 ) -> np.ndarray:
     """Sum estimates from ``trials`` independent randomized-response runs.
 
-    The curator's count is a sum of independent Bernoullis: success
-    probability 0.5+bias on the s one-bits and 0.5-bias on the n-s
-    zero-bits.  Sampling it as Bin(s, 0.5+bias) + Bin(n-s, 0.5-bias) is
-    therefore distribution-identical to flipping bit by bit, and fast
-    enough for million-trial audits.
+    Each run's count is drawn by ``rr_report_counts``, which is fast enough
+    for million-trial audits.
     """
     p = flip_bias_for(eps)
     bits = as_bits(x)
-    n, s = bits.size, int(bits.sum())
-    counts = rng.binomial(s, p.keep_prob, size=trials)
-    counts += rng.binomial(n - s, 1.0 - p.keep_prob, size=trials)
-    counts = counts.astype(float)  # in place above and rebound here: one array less at the peak
-    return rr_debias(counts, n, p)
+    n = bits.size
+    return rr_debias(rr_report_counts(n, int(bits.sum()), p, rng, size=trials), n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -500,25 +494,20 @@ def rr_estimate_batch(
 # ---------------------------------------------------------------------------
 
 
-def _as_result(res: Any) -> Tuple[Any, Any]:
-    if isinstance(res, tuple) and len(res) == 2:
-        return res
-    return res, None
-
-
 def sum_to_gap(
-    estimate_protocol: Callable[[Bits, np.random.Generator], Any], p: GapParams
+    estimate_protocol: Callable[[Bits, np.random.Generator], Tuple[float, Any]], p: GapParams
 ) -> Callable[[Bits, np.random.Generator], Tuple[int, Any]]:
     """Turn a sum-estimating protocol into a gap-threshold protocol.
 
-    Output 0 when the estimate is at most kappa + tau/2 (ties included),
-    else 1.  Round and message counts are unchanged; only the final output
-    map differs.
+    Both return (output, aux): the estimate, or the 0/1 answer, with the
+    protocol's view or execution.  Output 0 when the estimate is at most
+    kappa + tau/2 (ties included), else 1.  Round and message counts are
+    unchanged; only the final output map differs.
     """
     threshold = p.kappa + p.tau / 2.0
 
     def gap_protocol(x: Bits, rng: np.random.Generator) -> Tuple[int, Any]:
-        estimate, aux = _as_result(estimate_protocol(x, rng))
+        estimate, aux = estimate_protocol(x, rng)
         return (0 if estimate <= threshold else 1), aux
 
     return gap_protocol

@@ -70,8 +70,8 @@ class SensitivitySpec:
     gs: float
 
     def __post_init__(self):
-        if self.gs < 0:
-            raise ValueError("global sensitivity must be non-negative")
+        if not 0 < self.gs < math.inf:
+            raise ValueError("global sensitivity must be finite and positive")
 
 
 def sample_laplace(
@@ -89,10 +89,7 @@ def sample_laplace(
     # 1 - 2|u| = 0 only when the uniform draw is exactly 0; clamp to the
     # smallest positive double instead of returning inf.
     q = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny)
-    out = -p.lam * np.sign(u) * np.log(q)
-    if size is None:
-        return float(out)
-    return out
+    return -p.lam * np.sign(u) * np.log(q)
 
 
 def flip_bias_for(eps: float) -> FlipParams:
@@ -102,23 +99,17 @@ def flip_bias_for(eps: float) -> FlipParams:
     return FlipParams(eps / (4.0 + 2.0 * eps))
 
 
-def flip(
-    x: Union[int, np.ndarray], p: FlipParams, rng: np.random.Generator
-) -> Union[int, np.ndarray]:
+def flip(x: Union[int, np.ndarray], p: FlipParams, rng: np.random.Generator) -> np.ndarray:
     """Randomized response: return x w.p. 0.5 + flip_bias, else 1 - x.
 
-    Accepts a scalar bit or a bit array (flipped elementwise with
-    independent randomness, returned as uint8).  A scalar outside {0, 1},
-    or an array with such an element, raises ``ValueError`` before any draw.
+    Flips a bit array elementwise with one independent uniform per element
+    and returns uint8 of the same shape; a scalar bit is a 0-d array, so it
+    draws one uniform and returns a numpy ``uint8``.  An element outside
+    {0, 1} raises ``ValueError`` before any draw.
     """
     arr = np.asarray(x)
-    if arr.ndim:
-        _check_bits(arr)  # the XOR below would map 2 to 2 or 3, not to 1 - x
-    elif arr not in (0, 1):  # 1 - x would map 2 to -1 and 0.5 to 0
-        raise ValueError("every element must be 0 or 1")
+    _check_bits(arr)  # the XOR below would map 2 to 2 or 3, not to 1 - x
     keep = rng.random(arr.shape) < p.keep_prob
-    if arr.ndim == 0:
-        return int(np.where(keep, arr, 1 - arr))
     return arr.astype(np.uint8, copy=False) ^ ~keep
 
 
@@ -136,15 +127,7 @@ def laplace_mechanism(
     rng: np.random.Generator,
     size: Optional[Union[int, tuple]] = None,
 ) -> Union[float, np.ndarray]:
-    """Add Laplace noise with scale gs/eps to a function value.
-
-    Zero sensitivity yields the degenerate (noise-free) mechanism, the
-    scale -> 0 limit; useful as a test fixture.
-    """
+    """Add Laplace noise with scale gs/eps to a function value."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if s.gs == 0:
-        if size is None:
-            return float(f_value)
-        return np.full(size, float(f_value))
     return f_value + sample_laplace(LaplaceParams(s.gs / eps), rng, size)

@@ -36,7 +36,6 @@ from dpdist.seeding import derive_rng
 def identity_sanitizer():
     """Sends the input bit in the clear (infinite privacy loss)."""
     return SanitizerSpec(
-        name="identity",
         alphabet=(0, 1),
         output_prob=lambda x, c: 1.0 if c == x else 0.0,
         claimed_epsilon=math.inf,
@@ -82,6 +81,11 @@ class TestSparseBernoulli:
         assert d4 > d1 and nu4 > nu1
         with pytest.raises(ValueError):
             round_budget(0)
+
+    @pytest.mark.parametrize("ell", [math.nan, math.inf])
+    def test_round_budget_rejects_non_finite(self, ell):
+        with pytest.raises(ValueError, match="finite"):
+            round_budget(ell)  # NaN used to give (4.0, 64.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

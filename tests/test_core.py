@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,12 @@ class TestGapParams:
             GapParams(-1, 5)
         with pytest.raises(ValueError):
             GapParams(0, 0)
+
+    @pytest.mark.parametrize("kappa, tau", [(math.nan, 4), (math.inf, 4), (0, math.nan), (0, math.inf)])
+    def test_non_finite_rejected(self, kappa, tau):
+        # a NaN threshold made sum_to_gap answer 1 on every input, and kappa = inf answer 0
+        with pytest.raises(ValueError, match="finite"):
+            GapParams(kappa, tau)
 
     def test_smallest_valid_params(self):
         p = GapParams(0, 1)

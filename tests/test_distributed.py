@@ -789,12 +789,6 @@ class TestRRDistributed:
 
 
 class TestGaussianAggregator:
-    def test_zero_noise_exact(self):
-        x = np.array([1, 0, 1, 1], dtype=np.uint8)
-        est, e = gaussian_aggregator_sum(x, 1.0, derive_rng(0), zero_noise=True)
-        assert est == 3.0
-        assert e.output == 3.0
-
     def test_message_count(self):
         _, e = gaussian_aggregator_sum(np.ones(64, dtype=np.uint8), 1.0, derive_rng(0))
         assert e.n_messages == 126 and e.rounds == 2
@@ -1015,6 +1009,12 @@ class TestWindowedMin:
         assert windowed_min_sizes(16, 0.75) == (8, 2)
         with pytest.raises(ValueError):
             windowed_min_sizes(100, 0.75)
+
+    @pytest.mark.parametrize("n", [0, -16])
+    def test_sizes_reject_non_positive_n(self, n):
+        # 0 used to raise ZeroDivisionError, and -16 a TypeError from rounding a complex power
+        with pytest.raises(ValueError, match="n must be positive"):
+            windowed_min_sizes(n, 0.75)
 
     def test_zero_noise_equals_gridded(self):
         rng = derive_rng(43)
@@ -1466,14 +1466,13 @@ class TestRecordingMatchesPerElementConstruction:
         assert type(received) is Transcript
         assert received == tuple(m for m in records if m.receiver in coalition)
 
-    @pytest.mark.parametrize("zero_noise", [False, True])
-    def test_gaussian_aggregator(self, zero_noise):
+    def test_gaussian_aggregator(self):
         n, eps = 9, 1.0
         x = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-        _, e = gaussian_aggregator_sum(x, eps, derive_rng(58), zero_noise=zero_noise)
+        _, e = gaussian_aggregator_sum(x, eps, derive_rng(58))
         rng = derive_rng(58)
         sigma = math.sqrt(gaussian_noise_variance(n, eps))
-        noise = np.zeros(n) if zero_noise else rng.normal(0.0, sigma, n)
+        noise = rng.normal(0.0, sigma, n)
         y = x + noise
         estimate = float(y.sum())
         records = [Message(1, i, 0, float(y[i])) for i in range(1, n)]

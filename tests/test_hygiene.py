@@ -248,6 +248,31 @@ def test_lazy_scipy_load_keeps_csv_bytes():
     assert report["texts"] == [run_experiment(ExperimentConfig(**kw)) for kw in CHI2_CONFIGS]
 
 
+def test_bench_tracer_installs():
+    """Every function the benchmark's tracer wraps exists, with each argument it reads by name.
+
+    ``Tracer.install`` looks each function up by name and each counted
+    argument (``trials``, ``size``, ``rows``, ``record``) up in its
+    signature, so a rename or deletion in ``src/`` fails here.
+    """
+    report = _fresh_python(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(REPO / 'bench')!r})\n"
+        "import dpdist.cli\n"
+        "import tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "def current(mod, fn):\n"
+        "    return getattr(sys.modules['dpdist.' + mod], fn)\n"
+        "wrapped = [hasattr(current(mod, fn), '__wrapped__') for mod, fn, _, _ in tracing.TRACED]\n"
+        "tracer.uninstall()\n"
+        "restored = [not hasattr(current(mod, fn), '__wrapped__') for mod, fn, _, _ in tracing.TRACED]\n"
+        "print(json.dumps({'wrapped': wrapped, 'restored': restored}))\n"
+    )
+    assert report["wrapped"] and all(report["wrapped"])
+    assert all(report["restored"])
+
+
 def _config_knob_reads(tree: ast.Module):
     """(function, line, knob) for each read of an ExperimentConfig knob outside ``_resolve``.
 

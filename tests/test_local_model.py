@@ -10,6 +10,7 @@ from dpdist.core import GapParams
 from dpdist.fixtures import RelayProtocol
 from dpdist.local_model import (
     Curator,
+    CuratorView,
     InteractiveParty,
     ProtocolAbortError,
     _frozen,
@@ -25,6 +26,7 @@ from dpdist.local_model import (
     rr_count_distribution,
     rr_debias,
     rr_estimate_batch,
+    rr_report_counts,
     run_interactive,
     sum_to_gap,
     tape_mass,
@@ -138,6 +140,17 @@ class TestRandomizedResponseSum:
             emp = np.mean(np.abs(counts - k) < 1e-9)
             se = math.sqrt(oracle[k] * (1 - oracle[k]) / 200_000)
             assert abs(emp - oracle[k]) < 4 * se
+
+    @pytest.mark.parametrize("s, size", [(np.array([0, 3, 7, 7]), None), (3, 4)])
+    def test_report_counts_draw_order(self, s, size):
+        # Bin(s, keep), then Bin(n - s, 1 - keep): the one draw order every sampled count uses
+        p = flip_bias_for(1.0)
+        rng, twin = derive_rng(26), derive_rng(26)
+        got = rr_report_counts(7, s, p, rng, size=size)
+        want = twin.binomial(s, p.keep_prob, size) + twin.binomial(7 - s, 1.0 - p.keep_prob, size)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert rng.random() == twin.random()
 
     def test_view_symbols_are_bits(self):
         _, view = randomized_response_sum([1, 0, 1], 1.0, derive_rng(0))
@@ -295,6 +308,12 @@ class TestInteractive:
         got = enumerate_interactive(parties(list), curator, [1, 0], 2)
         expected = enumerate_interactive(parties(tuple), curator, [1, 0], 2)
         assert list(got.items()) == list(expected.items())
+
+    def test_numpy_scalar_answers_key_as_python_values(self):
+        plain = CuratorView(answers=((1, 0), (0.5, 1)))
+        numpy = CuratorView(answers=(np.array([1, 0], dtype=np.uint8), (np.float64(0.5), np.int64(1))))
+        assert numpy.key() == plain.key()
+        assert hash(numpy.key()) == hash(plain.key())
 
     def test_invalid_input_rejected_before_any_tape_runs(self):
         seen = []

@@ -43,9 +43,10 @@ class TestParams:
         with pytest.raises(ValueError):
             FlipParams(0.5)
 
-    def test_sensitivity(self):
-        with pytest.raises(ValueError):
-            SensitivitySpec(-1.0)
+    @pytest.mark.parametrize("gs", [-1.0, 0.0, math.nan, math.inf])
+    def test_sensitivity(self, gs):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SensitivitySpec(gs)
 
 
 class TestLaplace:
@@ -183,11 +184,13 @@ class TestFlipMatchesWhereOracle:
         assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("x", [0, 1, np.uint8(1), np.int64(0)])
-    def test_scalar_returns_int(self, x):
+    def test_scalar_is_a_length_one_array(self, x):
         p = FlipParams(0.2)
-        out = flip(x, p, derive_rng(9))
-        assert type(out) is int
-        assert out == (x if derive_rng(9).random() < p.keep_prob else 1 - x)
+        rng, twin = derive_rng(9), derive_rng(9)
+        out = flip(x, p, rng)
+        assert type(out) is np.uint8
+        assert out == flip(np.array([x]), p, twin)[0]
+        assert rng.random() == twin.random()  # one draw on both sides
 
 
 class TestLaplaceMechanism:
@@ -195,9 +198,6 @@ class TestLaplaceMechanism:
         rng = derive_rng(20)
         err = laplace_mechanism(0.0, SensitivitySpec(1.0), 1.0, rng, size=1_000_000)
         assert abs(np.mean(np.abs(err) > 3.0) - math.exp(-3)) < 0.01
-
-    def test_zero_sensitivity_is_identity(self):
-        assert laplace_mechanism(7.25, SensitivitySpec(0.0), 1.0, derive_rng(0)) == 7.25
 
     def test_variance_is_twice_squared_sensitivity_over_eps(self):
         rng = derive_rng(24)

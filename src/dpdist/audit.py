@@ -333,8 +333,8 @@ def view_probability_transfer(
     protocol whose per-round answer maps are each 2*eps-private.  The
     violation rate is checked against ell times the single-round bound.
     """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
+    if not (1 <= ell < math.inf and ell == int(ell)):  # NaN fails every comparison; inf and 1.5 are no round count
+        raise ValueError(f"ell must be a finite integer of at least 1; got {ell!r}")
     bound = ell * hoeffding_bound(nu, d)
     log_totals = np.asarray(log_totals, dtype=float)
     return _tail_check(log_totals > ell * nu / d, bound)
@@ -400,6 +400,8 @@ def distinguisher_experiment(
         raise ValueError("trials must be at least 1")
     if tau is None:
         tau = p.expected_sum / 2.0
+    if not math.isfinite(tau):  # a NaN tau makes every sum >= tau false
+        raise ValueError(f"tau must be finite; got {tau!r}")
     zeros = np.zeros(p.n, dtype=np.uint8)
     err_i = err_ii = 0
     for _ in range(trials):

@@ -91,8 +91,8 @@ _as_message = functools.partial(tuple.__new__, Message)  # from a 4-item iterabl
 class Transcript(Sequence):
     """A run's messages in order, held as four equal-length column tuples.
 
-    ``round``, ``sender``, ``receiver`` and ``symbol`` hold one entry per
-    message; ``columns`` is the four of them.  As a read-only sequence it
+    ``columns`` is the four of them, in the order of ``Message``'s fields,
+    each with one entry per message.  As a read-only sequence it
     yields ``Message``s built on demand, and a slice is a ``Transcript``.  It
     equals any tuple, list or ``Transcript`` of the same messages in the same
     order and hashes as the tuple of its messages, so a list symbol makes
@@ -107,11 +107,6 @@ class Transcript(Sequence):
         if not len(r) == len(s) == len(v) == len(y):
             raise ValueError("transcript columns must have equal lengths")
         self._hash: Optional[int] = None
-
-    round = property(lambda self: self.columns[0])
-    sender = property(lambda self: self.columns[1])
-    receiver = property(lambda self: self.columns[2])
-    symbol = property(lambda self: self.columns[3])
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -316,26 +311,25 @@ def _check_run(
     """Checks that depend on (protocol, topology, input) only, made once per call.
 
     Returns the validated input bits, and what every replay on these three
-    reads: the bits as Python ints, the declared channels and each party's
-    declared neighbours.
+    reads: the bits as Python ints, then the declared channels and each
+    party's declared neighbours as ``_declared`` returns them.
     """
     bits = as_bits(x)
-    n = protocol.n
-    if bits.size != n or topology.n != n:
+    if bits.size != protocol.n or topology.n != protocol.n:
         raise ValueError("protocol, topology, and input sizes must agree")
+    return bits, (tuple(bits.tolist()), *_declared(protocol, topology))
+
+
+def _declared(protocol: Protocol, topology: Topology) -> Tuple[FrozenSet[Tuple[int, int]], List[set]]:
+    """The protocol's declared channels, which must lie in the topology, and each party's declared neighbours."""
     declared = protocol.channels()
     if not declared <= topology.channels:
         raise ValueError("protocol uses channels missing from the topology")
-    return bits, (tuple(bits.tolist()), declared, _neighbours(n, declared))
-
-
-def _neighbours(n: int, declared: FrozenSet[Tuple[int, int]]) -> List[set]:
-    """Each party's declared neighbours; ``declared`` pairs are normalized and in range, as a topology's are."""
-    neighbours: List[set] = [set() for _ in range(n)]
-    for a, b in declared:
+    neighbours: List[set] = [set() for _ in range(protocol.n)]
+    for a, b in declared:  # normalized and in range, as the topology's pairs are
         neighbours[a].add(b)
         neighbours[b].add(a)
-    return neighbours
+    return declared, neighbours
 
 
 def _check_receivers(
@@ -414,14 +408,18 @@ def _replay(
 
 
 def _execution(
-    protocol: Protocol, bits: np.ndarray, tapes: Sequence[Any], record: bool,
+    rounds: int, bits: np.ndarray, tapes: Optional[Iterable[Any]], record: bool,
     run: Tuple[Any, int, Optional[Transcript]],
 ) -> Execution:
-    """The ``Execution`` of a ``_replay`` result; it keeps the transcript and tapes only with ``record``."""
+    """The ``Execution`` of a run's (output, message count, transcript), the one place one is built.
+
+    ``n`` is ``bits.size``; the tapes, which may be any iterable, become a
+    tuple only with ``record``, and are not read otherwise.
+    """
     output, n_messages, transcript = run
     return Execution(
         n=bits.size,
-        rounds=protocol.rounds,
+        rounds=rounds,
         bits=bits,
         output=output,
         n_messages=n_messages,
@@ -437,9 +435,10 @@ def run_protocol_with_tapes(
     tapes: Sequence[Any],
     record: bool = True,
 ) -> Execution:
-    """Deterministic synchronous execution with all tapes fixed."""
+    """Deterministic synchronous execution with all tapes fixed, one per party."""
     bits, checked = _check_run(protocol, topology, x)
-    return _execution(protocol, bits, tapes, record, _replay(protocol, *checked, record, tapes))
+    local_model._check_tape_count(tapes, protocol.n)
+    return _execution(protocol.rounds, bits, tapes, record, _replay(protocol, *checked, record, tapes))
 
 
 def run_protocol(
@@ -473,7 +472,7 @@ def _tape_distribution(
     replay = functools.partial(_replay, protocol, *checked, record)
     out: Dict[Any, float] = {}
     for tapes, run, prob in local_model._replay_joint_tapes(spaces, replay):
-        k = key(_execution(protocol, bits, tapes, record, run)) if record else run[0]
+        k = key(_execution(protocol.rounds, bits, tapes, record, run)) if record else run[0]
         out[k] = out.get(k, 0.0) + prob
     return out
 
@@ -558,7 +557,7 @@ def coalition_view(e: Execution, coalition: Iterable[int]) -> CoalitionView:
             raise ValueError(f"party {i} out of range")
     if e.transcript is None or e.tapes is None:
         raise ValueError("coalition views require a recorded execution")
-    selected = list(map(set(members).__contains__, e.transcript.receiver))
+    selected = list(map(set(members).__contains__, e.transcript.columns[2]))  # by receiver
     return CoalitionView(
         coalition=members,
         inputs=tuple(map(e.bits.item, members)),
@@ -621,11 +620,8 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     raises on a declared channel left unused when it delivers the last round,
     before the output party answers.
     """
-    declared = protocol.channels()
-    if not declared <= topology.channels:
-        raise ValueError("protocol uses channels missing from the topology")
+    declared, neighbours = _declared(protocol, topology)
     n = protocol.n
-    neighbours = _neighbours(n, declared)
     ell = protocol.rounds
     out_party = protocol.output_party
 
@@ -703,7 +699,6 @@ class RRStarProtocol(FlipTapeProtocol):
             raise ValueError("need at least one party")
         self.n = n
         self.rounds = 2
-        self.eps = eps
         self.params = flip_bias_for(eps)
         self.keep_prob = self.params.keep_prob
 
@@ -796,17 +791,8 @@ def gaussian_aggregator_sum(
             (0,) * (n - 1) + parties,
             tuple(y[1:].tolist()) + (estimate,) * (n - 1),
         )
-        tapes = tuple(noise.tolist())
-    e = Execution(
-        n=n,
-        rounds=2,
-        bits=bits,
-        output=estimate,
-        n_messages=2 * (n - 1),
-        transcript=transcript,
-        tapes=tapes,
-    )
-    return estimate, e
+        tapes = noise.tolist()
+    return estimate, _execution(2, bits, tapes, record, (estimate, 2 * (n - 1), transcript))
 
 
 # ---------------------------------------------------------------------------
@@ -964,8 +950,6 @@ def windowed_min_protocol(
 
     window_sums = np.convolve(interval_sums, np.ones(per_window), mode="valid")
     estimate = float(window_sums.min())
-    if zero_noise:
-        estimate = float(int(round(estimate)))
 
     n_messages = (t + 1) * (n - 1) + t * n_intervals + (n - 1)
     transcript = tapes = None
@@ -982,18 +966,9 @@ def windowed_min_protocol(
             chain(compress(flat, sent),
                   chain.from_iterable(agg[:, 1:].T.tolist()), repeat(estimate, n - 1)),
         )
-        tapes = tuple(zip((noisy - bits).tolist(), zip(*[iter(flat)] * (t + 1))))  # party i's row of shares
+        tapes = zip((noisy - bits).tolist(), zip(*[iter(flat)] * (t + 1)))  # party i's row of shares
         assert len(transcript) == n_messages
-    e = Execution(
-        n=n,
-        rounds=3,
-        bits=bits,
-        output=estimate,
-        n_messages=n_messages,
-        transcript=transcript,
-        tapes=tapes,
-    )
-    return estimate, e
+    return estimate, _execution(3, bits, tapes, record, (estimate, n_messages, transcript))
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,12 @@ def _check_interactive(parties: Sequence[InteractiveParty], x: Bits, rounds: int
     return xs
 
 
+def _check_tape_count(tapes: Sequence[Any], n: int) -> None:
+    """Raise ``ValueError`` unless ``tapes`` holds one tape for each of the ``n`` parties."""
+    if len(tapes) != n:
+        raise ValueError(f"need exactly one tape per party; got {len(tapes)} for {n} parties")
+
+
 def _replay_interactive(
     parties: Sequence[InteractiveParty],
     curator: Curator,
@@ -362,8 +368,9 @@ def run_interactive_with_tapes(
     rounds: int,
     tapes: Sequence[Any],
 ) -> Tuple[Any, CuratorView]:
-    """Deterministic execution with the parties' tapes fixed."""
+    """Deterministic execution with the parties' tapes fixed, one per party."""
     xs = _check_interactive(parties, x, rounds)
+    _check_tape_count(tapes, len(xs))
     return _replay_interactive(parties, curator, xs, rounds, tapes)
 
 

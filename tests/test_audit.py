@@ -323,6 +323,11 @@ class TestTailChecks:
         assert check.passed
         assert check.bound == pytest.approx(2 * hoeffding_bound(64, d), rel=1e-12)
 
+    @pytest.mark.parametrize("ell", [0, math.nan, math.inf, 1.5])
+    def test_transfer_rejects_a_round_count_that_is_not_a_positive_integer(self, ell):
+        with pytest.raises(ValueError, match="ell must be a finite integer"):
+            view_probability_transfer(np.array([0.1, 0.2]), nu=64, d=4, ell=ell)
+
 
 class TestDistinguisher:
     def test_perfect_oracle_never_errs(self):
@@ -382,6 +387,13 @@ class TestDistinguisher:
         p = SparseBernoulli(n=4, eps=1.0, d=9.0)
         with pytest.raises(ValueError, match="trials"):
             distinguisher_experiment(lambda x, rng: 0, p, trials=0, rng=derive_rng(0))
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        # a NaN tau made every sum >= tau false, so an always-0 protocol reported no case-(i) error
+        p = SparseBernoulli(n=400, eps=1.0, d=4.0)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            distinguisher_experiment(lambda x, rng: (0, None), p, tau=tau, trials=200, rng=derive_rng(0))
 
 
 class TestDefinitionEquivalence:

@@ -268,6 +268,13 @@ class TestEngine:
         with pytest.raises(ValueError):
             run_protocol(p, Topology(2, frozenset()), [1, 0], derive_rng(0))
 
+    @pytest.mark.parametrize("n_tapes", [2, 4], ids=["short", "long"])
+    def test_tape_count_must_match_party_count(self, n_tapes):
+        p = _Broadcast()
+        with pytest.raises(ValueError, match="one tape per party"):
+            run_protocol_with_tapes(p, complete_topology(3), [1, 0, 1], [None] * n_tapes)
+        assert p.seen == []
+
     def test_empty_protocol_sends_nothing(self):
         e = run_protocol(_Empty(), complete_topology(2), [1, 0], derive_rng(0))
         assert e.n_messages == 0
@@ -1448,6 +1455,12 @@ class TestLazyInputs:
         ]
         for e in runs:
             assert e.bits.tolist() == x and e.inputs == tuple(x)
+            assert e.n == e.bits.size
+            if record:
+                assert type(e.tapes) is tuple and len(e.tapes) == e.n
+                assert e.n_messages == len(e.transcript)
+            else:
+                assert e.transcript is None and e.tapes is None
 
 
 class TestRecordingMatchesPerElementConstruction:

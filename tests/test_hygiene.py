@@ -8,7 +8,7 @@ so it is exempt from that check too).  Importing the package and its CLI loads n
 the stdlib only, and not ``concurrent.futures``, which the batched
 experiments load on their first run; ``scipy.stats`` loads on the first
 experiment that runs a chi-squared test, and that lazy load must not change
-a byte of its CSV.
+a byte of its CSV.  Only ``distributed._execution`` calls ``Execution(``.
 """
 
 import ast
@@ -179,6 +179,23 @@ def test_dead_exports_follows_a_chain():
 
 def test_pending_names_are_still_unused():
     assert sorted(PENDING_USE.keys() - _unused_exports()) == [], "these names are used now: drop them from PENDING_USE"
+
+
+def _execution_builders():
+    """``module.function`` for each function in ``src/dpdist`` whose body calls ``Execution(``."""
+    found = set()
+    for stem in SUBMODULES:
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [n.func for n in ast.walk(fn) if isinstance(n, ast.Call)]
+                if any(getattr(f, "id", getattr(f, "attr", None)) == "Execution" for f in calls):
+                    found.add(f"{stem}.{fn.name}")
+    return found
+
+
+def test_only_one_function_builds_an_execution():
+    assert _execution_builders() == {"distributed._execution"}, "build every Execution through distributed._execution"
 
 
 def _unused_imports(tree: ast.Module):

@@ -28,6 +28,7 @@ from dpdist.local_model import (
     rr_estimate_batch,
     rr_report_counts,
     run_interactive,
+    run_interactive_with_tapes,
     sum_to_gap,
     tape_mass,
 )
@@ -254,6 +255,15 @@ class TestInteractive:
             return x_i
 
         return [InteractiveParty(answer=answer, tape_space=lambda: [(None, 1.0)])] * n
+
+    @pytest.mark.parametrize("n_tapes", [2, 4], ids=["short", "long"])
+    def test_tape_count_must_match_party_count(self, n_tapes):
+        seen = []
+        parties = self._recording_parties(3, seen)
+        curator = Curator(query=lambda j, hist: (None,) * 3, output=lambda v: v.answers[-1])
+        with pytest.raises(ValueError, match="one tape per party"):
+            run_interactive_with_tapes(parties, curator, [1, 0, 1], 1, [None] * n_tapes)
+        assert seen == []
 
     @pytest.mark.parametrize("x", [[1, 0], np.array([1, 0], dtype=np.uint8)], ids=["list", "array"])
     def test_parties_receive_python_ints(self, x):

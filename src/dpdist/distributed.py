@@ -315,13 +315,15 @@ def _check_run(
     party's declared neighbours as ``_declared`` returns them.
     """
     bits = as_bits(x)
-    if bits.size != protocol.n or topology.n != protocol.n:
+    if bits.size != protocol.n:
         raise ValueError("protocol, topology, and input sizes must agree")
     return bits, (tuple(bits.tolist()), *_declared(protocol, topology))
 
 
 def _declared(protocol: Protocol, topology: Topology) -> Tuple[FrozenSet[Tuple[int, int]], List[set]]:
     """The protocol's declared channels, which must lie in the topology, and each party's declared neighbours."""
+    if topology.n != protocol.n:
+        raise ValueError("protocol, topology, and input sizes must agree")
     declared = protocol.channels()
     if not declared <= topology.channels:
         raise ValueError("protocol uses channels missing from the topology")
@@ -501,8 +503,9 @@ def consistent_probability(
     it; tape probabilities are summed over tapes whose sends match the
     transcript in every round.  A party outside ``0..n-1``, an input bit
     other than 0 or 1, or a message round outside ``1..rounds`` raises
-    ``ValueError``.
+    ``ValueError``; a party index that is not an integer raises ``TypeError``.
     """
+    i = operator.index(i)
     if not 0 <= i < protocol.n:
         raise ValueError(f"party {i} out of range for n={protocol.n}")
     if x_i not in (0, 1):
@@ -528,7 +531,8 @@ def consistent_probability(
             for rnd in range(1, protocol.rounds + 1)
         )
 
-    return local_model.tape_mass(space, reproduces)
+    # zero-probability tapes are skipped without being replayed
+    return sum((prob for tape, prob in space if prob != 0.0 and reproduces(tape)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +554,8 @@ class CoalitionView:
 
 
 def coalition_view(e: Execution, coalition: Iterable[int]) -> CoalitionView:
-    """Extract the view of a coalition from a recorded execution."""
-    members = tuple(sorted(set(int(i) for i in coalition)))
+    """Extract the view of a coalition from a recorded execution; a non-integer member raises ``TypeError``."""
+    members = tuple(sorted(set(map(operator.index, coalition))))
     for i in members:
         if not 0 <= i < e.n:
             raise ValueError(f"party {i} out of range")
@@ -570,7 +574,7 @@ def coalition_view_distribution(
     protocol: Protocol, topology: Topology, x: Bits, coalition: Iterable[int]
 ) -> Dict[Tuple, float]:
     """Exact distribution over coalition views, by tape enumeration."""
-    members = tuple(sorted(set(int(i) for i in coalition)))
+    members = tuple(sorted(set(map(operator.index, coalition))))
     return _tape_distribution(protocol, topology, x, lambda e: coalition_view(e, members).key())
 
 
@@ -618,7 +622,8 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     engine does, so a send to oneself or on an undeclared channel raises
     before the next party answers.  The curator, which sees every answer,
     raises on a declared channel left unused when it delivers the last round,
-    before the output party answers.
+    before the output party answers.  A party's own error propagates as
+    raised, and a topology of another size raises ``ValueError`` here.
     """
     declared, neighbours = _declared(protocol, topology)
     n = protocol.n
@@ -635,10 +640,7 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
             if j <= ell:
                 sends = protocol.send(i, x_i, tape, j, received)
                 if sends and not sends.keys() <= neighbours[i]:
-                    try:
-                        _check_receivers(i, j, sends, declared)
-                    except Exception as exc:  # raised as the engine raises it, not as a party failure
-                        raise local_model._RuleBroken(exc) from None
+                    _check_receivers(i, j, sends, declared)
                 return tuple(sorted(sends.items()))
             if i == out_party:
                 return ("output", protocol.output(x_i, tape, received))

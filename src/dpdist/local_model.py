@@ -23,14 +23,12 @@ from .core import Bits, GapParams, as_bits
 from .mechanisms import FlipParams, flip, flip_bias_for, flip_output_prob
 
 __all__ = [
-    "ProtocolAbortError",
     "SanitizerSpec",
     "flip_sanitizer",
     "constant_sanitizer",
     "CuratorView",
     "enumerate_noninteractive",
     "joint_tapes",
-    "tape_mass",
     "InteractiveParty",
     "Curator",
     "flip_party",
@@ -44,18 +42,6 @@ __all__ = [
     "rr_estimate_batch",
     "sum_to_gap",
 ]
-
-
-class ProtocolAbortError(RuntimeError):
-    """A party's answer function failed mid-protocol."""
-
-
-class _RuleBroken(Exception):
-    """Raised by an answer function that broke a run rule; the run raises ``error`` as it is."""
-
-    def __init__(self, error: Exception):
-        super().__init__(error)
-        self.error = error
 
 
 _MISS = object()  # marks a cache miss: a stored answer or send may be None
@@ -186,21 +172,6 @@ def joint_tapes(
             yield combo, prob
 
 
-def _indexed_joint_tapes(
-    spaces: Sequence[Iterable[Tuple[Any, float]]],
-) -> Iterator[Tuple[Tuple[Any, ...], Tuple[int, ...], float]]:
-    """``joint_tapes`` as (tapes, tape indices, probability).
-
-    The indices name each tape by its position in its space, so the
-    enumerations' per-call caches can key on them whether or not the tapes
-    hash.
-    """
-    spaces = [list(space) for space in spaces]  # a space may be a one-pass iterator
-    pools = [[tape for tape, _ in space] for space in spaces]
-    for ids, prob in joint_tapes([[(k, p) for k, (_, p) in enumerate(space)] for space in spaces]):
-        yield tuple(map(list.__getitem__, pools, ids)), ids, prob
-
-
 def _replay_joint_tapes(
     spaces: Sequence[Optional[Iterable[Tuple[Any, float]]]],
     replay: Callable[[Sequence[Any], Optional[Dict[Tuple, Any]], Sequence[int]], Any],
@@ -208,36 +179,26 @@ def _replay_joint_tapes(
     """Replay every joint tape of an exact enumeration: yields (tapes, run, probability).
 
     ``spaces[i]`` is party i's finite tape space; None raises ``ValueError``.
-    ``replay(tapes, memo, ids)`` makes one run.  One memo serves the whole
-    call, keyed by a party's tape index in ``ids`` and its history, so each
-    party runs on each history once.  A history that holds an unhashable
-    symbol raises ``TypeError`` in the lookup, and that joint tape is
-    replayed with no memo.
+    ``replay(tapes, memo, ids)`` makes one run; ``ids`` names each tape by
+    its position in its space, so the memo keys on it whether or not the
+    tapes hash.  One memo serves the whole call, keyed by a party's tape
+    index and its history, so each party runs on each history once.  A
+    replay that raises ``TypeError``, from an unhashable history or from a
+    party, is made again with no memo, and a party's error propagates.
     """
     for i, space in enumerate(spaces):
         if space is None:
             raise ValueError(f"party {i} has no finite tape space")
+    spaces = [list(space) for space in spaces]  # a space may be a one-pass iterator
+    pools = [[tape for tape, _ in space] for space in spaces]
     memo: Dict[Tuple, Any] = {}
-    for tapes, ids, prob in _indexed_joint_tapes(spaces):
+    for ids, prob in joint_tapes([[(k, p) for k, (_, p) in enumerate(space)] for space in spaces]):
+        tapes = tuple(map(list.__getitem__, pools, ids))
         try:
             run = replay(tapes, memo, ids)
         except TypeError:  # an unhashable history: replay this tape uncached
             run = replay(tapes, None, ids)
         yield tapes, run, prob
-
-
-def tape_mass(space: Iterable[Tuple[Any, float]], reproduces: Callable[[Any], bool]) -> float:
-    """Total probability of the tapes in ``space`` for which ``reproduces`` holds.
-
-    Zero-probability tapes are skipped without being replayed.  This is the
-    probability that a party behaves exactly as in a fixed transcript, when
-    ``reproduces`` replays the party's program on one tape.
-    """
-    total = 0.0
-    for tape, prob in space:
-        if prob != 0.0 and reproduces(tape):
-            total += prob
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +306,7 @@ def _replay_interactive(
             queries = per_party_queries[i] = per_party_queries[i] + (qs[i],)
             a = _MISS if memo is None else memo.get((i, ids[i], queries), _MISS)
             if a is _MISS:
-                try:
-                    a = party.answer(xs[i], queries, tapes[i])
-                except _RuleBroken as broken:
-                    raise broken.error from None
-                except Exception as exc:
-                    raise ProtocolAbortError(
-                        f"party {i} failed answering round {j}: {exc}"
-                    ) from exc
+                a = party.answer(xs[i], queries, tapes[i])
                 if memo is not None:
                     memo[i, ids[i], queries] = a
             answers.append(a)

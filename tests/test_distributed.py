@@ -59,7 +59,6 @@ from dpdist.fixtures import (
 )
 from dpdist.local_model import (
     InteractiveParty,
-    ProtocolAbortError,
     enumerate_interactive,
     joint_tapes,
     randomized_response_sum,
@@ -344,6 +343,25 @@ class TestCoalitionViews:
         with pytest.raises(ValueError):
             coalition_view(e, [0])
 
+    @pytest.mark.parametrize("member", [0.5, 1.9, 1.0, "1"], ids=["half", "one-point-nine", "float-one", "text"])
+    def test_member_that_is_not_an_integer_raises(self, member):
+        p = NoisyParityProtocol(flip_bias_for(1.0))
+        e = run_protocol(p, fixture_topology(p), [1, 0, 1], derive_rng(2))
+        with pytest.raises(TypeError):
+            coalition_view(e, [member])
+        with pytest.raises(TypeError):
+            coalition_view_distribution(p, fixture_topology(p), [1, 0, 1], [member])
+
+    @pytest.mark.parametrize("member", [True, np.int64(1), np.uint8(1)], ids=["bool", "int64", "uint8"])
+    def test_member_of_any_integer_type_accepted(self, member):
+        p = NoisyParityProtocol(flip_bias_for(1.0))
+        e = run_protocol(p, fixture_topology(p), [1, 0, 1], derive_rng(2))
+        assert coalition_view(e, [member]) == coalition_view(e, [1])
+        assert coalition_view(e, [member]).coalition == (1,)
+        assert coalition_view_distribution(p, fixture_topology(p), [1, 0, 1], [member]) == (
+            coalition_view_distribution(p, fixture_topology(p), [1, 0, 1], [1])
+        )
+
     def test_aggregator_neighbors_see_all_its_messages(self):
         # every channel at party 0 ends inside the complement coalition, so
         # the coalition's received log pins down everything party 0 sent
@@ -452,6 +470,14 @@ class TestCompileToLocal:
             assert ratio == pytest.approx(alpha_x / alpha_xp, rel=1e-9)
             coalition_ratios.add(round(ratio, 9))
         assert local_ratios == coalition_ratios
+
+    @pytest.mark.parametrize("n_topology", [1, 4], ids=["smaller", "larger"])
+    def test_topology_of_another_size_raises_at_compile_time(self, n_topology):
+        # the engine rejects the pair too; the size check comes before the channel check
+        protocol, topo = RelayProtocol(0.8), star_topology(n_topology)
+        for run in (lambda: compile_to_local(protocol, topo), lambda: output_distribution(protocol, topo, [1, 0])):
+            with pytest.raises(ValueError, match="protocol, topology, and input sizes must agree"):
+                run()
 
 
 def _per_tape_distribution(protocol, topology, x, key):
@@ -569,13 +595,14 @@ class _TwoFaults(Protocol):
     """Three parties, one round, declared channels (0, 1) and (1, 2).
 
     Party 0 sends to 1 and, with ``undeclared``, on the undeclared channel
-    0->2; party 1's ``send`` raises; party 2 sends to 1.
+    0->2; party 1's ``send`` raises ``error("boom")``; party 2 sends to 1.
     """
 
     n, rounds, output_party = 3, 1, 1
 
-    def __init__(self, undeclared=True):
+    def __init__(self, undeclared=True, error=RuntimeError):
         self.undeclared = undeclared
+        self.error = error
 
     def channels(self):
         return frozenset({(0, 1), (1, 2)})
@@ -585,7 +612,7 @@ class _TwoFaults(Protocol):
 
     def send(self, i, x_i, tape, rnd, received):
         if i == 1:
-            raise RuntimeError("boom")
+            raise self.error("boom")
         if i == 0 and self.undeclared:
             return {1: x_i, 2: x_i}
         return {1: x_i}
@@ -609,9 +636,29 @@ class TestTwoFaultsInOneRound:
             assert str(caught.value) == "round 1: undeclared channel 0->2"
 
     def test_failing_send_alone_still_aborts_the_compiled_run(self):
-        protocol, topo = _TwoFaults(undeclared=False), complete_topology(3)
-        with pytest.raises(ProtocolAbortError, match="party 1 failed answering round 1: boom"):
-            compile_to_local(protocol, topo).output_distribution([1, 0, 1])
+        # a party's own error propagates as raised, from the engine and from the compiled run
+        protocol, topo, x = _TwoFaults(undeclared=False), complete_topology(3), [1, 0, 1]
+        for run in (
+            lambda: output_distribution(protocol, topo, x),
+            lambda: compile_to_local(protocol, topo).output_distribution(x),
+            lambda: compile_to_local(protocol, topo).enumerate(x),
+        ):
+            with pytest.raises(RuntimeError) as caught:
+                run()
+            assert type(caught.value) is RuntimeError and str(caught.value) == "boom"
+
+    def test_a_party_type_error_surfaces_from_the_uncached_retry(self):
+        # the enumerations replay a tape uncached on TypeError, so a party's own TypeError is raised again
+        protocol, topo, x = _TwoFaults(undeclared=False, error=TypeError), complete_topology(3), [1, 0, 1]
+        compiled = compile_to_local(protocol, topo)
+        for run in (
+            lambda: output_distribution(protocol, topo, x),
+            lambda: enumerate_interactive(compiled.parties, compiled.curator, x, compiled.rounds),
+            lambda: compiled.enumerate(x),
+        ):
+            with pytest.raises(TypeError) as caught:
+                run()
+            assert type(caught.value) is TypeError and str(caught.value) == "boom"
 
 
 class _CountingExchange(Protocol):
@@ -720,6 +767,15 @@ class TestConsistentProbabilityInput:
     def test_party_out_of_range_raises(self):
         with pytest.raises(ValueError, match="party 7 out of range"):
             consistent_probability(RelayProtocol(0.8), 7, 1, [])
+
+    @pytest.mark.parametrize("i", [1.5, 0.0, "0"], ids=["one-and-a-half", "float-zero", "text"])
+    def test_party_that_is_not_an_integer_raises(self, i):
+        with pytest.raises(TypeError):
+            consistent_probability(RelayProtocol(0.8), i, 0, [Message(1, 0, 1, 1)])
+
+    @pytest.mark.parametrize("i", [True, np.uint8(1), np.int64(1)], ids=["bool", "uint8", "int64"])
+    def test_party_of_any_integer_type_accepted(self, i):
+        assert consistent_probability(RelayProtocol(0.8), i, 0, [Message(1, 0, 1, 1)]) == 1.0
 
     @pytest.mark.parametrize("rnd", [0, 2], ids=["round-0", "past-last-round"])
     def test_message_round_out_of_range_raises(self, rnd):

@@ -9,6 +9,8 @@ the stdlib only, and not ``concurrent.futures``, which the batched
 experiments load on their first run; ``scipy.stats`` loads on the first
 experiment that runs a chi-squared test, and that lazy load must not change
 a byte of its CSV.  Only ``distributed._execution`` calls ``Execution(``.
+No handler in the package catches ``Exception`` or ``BaseException`` or is
+a bare ``except:``, so a party program's error propagates as raised.
 """
 
 import ast
@@ -196,6 +198,40 @@ def _execution_builders():
 
 def test_only_one_function_builds_an_execution():
     assert _execution_builders() == {"distributed._execution"}, "build every Execution through distributed._execution"
+
+
+_CATCH_ALL = {"Exception", "BaseException"}
+
+
+def _catch_all_handlers(tree: ast.Module):
+    """Line numbers of the handlers that are bare or name ``Exception`` or ``BaseException``, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or getattr(t, "id", getattr(t, "attr", None)) in _CATCH_ALL for t in caught):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("try:\n    pass\nexcept:\n    pass\n", [3]),
+        ("try:\n    pass\nexcept Exception:\n    pass\n", [3]),
+        ("try:\n    pass\nexcept (ValueError, builtins.BaseException) as exc:\n    pass\n", [3]),
+        ("try:\n    pass\nexcept (ValueError, TypeError):\n    pass\nexcept KeyError:\n    pass\n", []),
+    ],
+    ids=["bare", "exception", "base-in-tuple", "named"],
+)
+def test_catch_all_handlers_are_found(source, lines):
+    assert _catch_all_handlers(ast.parse(source)) == lines
+
+
+@pytest.mark.parametrize("stem", SUBMODULES)
+def test_no_catch_all_handlers(stem):
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    assert _catch_all_handlers(tree) == [], f"{stem}.py catches every exception: name the ones it expects"
 
 
 def _unused_imports(tree: ast.Module):

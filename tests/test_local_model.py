@@ -12,9 +12,7 @@ from dpdist.local_model import (
     Curator,
     CuratorView,
     InteractiveParty,
-    ProtocolAbortError,
     _frozen,
-    _indexed_joint_tapes,
     _replay_joint_tapes,
     constant_sanitizer,
     enumerate_interactive,
@@ -30,7 +28,6 @@ from dpdist.local_model import (
     run_interactive,
     run_interactive_with_tapes,
     sum_to_gap,
-    tape_mass,
 )
 from dpdist.mechanisms import flip_bias_for, flip_output_prob
 from dpdist.seeding import derive_rng
@@ -55,7 +52,7 @@ def answer_probability(party, x_i, queries, answers):
     def reproduces(tape):
         return all(party.answer(x_i, tuple(queries[: j + 1]), tape) == a for j, a in enumerate(answers))
 
-    return tape_mass(party.tape_space(), reproduces)
+    return sum((prob for tape, prob in party.tape_space() if reproduces(tape)), 0.0)
 
 
 class TestEnumerateNoninteractive:
@@ -245,8 +242,9 @@ class TestInteractive:
 
         parties = [InteractiveParty(answer=broken)]
         curator = Curator(query=lambda j, hist: (None,), output=lambda view: None)
-        with pytest.raises(ProtocolAbortError):
+        with pytest.raises(RuntimeError) as caught:
             run_interactive(parties, curator, [1], 1, derive_rng(0))
+        assert type(caught.value) is RuntimeError and str(caught.value) == "boom"
 
     @staticmethod
     def _recording_parties(n, seen):
@@ -378,9 +376,9 @@ class TestJointTapes:
 
     @given(_SPACES)
     def test_indices_name_the_tapes(self, spaces):
-        indexed = list(_indexed_joint_tapes([iter(space) for space in spaces]))
-        assert [(tapes, prob) for tapes, _, prob in indexed] == list(joint_tapes(spaces))
-        for tapes, ids, _ in indexed:
+        replayed = list(_replay_joint_tapes([iter(space) for space in spaces], lambda tapes, memo, ids: ids))
+        assert [(tapes, prob) for tapes, _, prob in replayed] == list(joint_tapes(spaces))
+        for tapes, ids, _ in replayed:
             assert tapes == tuple(space[k][0] for space, k in zip(spaces, ids))
 
     @given(st.lists(_FLIP_ROUNDS, min_size=1, max_size=3))
@@ -416,7 +414,7 @@ class TestReplayJointTapes:
         got = list(_replay_joint_tapes(self._SPACES, self._record(log)))
         assert [(tapes, prob) for tapes, _, prob in got] == list(joint_tapes(self._SPACES))
         assert [run for _, run, _ in got] == [sum(tapes) for tapes, _, _ in got]
-        assert [ids for _, _, ids in log] == [ids for _, ids, _ in _indexed_joint_tapes(self._SPACES)]
+        assert [ids for _, _, ids in log] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_one_memo_per_call(self):
         first, second = [], []

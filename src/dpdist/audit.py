@@ -89,19 +89,24 @@ def sample_sparse_sums(p: SparseBernoulli, trials: int, rng: np.random.Generator
     return rng.binomial(p.n, p.density, size=trials)
 
 
+# The multi-round tail bound that ``round_budget``'s nu meets over all rounds.
+_ROUND_BUDGET_BETA = 0.05
+
+
 def round_budget(ell: int) -> Tuple[float, float]:
     """Default (d, nu) for auditing an ``ell``-round protocol.
 
-    Only the growth orders matter: d scales as ell^2 log(ell) so the
-    planted density thins enough to absorb ell rounds of leakage, and nu as
-    ell log(ell) so the per-round tail bound stays summable.  The constants
-    here are one workable choice; callers needing different ones pass d and
+    d scales as ell^2 log(ell) so the planted density thins enough to
+    absorb ell rounds of leakage.  nu = 32 + sqrt(32 d ln(ell / beta)),
+    with beta = ``_ROUND_BUDGET_BETA``, is the threshold at which
+    ``view_probability_transfer``'s bound, ell * ``hoeffding_bound(nu, d)``,
+    equals beta at every ell.  Callers needing other constants pass d and
     nu explicitly.
     """
     if not 1 <= ell < math.inf:  # max(4.0, nan) would return 4.0
         raise ValueError("ell must be finite and at least 1")
     d = max(4.0, 16.0 * ell * ell * math.log(ell + 2))
-    nu = max(64.0, 16.0 * ell * math.log(ell + 2))
+    nu = 32.0 + math.sqrt(32.0 * d * math.log(ell / _ROUND_BUDGET_BETA))
     return d, nu
 
 
@@ -448,19 +453,20 @@ def definition_equivalence_check(sanitizers: Sequence[SanitizerSpec]) -> Equival
     The collective figure maximizes ln(P[view|x]/P[view|x']) over all
     neighboring input pairs and full views; the individual figure is the
     largest single-sanitizer worst-case ratio.  The two must agree, which
-    is what makes auditing one party at a time sound.  Enumeration is
-    exponential in n; intended for n <= 4.
+    is what makes auditing one party at a time sound.  Each of the 2^n
+    inputs is enumerated once; enumeration is exponential in n, so this is
+    intended for n <= 4.
     """
     n = len(sanitizers)
     individual = max(exact_epsilon(s) for s in sanitizers)
+    dists = {
+        bits: enumerate_noninteractive(sanitizers, np.array(bits, dtype=np.uint8))
+        for bits in np.ndindex(*((2,) * n))
+    }
     collective = 0.0
-    for bits in np.ndindex(*((2,) * n)):
-        x = np.array(bits, dtype=np.uint8)
-        dist_x = enumerate_noninteractive(sanitizers, x)
+    for bits, dist_x in dists.items():
         for i in range(n):
-            y = x.copy()
-            y[i] ^= 1
-            dist_y = enumerate_noninteractive(sanitizers, y)
+            dist_y = dists[bits[:i] + (1 - bits[i],) + bits[i + 1 :]]
             for c in set(dist_x) | set(dist_y):
                 px, py = dist_x.get(c, 0.0), dist_y.get(c, 0.0)
                 if px == 0.0:

@@ -174,9 +174,33 @@ def _rr_runs(rows: np.ndarray, eps: float, runs: int, rng: np.random.Generator) 
 
 
 def _chi2_rows(idx: int, table: np.ndarray) -> List[Row]:
-    """Chi-squared homogeneity rows for a two-row count table; empty columns are dropped."""
-    from scipy import stats as scipy_stats  # only here, so `import dpdist` loads numpy only
-    chi2, pvalue, _, _ = scipy_stats.chi2_contingency(table[:, table.sum(axis=0) > 0])
+    """Chi-squared homogeneity rows for a two-row count table; all-zero columns are dropped.
+
+    The statistic and p-value are bit for bit those of
+    ``scipy.stats.chi2_contingency``, the reference the tests compare with:
+    the same float64 operations in the same order, Yates' correction at one
+    degree of freedom, then the survival function ``chdtrc`` that scipy
+    calls.  Only ``scipy.special`` is loaded, and only here, so `import
+    dpdist` loads numpy only.
+    """
+    from scipy.special import chdtrc
+
+    observed = table[:, table.any(axis=0)]
+    if np.any(observed < 0):
+        raise ValueError("chi-squared counts must be non-negative")
+    observed = observed.astype(np.float64)
+    expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0, keepdims=True) / observed.sum()
+    if np.any(expected == 0):
+        raise ValueError("a chi-squared table has a zero expected frequency")
+    dof = expected.size - sum(expected.shape) + expected.ndim - 1
+    if dof == 0:
+        chi2, pvalue = 0.0, 1.0
+    else:
+        if dof == 1:
+            diff = expected - observed
+            observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        pvalue = chdtrc(dof, chi2)
     return [
         (idx, "chi2_stat", float(chi2)),
         (idx, "chi2_pvalue", float(pvalue)),
@@ -540,13 +564,18 @@ def _dist_alpha(cfg: ExperimentConfig):
     rows.append((0, "zero_noise_matches", matches))
     rows.append((0, "zero_noise_trials", trials))
 
-    # exhaustive grid-vs-full comparison on every 16-bit input
+    # exhaustive grid-vs-full comparison on every 16-bit input, as uint8
+    # bits (row c holds c's bits, least significant first) in 16 blocks
     gn, gw, gi = 16, 4, 2
-    codes = np.arange(1 << gn, dtype=np.uint32)
-    wsums = _window_sums((codes[:, None] >> np.arange(gn)[None, :]) & 1, gw)
-    full = wsums.min(axis=1)
-    grid = wsums[:, ::gi].min(axis=1)
-    violations = int(np.count_nonzero((grid < full) | (grid > full + (gi - 1))))
+    bits = np.unpackbits(
+        np.arange(1 << gn, dtype="<u2").view(np.uint8).reshape(-1, 2), axis=1, bitorder="little"
+    )
+    violations = 0
+    for block in np.split(bits, 16):
+        wsums = _window_sums(block, gw)
+        full = wsums.min(axis=1)
+        grid = wsums[:, ::gi].min(axis=1)
+        violations += int(np.count_nonzero((grid < full) | (grid > full + (gi - 1))))
     rows.append((1, "grid_bound_violations", violations))
     rows.append((1, "grid_inputs_checked", 1 << gn))
 

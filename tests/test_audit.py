@@ -74,13 +74,21 @@ class TestSparseBernoulli:
     def test_round_budget(self):
         d1, nu1 = round_budget(1)
         assert d1 == pytest.approx(16 * math.log(3), rel=1e-12)
-        assert nu1 == 64.0
+        assert nu1 == pytest.approx(32 + math.sqrt(32 * d1 * math.log(20)), rel=1e-12)
         d4, nu4 = round_budget(4)
         assert d4 == pytest.approx(16 * 16 * math.log(6), rel=1e-12)
-        assert nu4 == pytest.approx(64 * math.log(6), rel=1e-12)
+        assert nu4 == pytest.approx(32 + math.sqrt(32 * d4 * math.log(80)), rel=1e-12)
         assert d4 > d1 and nu4 > nu1
         with pytest.raises(ValueError):
             round_budget(0)
+
+    @pytest.mark.parametrize("ell", [1, 2, 4, 8])
+    def test_round_budget_transfer_bound_is_beta(self, ell):
+        # the old nu, 16 ell ln(ell+2), gave bounds of 1.39, 2.51 and 3.20
+        # at ell = 2, 4, 8: no bound at all
+        d, nu = round_budget(ell)
+        check = view_probability_transfer(np.zeros(1), nu, d, ell=ell)
+        assert check.bound == pytest.approx(0.05, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("ell", [math.nan, math.inf])
     def test_round_budget_rejects_non_finite(self, ell):
@@ -421,4 +429,33 @@ class TestDefinitionEquivalence:
         report = definition_equivalence_check([identity_sanitizer(), constant_sanitizer(0)])
         assert math.isinf(report.collective) and math.isinf(report.individual)
         assert report.passed
+
+    def test_enumerates_each_input_once(self, monkeypatch):
+        sanitizers = [
+            flip_sanitizer(flip_bias_for(0.3)),
+            flip_sanitizer(flip_bias_for(1.0)),
+            flip_sanitizer(flip_bias_for(0.7)),
+            constant_sanitizer(0),
+        ]
+        # reference: enumerate x and each neighbour afresh for every pair
+        collective = 0.0
+        for bits in itertools.product((0, 1), repeat=4):
+            dist_x = enumerate_noninteractive(sanitizers, bits)
+            for i in range(4):
+                y = list(bits)
+                y[i] ^= 1
+                dist_y = enumerate_noninteractive(sanitizers, y)
+                for c, px in dist_x.items():
+                    collective = max(collective, math.log(px / dist_y[c]))
+        calls = []
+
+        def counted(sanitizers, x):
+            calls.append(tuple(x))
+            return enumerate_noninteractive(sanitizers, x)
+
+        monkeypatch.setattr("dpdist.audit.enumerate_noninteractive", counted)
+        report = definition_equivalence_check(sanitizers)
+        assert sorted(calls) == list(itertools.product((0, 1), repeat=4))
+        assert report.collective == collective
+        assert report.individual == pytest.approx(math.log1p(1.0), rel=1e-12)
 

@@ -1,12 +1,17 @@
-"""The chunked randomized-response runs against the per-call loop they replace."""
+"""Experiment helpers against their references.
+
+The chunked randomized-response runs against the per-call loop they
+replace, and the chi-squared rows against ``scipy.stats.chi2_contingency``.
+"""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from dpdist.core import as_bits
-from dpdist.experiments import _BATCH, _half_ones, _rr_runs
+from dpdist.experiments import _BATCH, _chi2_rows, _half_ones, _rr_runs
 from dpdist.local_model import randomized_response_sum
 from dpdist.seeding import derive_rng
 
@@ -58,3 +63,37 @@ def test_half_ones_is_taken_uncopied():
     x = _half_ones(7)
     assert x.tolist() == [1, 1, 1, 0, 0, 0, 0]
     assert as_bits(x) is x
+
+
+@pytest.mark.parametrize("k", range(1, 26))
+def test_chi2_rows_equal_scipy_bit_for_bit(k):
+    # k = 1 (or one non-empty column) has no degree of freedom; k = 2 takes
+    # Yates' correction; all-zero columns are dropped before either test runs
+    rng = np.random.default_rng([12, k])
+    for top in (10, 1000, 10**6):
+        for _ in range(30):
+            table = rng.integers(0, top, size=(2, k), endpoint=True)
+            table[:, rng.random(k) < 0.2] = 0
+            table[:, 0] += 1  # no empty row
+            chi2, pvalue, _, _ = scipy_stats.chi2_contingency(table[:, table.any(axis=0)])
+            assert _chi2_rows(3, table) == [
+                (3, "chi2_stat", float(chi2)),
+                (3, "chi2_pvalue", float(pvalue)),
+                (3, "reject_at_0.001", float(pvalue < 0.001)),
+            ]
+
+
+@pytest.mark.parametrize(
+    "table, match",
+    [
+        ([[1, -1], [2, 3]], "non-negative"),
+        ([[1, -3], [2, 1]], "non-negative"),  # a column summing to zero or less is not empty
+        ([[0, 0, 0], [3, 4, 5]], "zero expected frequency"),
+    ],
+)
+def test_chi2_rows_reject_what_scipy_rejects(table, match):
+    table = np.array(table)
+    with pytest.raises(ValueError):
+        scipy_stats.chi2_contingency(table[:, table.any(axis=0)])
+    with pytest.raises(ValueError, match=match):
+        _chi2_rows(0, table)

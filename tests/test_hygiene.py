@@ -6,9 +6,11 @@ unused; an ``__init__.py`` re-export is not a use.  No module or test file
 may import a name it never uses (``__init__.py`` imports only to re-export,
 so it is exempt from that check too).  Importing the package and its CLI loads numpy and
 the stdlib only, and not ``concurrent.futures``, which the batched
-experiments load on their first run; ``scipy.stats`` loads on the first
-experiment that runs a chi-squared test, and that lazy load must not change
-a byte of its CSV.  Only ``distributed._execution`` calls ``Execution(``.
+experiments load on their first run.  The chi-squared rows hold the
+package's only scipy import, of ``scipy.special`` alone: it loads on the
+first experiment that runs a chi-squared test, ``scipy.stats`` never loads,
+and the CSVs are the same bytes in a process that has ``scipy.stats``.
+Only ``distributed._execution`` calls ``Execution(``.
 No handler in the package catches ``Exception`` or ``BaseException`` or is
 a bare ``except:``, so a party program's error propagates as raised.
 """
@@ -284,21 +286,69 @@ CHI2_CONFIGS = [
 
 
 def test_lazy_scipy_load_keeps_csv_bytes():
-    """A fresh interpreter loads scipy.stats on its first chi-squared run; its CSVs match this process's."""
+    """A fresh interpreter loads scipy.special on its first chi-squared run and never scipy.stats.
+
+    Its CSVs match this process's, which has scipy.stats loaded.
+    """
     report = _fresh_python(
         "import json, sys\n"
         "from dpdist.cli import run_experiment\n"
         "from dpdist.experiments import ExperimentConfig\n"
-        "loaded = ['scipy.stats' in sys.modules]\n"
+        "def loaded():\n"
+        "    return ['scipy.special' in sys.modules, 'scipy.stats' in sys.modules]\n"
+        "seen = [loaded()]\n"
         "texts = []\n"
         f"for kw in {CHI2_CONFIGS!r}:\n"
         "    texts.append(run_experiment(ExperimentConfig(**kw)))\n"
-        "    loaded.append('scipy.stats' in sys.modules)\n"
-        "print(json.dumps({'loaded': loaded, 'texts': texts}))\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps({'seen': seen, 'texts': texts}))\n"
     )
-    assert report["loaded"] == [False, True, True]
+    assert report["seen"] == [[False, False], [True, False], [True, False]]
     importlib.import_module("scipy.stats")
     assert report["texts"] == [run_experiment(ExperimentConfig(**kw)) for kw in CHI2_CONFIGS]
+
+
+def _scipy_imports(tree: ast.Module):
+    """(enclosing top-level definition or None, scipy module) for every scipy import in ``tree``."""
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, _DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                modules = [f"scipy.{a.name}" for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [(owner, m) for m in modules if m.split(".")[0] == "scipy"]
+    return found
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("import scipy\n", [(None, "scipy")]),
+        ("from scipy import stats, special\n", [(None, "scipy.stats"), (None, "scipy.special")]),
+        ("def f():\n    from scipy.special import chdtrc\n", [("f", "scipy.special")]),
+        ("class C:\n    def g(self):\n        import scipy.stats as st\n", [("C", "scipy.stats")]),
+        ("import numpy\nfrom .core import as_bits\n", []),
+    ],
+    ids=["bare", "from-scipy", "in-function", "in-method", "none"],
+)
+def test_scipy_imports_are_found(source, found):
+    assert _scipy_imports(ast.parse(source)) == found
+
+
+def test_scipy_is_imported_only_for_chi2():
+    """Only ``experiments._chi2_rows`` imports scipy, and only ``scipy.special``."""
+    found = [
+        (stem, owner, module)
+        for stem in MODULES
+        for owner, module in _scipy_imports(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")))
+    ]
+    assert found == [("experiments", "_chi2_rows", "scipy.special")]
 
 
 def test_bench_tracer_installs():

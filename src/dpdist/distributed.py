@@ -928,8 +928,17 @@ def windowed_min_protocol(
     reconstructs each interval total, takes the minimum window sum over
     interval-aligned window starts, and announces it.
 
+    The estimate comes, in both modes, from the per-interval sums of the
+    encoded values: the shares of a value sum to its encoding mod q, so
+    these are bit for bit the totals party 0 reconstructs.  The shares and
+    the aggregators' sums exist only with ``record``.  A lean run draws
+    only the noise and leaves ``rng`` where ``rng.normal(0, sqrt(2R/n), n)``
+    alone would (untouched with zero_noise); a recorded run then draws the
+    shares.  A non-integer ``t`` raises ``TypeError``.
+
     With zero_noise the estimate equals the gridded window minimum exactly.
     """
+    t = operator.index(t)
     bits = as_bits(x)
     n = bits.size
     if t < 0 or 2 * t >= n:
@@ -944,11 +953,10 @@ def windowed_min_protocol(
         noisy = bits.astype(float)
     else:
         noisy = bits + rng.normal(0.0, math.sqrt(2.0 * r_base / n), n)
-    # shares[i, j] = share of party i's value held by aggregator j
-    shares = share_mod_q(_encode_mod_q(np.rint(noisy * scale)), t + 1, rng)
-    # per-aggregator, per-interval share sums, then each interval's total
-    agg = sum_mod_q(shares.reshape(n_intervals, interval, t + 1), 1)
-    interval_sums = _decode_mod_q(sum_mod_q(agg, 1)).astype(float) / scale
+    encoded = _encode_mod_q(np.rint(noisy * scale))
+    # bit for bit the totals party 0 reconstructs from the shares
+    totals = sum_mod_q(encoded.reshape(n_intervals, interval), 1)
+    interval_sums = _decode_mod_q(totals).astype(float) / scale
 
     window_sums = np.convolve(interval_sums, np.ones(per_window), mode="valid")
     estimate = float(window_sums.min())
@@ -956,6 +964,10 @@ def windowed_min_protocol(
     n_messages = (t + 1) * (n - 1) + t * n_intervals + (n - 1)
     transcript = tapes = None
     if record:
+        # shares[i, j] = share of party i's value held by aggregator j
+        shares = share_mod_q(encoded, t + 1, rng)
+        # agg[k, j] = aggregator j's share sum over interval k
+        agg = sum_mod_q(shares.reshape(n_intervals, interval, t + 1), 1)
         flat = shares.ravel().tolist()  # Python ints, shared by the records and the tapes
         sent = (~np.eye(n, t + 1, dtype=bool)).ravel().tolist()  # no share to oneself
         n_shares, n_sums = (t + 1) * (n - 1), t * n_intervals

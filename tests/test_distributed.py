@@ -1109,6 +1109,72 @@ class TestWindowedMin:
         with pytest.raises(ValueError):
             windowed_min_protocol(np.zeros(16, dtype=np.uint8), 1.0, 0.01, 8, 0.75, derive_rng(0))
 
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("t", [2.5, 2.0])
+    def test_non_integer_t_raises_before_any_draw(self, t, record):
+        rng = derive_rng(63)
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            windowed_min_protocol(
+                np.zeros(16, dtype=np.uint8), 1.0, 0.01, t, 0.75, rng, record=record
+            )
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_numpy_integer_t_is_accepted(self, record):
+        x = (derive_rng(64).random(16) < 0.5).astype(np.uint8)
+        est, _ = windowed_min_protocol(
+            x, 1.0, 0.01, np.int64(2), 0.75, derive_rng(65), record=record
+        )
+        assert est == windowed_min_protocol(x, 1.0, 0.01, 2, 0.75, derive_rng(65), record=record)[0]
+
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("t", [0, 1, 3, 7])
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    def test_lean_and_recorded_estimates_agree(self, n, t, zero_noise):
+        # recording adds the messages and tapes, not another estimate, and
+        # the share draws happen only when recording
+        sigma = math.sqrt(2.0 * noise_base_variance(1.0, 0.01) / n)
+        for seed in range(3):
+            x = (derive_rng(66, n, seed).random(n) < 0.5).astype(np.uint8)
+            lean_rng = derive_rng(67, n, t, seed)
+            lean, e = windowed_min_protocol(
+                x, 1.0, 0.01, t, 0.75, lean_rng, zero_noise=zero_noise, record=False
+            )
+            recorded, _ = windowed_min_protocol(
+                x, 1.0, 0.01, t, 0.75, derive_rng(67, n, t, seed), zero_noise=zero_noise
+            )
+            assert lean == recorded == e.output
+            noise_only = derive_rng(67, n, t, seed)
+            if not zero_noise:
+                noise_only.normal(0.0, sigma, n)
+            assert lean_rng.bit_generator.state == noise_only.bit_generator.state
+
+    def test_party_0_reconstructs_the_output_from_its_messages(self):
+        # party 0 adds its own per-interval share sums to the t round-2 sums
+        # it receives; the decoded totals carry only their interval's noise
+        n, t, eps, delta, runs = 256, 3, 1.0, 0.01, 200
+        window, interval = windowed_min_sizes(n, 0.75)
+        n_intervals, scale = n // interval, fixed_point_scale(n)
+        rng = derive_rng(68)
+        residuals = np.empty((runs, n_intervals))
+        for k in range(runs):
+            x = (rng.random(n) < 0.5).astype(np.uint8)
+            _, e = windowed_min_protocol(x, eps, delta, t, 0.75, derive_rng(69, k))
+            own_shares = np.array([tape[1][0] for tape in e.tapes], dtype=np.uint64)
+            own = sum_mod_q(own_shares.reshape(n_intervals, interval), 1)
+            received = [y for r, _, v, y in e.transcript.rows() if r == 2 and v == 0]
+            assert len(received) == t * n_intervals
+            parts = np.vstack([own, np.array(received, dtype=np.uint64).reshape(t, n_intervals)])
+            totals = ds._decode_mod_q(sum_mod_q(parts, 0)).astype(float) / scale
+            window_sums = np.convolve(totals, np.ones(window // interval), mode="valid")
+            assert float(window_sums.min()) == e.output
+            residuals[k] = totals - x.reshape(n_intervals, interval).sum(axis=1)
+        sigma = math.sqrt(2.0 * noise_base_variance(eps, delta) * interval / n)
+        assert sigma == pytest.approx(0.5755, abs=1e-4)
+        standard_error = sigma / math.sqrt(2 * residuals.size)
+        assert abs(residuals.std() - sigma) <= 4 * standard_error
+
     def test_tiny_eps_raises_instead_of_wrapping(self):
         # noise of sd ~7e18 scales past 2^62 at scale 10^4; the int64 cast
         # used to wrap it (with a RuntimeWarning) into an estimate of ~1.48

@@ -15,6 +15,7 @@ oracles; sampled frequencies are never used for hard-bound assertions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -53,7 +54,9 @@ class SparseBernoulli:
     ``d`` > 1 budgets the number of rounds audited; increasing it thins the
     planted ones and proportionally tightens every per-party ratio bound.
     The density is exposed as ``density`` (the flip bias of the
-    randomized-response mechanism is a different quantity).
+    randomized-response mechanism is a different quantity).  ``n`` goes
+    through ``operator.index``, so a float such as 10000.5 raises
+    ``TypeError`` rather than being truncated by the binomial draws.
     """
 
     n: int
@@ -61,6 +64,7 @@ class SparseBernoulli:
     d: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError("n must be positive")
         if not self.eps > 0:

@@ -155,12 +155,15 @@ def _norm_pair(a: int, b: int) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class Topology:
-    """Party count and the fixed set of usable pairwise channels."""
+    """Party count, a non-negative integer, and the fixed set of usable pairwise channels."""
 
     n: int
     channels: FrozenSet[Tuple[int, int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
+        if self.n < 0:
+            raise ValueError(f"party count {self.n} is negative")
         norm = frozenset(_norm_pair(a, b) for a, b in self.channels)
         object.__setattr__(self, "channels", norm)
         for a, b in norm:
@@ -196,7 +199,8 @@ class PartyClassification:
 
 
 def classify(topology: Topology, t: int) -> PartyClassification:
-    """Split parties into popular (degree >= t+1) and lonely (degree <= t)."""
+    """Split parties into popular (degree >= t+1) and lonely (degree <= t); ``t`` must be an integer."""
+    t = operator.index(t)
     if not 0 <= t <= topology.n - 1:
         raise ValueError("t must lie in [0, n-1]")
     degrees = [0] * topology.n
@@ -230,13 +234,9 @@ class Protocol:
     Exact enumeration calls ``send`` once per distinct (party, tape, round,
     ``received``) and reuses the sends.  Histories compare by value, so
     symbols that compare equal (1, 1.0 and True; 0.0 and -0.0) must get the
-    same sends, as they already merge into one transcript.  A joint tape
-    whose histories hold an unhashable symbol is replayed without the cache.
-    Such a symbol, a list say, still raises ``TypeError`` in
-    ``enumerate_executions`` and ``coalition_view_distribution``: their keys
-    hold the symbols as sent, because ``consistent_probability`` replays a
-    transcript by comparing symbols by value, and a list made a tuple would
-    compare unequal.
+    same sends, as they already merge into one transcript.  Symbols must
+    hash: a list, say, raises ``TypeError`` from every exact enumeration,
+    while a single run keeps no cache and sends it.
     """
 
     n: int = 0

@@ -91,8 +91,11 @@ def _resolve(cfg: ExperimentConfig, **defaults) -> Dict[str, Any]:
     """The experiment's knobs, defaulted and checked, plus ``seed``: its param_json.
 
     ``defaults`` names every knob the experiment takes; a default of None
-    leaves an unset knob None.  A knob set in ``cfg`` but not named raises.
+    leaves an unset knob None.  A knob set in ``cfg`` but not named raises,
+    and so does a seed that is not a non-negative integer.
     """
+    if _int_at_least(0)(cfg.seed) is None:
+        raise ValueError(f"seed: expected a non-negative integer, got {cfg.seed!r}")
     for knob in _KNOB_RULES:
         if knob not in defaults and getattr(cfg, knob) is not None:
             raise ValueError(f"{cfg.experiment} does not take {knob}")

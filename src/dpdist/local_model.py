@@ -182,9 +182,9 @@ def _replay_joint_tapes(
     ``replay(tapes, memo, ids)`` makes one run; ``ids`` names each tape by
     its position in its space, so the memo keys on it whether or not the
     tapes hash.  One memo serves the whole call, keyed by a party's tape
-    index and its history, so each party runs on each history once.  A
-    replay that raises ``TypeError``, from an unhashable history or from a
-    party, is made again with no memo, and a party's error propagates.
+    index and its history, so each party runs on each history once.  The
+    symbols in a history must hash: an unhashable one raises ``TypeError``
+    from the memo lookup, and a replay's error propagates as raised.
     """
     for i, space in enumerate(spaces):
         if space is None:
@@ -194,11 +194,7 @@ def _replay_joint_tapes(
     memo: Dict[Tuple, Any] = {}
     for ids, prob in joint_tapes([[(k, p) for k, (_, p) in enumerate(space)] for space in spaces]):
         tapes = tuple(map(list.__getitem__, pools, ids))
-        try:
-            run = replay(tapes, memo, ids)
-        except TypeError:  # an unhashable history: replay this tape uncached
-            run = replay(tapes, None, ids)
-        yield tapes, run, prob
+        yield tapes, replay(tapes, memo, ids), prob
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +215,8 @@ class InteractiveParty:
     Exact enumeration calls ``answer`` once per distinct (party, tape,
     queries so far) and reuses the answer.  Queries compare by value, so
     symbols that compare equal (1, 1.0 and True; 0.0 and -0.0) must get
-    the same answer, as they already give the same view key.  A joint tape
-    whose queries hold an unhashable symbol is replayed without the cache.
+    the same answer, as they already give the same view key.  Queries and
+    answers must hash: an unhashable one raises ``TypeError``.
     """
 
     answer: Callable[[int, Tuple[Any, ...], Any], Any]
@@ -355,8 +351,7 @@ def enumerate_interactive(
     Returns ``{view_key: (probability, output)}``.  Requires every party to
     declare a finite ``tape_space``.  The input, party count and ``rounds`` are
     checked once; every joint tape is then replayed, each party once per
-    history.  A view key that holds an unhashable symbol is keyed with its
-    lists made tuples, recursively.
+    history.
     """
     xs = _check_interactive(parties, x, rounds)
     spaces = [None if party.tape_space is None else party.tape_space() for party in parties]
@@ -364,20 +359,9 @@ def enumerate_interactive(
     out: Dict[Tuple, Tuple[float, Any]] = {}
     for _, (output, view), prob in _replay_joint_tapes(spaces, replay):
         key = view.key()
-        try:
-            seen = out.get(key)
-        except TypeError:  # a symbol does not hash (a list, say)
-            key = _frozen(key)
-            seen = out.get(key)
+        seen = out.get(key)
         out[key] = (prob, output) if seen is None else (seen[0] + prob, seen[1])
     return out
-
-
-def _frozen(value: Any) -> Any:
-    """``value`` with every list or tuple in it made a tuple, recursively."""
-    if isinstance(value, (list, tuple)):
-        return tuple(map(_frozen, value))
-    return value
 
 
 # ---------------------------------------------------------------------------

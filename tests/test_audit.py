@@ -101,6 +101,17 @@ class TestSparseBernoulli:
         with pytest.raises(ValueError):
             SparseBernoulli(n=1, eps=0.5, d=1.5)
 
+    @pytest.mark.parametrize("n", [10_000.5, 10_000.0, "10000"], ids=["fraction", "float", "text"])
+    def test_n_that_is_not_an_integer_raises(self, n):
+        # the density would use 10000.5 while the binomial draws truncate to 10000
+        with pytest.raises(TypeError):
+            SparseBernoulli(n=n, eps=1.0, d=4.0)
+
+    @pytest.mark.parametrize("n", [np.int64(10_000), np.uint16(10_000)], ids=["int64", "uint16"])
+    def test_n_of_any_integer_type_accepted(self, n):
+        p = SparseBernoulli(n=n, eps=1.0, d=4.0)
+        assert type(p.n) is int and p == SparseBernoulli(n=10_000, eps=1.0, d=4.0)
+
     def test_sampled_mean(self):
         p = SparseBernoulli(n=10_000, eps=1.0, d=4.0)
         rng = derive_rng(61)

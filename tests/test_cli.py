@@ -257,6 +257,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "trials" in err
 
+    @pytest.mark.parametrize("experiment", ["message-accounting", "rr-sum-error"])
+    def test_negative_seed_names_seed(self, experiment, capsys):
+        # numpy's own SeedSequence text named no value
+        assert main(["run", "--experiment", experiment, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "dpdist: invalid parameters: seed: expected a non-negative integer, got -1\n"
+
     def test_missing_experiment(self, capsys):
         assert main(["run"]) == 2
 

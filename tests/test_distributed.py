@@ -88,6 +88,20 @@ class TestTopology:
         t = Topology(3, frozenset({(2, 0)}))
         assert (0, 2) in t.channels
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2"], ids=["fraction", "float", "text"])
+    def test_party_count_that_is_not_an_integer_raises(self, n):
+        with pytest.raises(TypeError):
+            Topology(n, {(0, 1)})
+
+    def test_negative_party_count_raises(self):
+        with pytest.raises(ValueError, match="party count -1 is negative"):
+            Topology(-1, ())
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.uint8(3)], ids=["int64", "uint8"])
+    def test_party_count_of_any_integer_type_accepted(self, n):
+        topo = Topology(n, {(0, 2)})
+        assert type(topo.n) is int and topo == Topology(3, frozenset({(0, 2)}))
+
     def test_random_topology_channel_count(self):
         rng = derive_rng(31)
         for _ in range(20):
@@ -113,6 +127,16 @@ class TestClassify:
         cls = classify(topo, 2)
         assert cls.popular | cls.lonely == frozenset(range(16))
         assert not (cls.popular & cls.lonely)
+
+    @pytest.mark.parametrize("t", [1.5, 1.0, "1"], ids=["fraction", "float", "text"])
+    def test_t_that_is_not_an_integer_raises(self, t):
+        # 1.5 used to split at "degree >= 2.5"
+        with pytest.raises(TypeError):
+            classify(star_topology(4), t)
+
+    @pytest.mark.parametrize("t", [np.int64(2), np.uint8(2)], ids=["int64", "uint8"])
+    def test_t_of_any_integer_type_accepted(self, t):
+        assert classify(star_topology(5), t) == classify(star_topology(5), 2)
 
     def test_t_zero_any_channel_is_popular(self):
         cls = classify(Topology(3, frozenset({(0, 1)})), 0)
@@ -500,6 +524,12 @@ def _per_tape_interactive(compiled, x):
     return out
 
 
+def _enumerate_compiled_parties(p, topo, x):
+    """``enumerate_interactive`` on the compiled parties and curator of ``p``."""
+    compiled = compile_to_local(p, topo)
+    return enumerate_interactive(compiled.parties, compiled.curator, x, compiled.rounds)
+
+
 class TestEnumerationMatchesPerTapeRuns:
     """Check-once enumeration equals a loop of public per-run calls: keys, order and float bits."""
 
@@ -596,6 +626,7 @@ class _TwoFaults(Protocol):
 
     Party 0 sends to 1 and, with ``undeclared``, on the undeclared channel
     0->2; party 1's ``send`` raises ``error("boom")``; party 2 sends to 1.
+    ``failed`` counts party 1's ``send`` calls.
     """
 
     n, rounds, output_party = 3, 1, 1
@@ -603,6 +634,7 @@ class _TwoFaults(Protocol):
     def __init__(self, undeclared=True, error=RuntimeError):
         self.undeclared = undeclared
         self.error = error
+        self.failed = 0
 
     def channels(self):
         return frozenset({(0, 1), (1, 2)})
@@ -612,6 +644,7 @@ class _TwoFaults(Protocol):
 
     def send(self, i, x_i, tape, rnd, received):
         if i == 1:
+            self.failed += 1
             raise self.error("boom")
         if i == 0 and self.undeclared:
             return {1: x_i, 2: x_i}
@@ -647,18 +680,19 @@ class TestTwoFaultsInOneRound:
                 run()
             assert type(caught.value) is RuntimeError and str(caught.value) == "boom"
 
-    def test_a_party_type_error_surfaces_from_the_uncached_retry(self):
-        # the enumerations replay a tape uncached on TypeError, so a party's own TypeError is raised again
-        protocol, topo, x = _TwoFaults(undeclared=False, error=TypeError), complete_topology(3), [1, 0, 1]
-        compiled = compile_to_local(protocol, topo)
+    def test_a_party_type_error_runs_its_send_once_per_history(self):
+        # one joint tape, so party 1 has one history: its TypeError propagates from the first call
+        topo, x = complete_topology(3), [1, 0, 1]
         for run in (
-            lambda: output_distribution(protocol, topo, x),
-            lambda: enumerate_interactive(compiled.parties, compiled.curator, x, compiled.rounds),
-            lambda: compiled.enumerate(x),
+            lambda p: output_distribution(p, topo, x),
+            lambda p: _enumerate_compiled_parties(p, topo, x),
+            lambda p: compile_to_local(p, topo).enumerate(x),
         ):
+            protocol = _TwoFaults(undeclared=False, error=TypeError)
             with pytest.raises(TypeError) as caught:
-                run()
+                run(protocol)
             assert type(caught.value) is TypeError and str(caught.value) == "boom"
+            assert protocol.failed == 1
 
 
 class _CountingExchange(Protocol):
@@ -740,15 +774,16 @@ class TestPerCallCaches:
             assert sorted(calls) == sorted(set(reference_calls))
             assert list(got.items()) == list(expected.items())
 
-    def test_unhashable_symbols_skip_the_cache(self):
+    def test_unhashable_symbols_raise(self):
+        # a list symbol is a memo key in round 2, in the engine and in the compiled protocol alike
         topo = complete_topology(3)
         for bits in itertools.product((0, 1), repeat=3):
-            p = _CountingExchange(listed=True)
-            got = output_distribution(p, topo, bits)
-            expected = _per_tape_distribution(p, topo, bits, lambda e: e.output)
-            assert list(got.items()) == list(expected.items())
-            assert got == output_distribution(_CountingExchange(), topo, bits)
-            assert compile_to_local(_CountingExchange(listed=True), topo).output_distribution(bits) == got
+            with pytest.raises(TypeError) as original:
+                output_distribution(_CountingExchange(listed=True), topo, bits)
+            with pytest.raises(TypeError) as compiled:
+                compile_to_local(_CountingExchange(listed=True), topo).output_distribution(bits)
+            assert type(original.value) is type(compiled.value) is TypeError
+            assert str(original.value) == str(compiled.value) == "unhashable type: 'list'"
 
     def test_equal_symbols_share_an_entry(self):
         # 1 and True compare and hash equal, so a history holding either is sent on once
@@ -761,6 +796,38 @@ class TestPerCallCaches:
         p = _Mixed()
         assert output_distribution(p, topo, [1, 0, 1]) == output_distribution(_CountingExchange(), topo, [1, 0, 1])
         assert len(p.sends) == len(set(p.sends))
+
+
+class TestSymbolsMustHash:
+    """Every exact enumeration keys its memo on histories, so a list symbol raises the same ``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "enumerate_fn",
+        [
+            output_distribution,
+            enumerate_executions,
+            lambda p, topo, x: coalition_view_distribution(p, topo, x, [1]),
+            _enumerate_compiled_parties,
+            lambda p, topo, x: compile_to_local(p, topo).enumerate(x),
+            lambda p, topo, x: compile_to_local(p, topo).output_distribution(x),
+        ],
+        ids=["outputs", "executions", "coalition", "interactive", "compiled-enumerate", "compiled-outputs"],
+    )
+    def test_list_symbols_raise_after_the_round_1_sends(self, enumerate_fn):
+        p = _CountingExchange(listed=True)
+        with pytest.raises(TypeError) as caught:
+            enumerate_fn(p, complete_topology(3), [1, 0, 1])
+        assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"
+        # the first joint tape's round-1 sends run; party 0's round-2 history does not hash
+        assert p.sends == [(0, 0, 1, ()), (1, 0, 1, ()), (2, 0, 1, ())]
+
+    def test_a_single_run_sends_list_symbols(self):
+        # no memo: the lists travel as sent, and the run matches the one with plain bits
+        topo, x, tapes = complete_topology(3), [1, 0, 1], [0, 1, 2]
+        listed = run_protocol_with_tapes(_CountingExchange(listed=True), topo, x, tapes)
+        plain = run_protocol_with_tapes(_CountingExchange(), topo, x, tapes)
+        assert listed.output == plain.output and listed.n_messages == plain.n_messages == 8
+        assert list(listed.transcript.columns[3]) == [[b] for b in plain.transcript.columns[3]]
 
 
 class TestConsistentProbabilityInput:

@@ -12,7 +12,11 @@ first experiment that runs a chi-squared test, ``scipy.stats`` never loads,
 and the CSVs are the same bytes in a process that has ``scipy.stats``.
 Only ``distributed._execution`` calls ``Execution(``.
 No handler in the package catches ``Exception`` or ``BaseException`` or is
-a bare ``except:``, so a party program's error propagates as raised.
+a bare ``except:``, so a party program's error propagates as raised.  The
+protocol layers (``core``, ``mechanisms``, ``seeding``, ``local_model``,
+``distributed``, ``audit`` and ``fixtures``) hold no ``except`` clause at
+all: only ``cli`` (errors to exit status 2) and ``experiments._batched``
+(the ``sched_getaffinity`` platform fallback) handle exceptions.
 """
 
 import ast
@@ -234,6 +238,47 @@ def test_catch_all_handlers_are_found(source, lines):
 def test_no_catch_all_handlers(stem):
     tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
     assert _catch_all_handlers(tree) == [], f"{stem}.py catches every exception: name the ones it expects"
+
+
+PROTOCOL_LAYERS = ["audit", "core", "distributed", "fixtures", "local_model", "mechanisms", "seeding"]
+
+
+def _handler_sites(tree: ast.Module):
+    """(enclosing top-level definition, line) of every ``except`` clause; ``<module>`` outside any definition."""
+    sites = []
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        sites += [(name, h.lineno) for h in ast.walk(node) if isinstance(h, ast.ExceptHandler)]
+    return sites
+
+
+@pytest.mark.parametrize(
+    "source,sites",
+    [
+        ("try:\n    pass\nexcept ImportError:\n    pass\n", [("<module>", 3)]),
+        ("def f():\n    def g():\n        try:\n            pass\n        except KeyError:\n            pass\n", [("f", 5)]),
+        ("class C:\n    def m(self):\n        try:\n            pass\n        except ValueError:\n            pass\n", [("C", 5)]),
+        ("def f():\n    try:\n        pass\n    finally:\n        pass\n", []),
+    ],
+    ids=["module", "nested-function", "method", "finally-only"],
+)
+def test_handler_sites_are_found(source, sites):
+    assert _handler_sites(ast.parse(source)) == sites
+
+
+@pytest.mark.parametrize("stem", PROTOCOL_LAYERS)
+def test_protocol_layers_catch_nothing(stem):
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    assert _handler_sites(tree) == [], f"{stem}.py handles an exception: let it propagate as raised"
+
+
+def test_only_the_cli_and_the_batch_pool_handle_exceptions():
+    sites = {
+        f"{stem}.{name}"
+        for stem in SUBMODULES
+        for name, _ in _handler_sites(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")))
+    }
+    assert {site for site in sites if not site.startswith("cli.")} == {"experiments._batched"}
 
 
 def _unused_imports(tree: ast.Module):

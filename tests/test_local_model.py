@@ -12,7 +12,6 @@ from dpdist.local_model import (
     Curator,
     CuratorView,
     InteractiveParty,
-    _frozen,
     _replay_joint_tapes,
     constant_sanitizer,
     enumerate_interactive,
@@ -273,10 +272,9 @@ class TestInteractive:
         assert output == enumerated == (1, 0) and prob == 1.0
         assert len(seen) == 8 and set(seen) == {int}
 
-    @pytest.mark.parametrize("wrap,n_calls", [(tuple, 8), (list, 16)], ids=["cached", "unhashable"])
-    def test_queries_that_do_not_hash_replay_uncached(self, wrap, n_calls):
-        # 4 joint tapes x 2 rounds x 2 parties; cached, each (party, tape, queries) answers once
-        calls = []
+    @staticmethod
+    def _query_echo(calls, wrap):
+        """Two parties with tapes 0 and 1 answering (x + tape + query) mod 2 to the query ``wrap([j])``."""
 
         def answer(x_i, queries, tape):
             calls.append(queries)
@@ -284,12 +282,28 @@ class TestInteractive:
 
         parties = [InteractiveParty(answer=answer, tape_space=lambda: [(0, 0.5), (1, 0.5)])] * 2
         curator = Curator(query=lambda j, hist: (wrap([j]),) * 2, output=lambda view: view.answers[-1])
+        return parties, curator
+
+    def test_queries_that_hash_answer_once_per_history(self):
+        # 4 joint tapes x 2 rounds x 2 parties; cached, each (party, tape, queries) answers once
+        calls = []
+        parties, curator = self._query_echo(calls, tuple)
         got = enumerate_interactive(parties, curator, [1, 0], 2)
-        assert len(calls) == n_calls
+        assert len(calls) == 8
         expected = enumerate_interactive(
             parties, Curator(query=lambda j, hist: ((j,),) * 2, output=curator.output), [1, 0], 2
         )
         assert list(got.items()) == list(expected.items())
+
+    def test_list_queries_raise_before_any_answer(self):
+        # the first party's first history is a memo key, so the list query raises before it answers
+        calls = []
+        parties, curator = self._query_echo(calls, list)
+        with pytest.raises(TypeError) as caught:
+            enumerate_interactive(parties, curator, [1, 0], 2)
+        assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"
+        assert calls == []
+        assert run_interactive_with_tapes(parties, curator, [1, 0], 2, [0, 1])[0] == (1, 1)
 
     def test_a_none_answer_is_cached(self):
         # 2 parties x 2 tapes x 2 rounds histories; the per-tape loop would answer 16 times
@@ -305,17 +319,22 @@ class TestInteractive:
         assert got == {((None, None), (None, None)): (1.0, 2)}
         assert len(calls) == len(set(calls)) == 8
 
-    def test_list_answers_are_keyed_like_tuples(self):
-        def parties(wrap):
+    def test_list_answers_raise_at_the_view_key(self):
+        # the queries hash, so every answer runs; the first view key holds lists and does not
+        def parties(wrap, calls):
             def answer(x_i, queries, tape):
+                calls.append(queries)
                 return wrap([x_i ^ tape, wrap([len(queries)])])
 
             return [InteractiveParty(answer=answer, tape_space=lambda: [(0, 0.25), (1, 0.75)])] * 2
 
         curator = Curator(query=lambda j, hist: (None, None), output=lambda view: view.rounds)
-        got = enumerate_interactive(parties(list), curator, [1, 0], 2)
-        expected = enumerate_interactive(parties(tuple), curator, [1, 0], 2)
-        assert list(got.items()) == list(expected.items())
+        calls = []
+        with pytest.raises(TypeError) as caught:
+            enumerate_interactive(parties(list, calls), curator, [1, 0], 2)
+        assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"
+        assert len(calls) == 4  # the first joint tape's 2 rounds x 2 parties
+        assert sum(prob for prob, _ in enumerate_interactive(parties(tuple, []), curator, [1, 0], 2).values()) == 1.0
 
     def test_numpy_scalar_answers_key_as_python_values(self):
         plain = CuratorView(answers=((1, 0), (0.5, 1)))
@@ -396,12 +415,12 @@ class TestJointTapes:
 
 class TestReplayJointTapes:
     @staticmethod
-    def _record(log, fail_cached=()):
-        """A replay that logs (tapes, memo id, ids) and raises TypeError on cached runs of ``fail_cached``."""
+    def _record(log, fail=()):
+        """A replay that logs (tapes, memo id, ids) and raises TypeError on the tapes in ``fail``."""
 
         def replay(tapes, memo, ids):
             log.append((tapes, None if memo is None else id(memo), ids))
-            if memo is not None and tapes in fail_cached:
+            if tapes in fail:
                 raise TypeError("unhashable history")
             return sum(tapes)
 
@@ -423,24 +442,21 @@ class TestReplayJointTapes:
         assert len({memo for _, memo, _ in first}) == len({memo for _, memo, _ in second}) == 1
         assert None not in {memo for _, memo, _ in first + second}
 
-    def test_type_error_replays_that_tape_uncached(self):
+    def test_type_error_propagates_from_the_memoized_attempt(self):
         log = []
-        got = list(_replay_joint_tapes(self._SPACES, self._record(log, fail_cached={(1, 0)})))
-        assert [run for _, run, _ in got] == [0, 2, 1, 3]
-        assert [(tapes, memo is None) for tapes, memo, _ in log] == [
-            ((0, 0), False), ((0, 2), False), ((1, 0), False), ((1, 0), True), ((1, 2), False)
-        ]
+        got = []
+        with pytest.raises(TypeError) as caught:
+            for _, run, _ in _replay_joint_tapes(self._SPACES, self._record(log, fail={(1, 0)})):
+                got.append(run)
+        assert type(caught.value) is TypeError and str(caught.value) == "unhashable history"
+        assert got == [0, 2]
+        assert [(tapes, memo is None) for tapes, memo, _ in log] == [((0, 0), False), ((0, 2), False), ((1, 0), False)]
 
     def test_missing_space_raises_before_any_replay(self):
         log = []
         with pytest.raises(ValueError, match="party 1 has no finite tape space"):
             next(_replay_joint_tapes([self._SPACES[0], None, None], self._record(log)))
         assert log == []
-
-    def test_frozen_makes_every_list_a_tuple(self):
-        value = [1, [2, (3, [4])], "ab", frozenset({5})]
-        assert _frozen(value) == (1, (2, (3, (4,))), "ab", frozenset({5}))
-        hash(_frozen(value))
 
 
 class TestMultiplicativeTranscriptLaw:

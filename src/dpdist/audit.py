@@ -393,7 +393,8 @@ def distinguisher_experiment(
     p: SparseBernoulli,
     tau: Optional[float] = None,
     trials: int = 1000,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> DistinguisherReport:
     """Measure both failure modes of a 0/1 gap protocol.
 
@@ -403,8 +404,6 @@ def distinguisher_experiment(
     at least one error rate bounded away from zero when tau is half the
     expected planted sum (the default).
     """
-    if rng is None:
-        raise ValueError("an explicitly seeded generator is required")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if tau is None:

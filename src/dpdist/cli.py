@@ -45,8 +45,6 @@ _FLAG_HELP = {
 
 
 def _format_value(v: Any) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.17g}"

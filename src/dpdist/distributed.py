@@ -99,14 +99,13 @@ class Transcript(Sequence):
     ``hash`` raise ``TypeError``.
     """
 
-    __slots__ = ("columns", "_hash")
+    __slots__ = ("columns",)
 
     def __init__(self, round: Iterable[int] = (), sender: Iterable[int] = (),
                  receiver: Iterable[int] = (), symbol: Iterable[Any] = ()):
         self.columns = r, s, v, y = tuple(round), tuple(sender), tuple(receiver), tuple(symbol)
         if not len(r) == len(s) == len(v) == len(y):
             raise ValueError("transcript columns must have equal lengths")
-        self._hash: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -132,12 +131,7 @@ class Transcript(Sequence):
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(self.rows()))
-        return self._hash
-
-    def __reduce__(self):
-        return Transcript, self.columns  # not the cached hash, which a NaN symbol's copy changes
+        return hash(tuple(self.rows()))
 
     def __repr__(self) -> str:
         return f"Transcript({tuple(self)!r})"
@@ -164,7 +158,7 @@ class Topology:
         object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 0:
             raise ValueError(f"party count {self.n} is negative")
-        norm = frozenset(_norm_pair(a, b) for a, b in self.channels)
+        norm = frozenset(_norm_pair(operator.index(a), operator.index(b)) for a, b in self.channels)
         object.__setattr__(self, "channels", norm)
         for a, b in norm:
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -549,9 +543,6 @@ class CoalitionView:
     tapes: Tuple[Any, ...]
     received: Transcript
 
-    def key(self) -> Tuple:
-        return (self.coalition, self.inputs, self.tapes, self.received)
-
 
 def coalition_view(e: Execution, coalition: Iterable[int]) -> CoalitionView:
     """Extract the view of a coalition from a recorded execution; a non-integer member raises ``TypeError``."""
@@ -572,10 +563,10 @@ def coalition_view(e: Execution, coalition: Iterable[int]) -> CoalitionView:
 
 def coalition_view_distribution(
     protocol: Protocol, topology: Topology, x: Bits, coalition: Iterable[int]
-) -> Dict[Tuple, float]:
+) -> Dict[CoalitionView, float]:
     """Exact distribution over coalition views, by tape enumeration."""
     members = tuple(sorted(set(map(operator.index, coalition))))
-    return _tape_distribution(protocol, topology, x, lambda e: coalition_view(e, members).key())
+    return _tape_distribution(protocol, topology, x, lambda e: coalition_view(e, members))
 
 
 # ---------------------------------------------------------------------------

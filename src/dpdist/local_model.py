@@ -58,13 +58,11 @@ class SanitizerSpec:
 
     ``alphabet`` lists every message the map can send, and
     ``output_prob(x, symbol)`` is its exact probability oracle, which drives
-    all exact audits.  ``claimed_epsilon`` is the privacy level the
-    sanitizer declares; the audit module can verify it.
+    all exact audits.
     """
 
     alphabet: Tuple[Any, ...]
     output_prob: Callable[[int, Any], float]
-    claimed_epsilon: Optional[float] = None
 
     def distribution(self, x: int) -> Dict[Any, float]:
         """Exact output distribution on input ``x``."""
@@ -76,7 +74,6 @@ def flip_sanitizer(p: FlipParams) -> SanitizerSpec:
     return SanitizerSpec(
         alphabet=(0, 1),
         output_prob=lambda x, c: flip_output_prob(x, c, p),
-        claimed_epsilon=p.exact_epsilon,
     )
 
 
@@ -85,7 +82,6 @@ def constant_sanitizer(symbol: Any = 0) -> SanitizerSpec:
     return SanitizerSpec(
         alphabet=(symbol,),
         output_prob=lambda x, c: 1.0 if c == symbol else 0.0,
-        claimed_epsilon=0.0,
     )
 
 
@@ -114,14 +110,6 @@ class CuratorView:
     @property
     def n(self) -> int:
         return len(self.answers[0]) if self.answers else 0
-
-    def key(self) -> Tuple:
-        """Hashable identity of the received-message log.
-
-        A numpy scalar symbol stays as it is: it compares and hashes as its
-        Python value, so the key equals the one built from Python symbols.
-        """
-        return tuple(map(tuple, self.answers))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +336,7 @@ def enumerate_interactive(
 ) -> Dict[Tuple, Tuple[float, Any]]:
     """Exact view distribution by enumerating all joint tape assignments.
 
-    Returns ``{view_key: (probability, output)}``.  Requires every party to
+    Returns ``{view.answers: (probability, output)}``.  Requires every party to
     declare a finite ``tape_space``.  The input, party count and ``rounds`` are
     checked once; every joint tape is then replayed, each party once per
     history.
@@ -358,9 +346,8 @@ def enumerate_interactive(
     replay = functools.partial(_replay_interactive, parties, curator, xs, rounds)
     out: Dict[Tuple, Tuple[float, Any]] = {}
     for _, (output, view), prob in _replay_joint_tapes(spaces, replay):
-        key = view.key()
-        seen = out.get(key)
-        out[key] = (prob, output) if seen is None else (seen[0] + prob, seen[1])
+        seen = out.get(view.answers)
+        out[view.answers] = (prob, output) if seen is None else (seen[0] + prob, seen[1])
     return out
 
 

@@ -38,7 +38,6 @@ def identity_sanitizer():
     return SanitizerSpec(
         alphabet=(0, 1),
         output_prob=lambda x, c: 1.0 if c == x else 0.0,
-        claimed_epsilon=math.inf,
     )
 
 
@@ -152,14 +151,9 @@ class TestExactEpsilon:
             s = flip_sanitizer(flip_bias_for(eps))
             assert exact_epsilon(s) == pytest.approx(math.log1p(eps), rel=1e-12)
 
-    def test_claimed_epsilon_is_honest(self):
-        for s in (
-            flip_sanitizer(flip_bias_for(0.5)),
-            flip_sanitizer(flip_bias_for(2.0)),
-            constant_sanitizer(1),
-            identity_sanitizer(),
-        ):
-            assert exact_epsilon(s) <= s.claimed_epsilon + 1e-12
+    def test_constant_and_identity_extremes(self):
+        assert exact_epsilon(constant_sanitizer(1)) == 0.0
+        assert exact_epsilon(identity_sanitizer()) == math.inf
 
 
 class TestLikelihoodRatios:
@@ -399,7 +393,7 @@ class TestDistinguisher:
 
     def test_requires_rng(self):
         p = SparseBernoulli(n=4, eps=1.0, d=9.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="rng"):
             distinguisher_experiment(lambda x, rng: 0, p, trials=1)
 
     def test_rejects_zero_trials(self):

@@ -6,6 +6,7 @@ import json
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from dpdist import cli, experiments
@@ -366,6 +367,13 @@ class TestFormatting:
         t1 = render_csv("demo", {"b": 1, "a": 2}, [(0, "m", 1.0)])
         t2 = render_csv("demo", {"a": 2, "b": 1}, [(0, "m", 1.0)])
         assert t1 == t2
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [(True, "1"), (False, "0"), (np.True_, "1"), (np.False_, "0"), (3, "3"), (np.int64(3), "3"), (0.5, "0.5")],
+    )
+    def test_format_value(self, value, text):
+        assert cli._format_value(value) == text
 
 
 BATCHED = ["v-bounds", "hoeffding-tail", "chernoff-tail", "laplace-tails"]

@@ -19,6 +19,7 @@ from dpdist import distributed as ds
 from dpdist.core import min_window_weight, min_window_weight_gridded
 from dpdist.distributed import (
     DEFAULT_MODULUS,
+    CoalitionView,
     Execution,
     Message,
     ObliviousnessViolationError,
@@ -101,6 +102,16 @@ class TestTopology:
     def test_party_count_of_any_integer_type_accepted(self, n):
         topo = Topology(n, {(0, 2)})
         assert type(topo.n) is int and topo == Topology(3, frozenset({(0, 2)}))
+
+    @pytest.mark.parametrize("pair", [(0.5, 1), (0, 1.0), ("0", 1)], ids=["fraction", "float", "text"])
+    def test_channel_endpoint_that_is_not_an_integer_raises(self, pair):
+        with pytest.raises(TypeError):
+            Topology(3, {pair})
+
+    def test_channel_endpoints_of_any_integer_type_accepted(self):
+        topo = Topology(3, {(np.int64(2), np.uint8(0))})
+        assert [tuple(map(type, pair)) for pair in topo.channels] == [(int, int)]
+        assert topo == Topology(3, frozenset({(0, 2)}))
 
     def test_random_topology_channel_count(self):
         rng = derive_rng(31)
@@ -487,7 +498,7 @@ class TestCompileToLocal:
         assert set(dist_a) == set(dist_b)
         coalition_ratios = set()
         for key in dist_a:
-            received = list(key[3])
+            received = list(key.received)
             alpha_x = consistent_probability(protocol, 0, 0, received)
             alpha_xp = consistent_probability(protocol, 0, 1, received)
             ratio = dist_a[key] / dist_b[key]
@@ -519,7 +530,7 @@ def _per_tape_interactive(compiled, x):
     out = {}
     for tapes, prob in joint_tapes([party.tape_space() for party in compiled.parties]):
         output, view = run_interactive_with_tapes(compiled.parties, compiled.curator, x, compiled.rounds, tapes)
-        key = view.key()
+        key = view.answers
         out[key] = (out[key][0] + prob, out[key][1]) if key in out else (prob, output)
     return out
 
@@ -548,10 +559,40 @@ class TestEnumerationMatchesPerTapeRuns:
             for members in coalitions:
                 pairs.append((
                     coalition_view_distribution(protocol, topo, x, members),
-                    _per_tape_distribution(protocol, topo, x, lambda e: coalition_view(e, members).key()),
+                    _per_tape_distribution(protocol, topo, x, lambda e: coalition_view(e, members)),
                 ))
             for got, expected in pairs:
                 assert list(got.items()) == list(expected.items())
+
+
+class TestRunObjectsAreKeys:
+    """Exact distributions are keyed by what one run builds: its answer history, or its ``CoalitionView``."""
+
+    @pytest.mark.parametrize("protocol", _ENUMERATION_FIXTURES, ids=_FIXTURE_IDS)
+    def test_every_input(self, protocol):
+        topo = fixture_topology(protocol)
+        compiled = compile_to_local(protocol, topo)
+        local_spaces = [party.tape_space() for party in compiled.parties]
+        spaces = [protocol.tape_space(i) for i in range(protocol.n)]
+        members = tuple(range(1, protocol.n))
+        for bits in itertools.product((0, 1), repeat=protocol.n):
+            x = np.array(bits, dtype=np.uint8)
+            answers = [
+                run_interactive_with_tapes(compiled.parties, compiled.curator, x, compiled.rounds, tapes)[1].answers
+                for tapes, _ in joint_tapes(local_spaces)
+            ]
+            keys = list(enumerate_interactive(compiled.parties, compiled.curator, x, compiled.rounds))
+            # first-seen order; every key a tuple of per-round tuples, as one run stores it
+            assert keys == list(dict.fromkeys(answers))
+            assert all(type(key) is tuple and all(type(r) is tuple for r in key) for key in keys)
+
+            views = [
+                coalition_view(run_protocol_with_tapes(protocol, topo, x, tapes), members)
+                for tapes, _ in joint_tapes(spaces)
+            ]
+            keys = list(coalition_view_distribution(protocol, topo, x, members))
+            assert all(type(key) is CoalitionView for key in keys)
+            assert keys == list(dict.fromkeys(views))
 
 
 class _OneTapeBreaks(Protocol):

@@ -10,7 +10,6 @@ from dpdist.core import GapParams
 from dpdist.fixtures import RelayProtocol
 from dpdist.local_model import (
     Curator,
-    CuratorView,
     InteractiveParty,
     _replay_joint_tapes,
     constant_sanitizer,
@@ -335,12 +334,6 @@ class TestInteractive:
         assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"
         assert len(calls) == 4  # the first joint tape's 2 rounds x 2 parties
         assert sum(prob for prob, _ in enumerate_interactive(parties(tuple, []), curator, [1, 0], 2).values()) == 1.0
-
-    def test_numpy_scalar_answers_key_as_python_values(self):
-        plain = CuratorView(answers=((1, 0), (0.5, 1)))
-        numpy = CuratorView(answers=(np.array([1, 0], dtype=np.uint8), (np.float64(0.5), np.int64(1))))
-        assert numpy.key() == plain.key()
-        assert hash(numpy.key()) == hash(plain.key())
 
     def test_invalid_input_rejected_before_any_tape_runs(self):
         seen = []

@@ -49,7 +49,6 @@ __all__ = [
     "Protocol",
     "FlipTapeProtocol",
     "Execution",
-    "run_protocol",
     "run_protocol_with_tapes",
     "enumerate_executions",
     "output_distribution",
@@ -437,18 +436,6 @@ def run_protocol_with_tapes(
     return _execution(protocol.rounds, bits, tapes, record, _replay(protocol, *checked, record, tapes))
 
 
-def run_protocol(
-    protocol: Protocol,
-    topology: Topology,
-    x: Bits,
-    rng: np.random.Generator,
-    record: bool = True,
-) -> Execution:
-    """Run a protocol with fresh tapes drawn from ``rng``."""
-    tapes = [protocol.draw_tape(i, rng) for i in range(protocol.n)]
-    return run_protocol_with_tapes(protocol, topology, x, tapes, record=record)
-
-
 def _tape_distribution(
     protocol: Protocol,
     topology: Topology,
@@ -684,23 +671,20 @@ class RRStarProtocol(FlipTapeProtocol):
 
     Round 1: every other party sends its flipped bit to party 0 (party 0
     flips its own bit locally).  Round 2: party 0 debiases the count and
-    sends the estimate to everyone, for 2(n-1) messages in total.
+    sends the estimate to everyone, for 2(n-1) messages in total.  A
+    non-integer ``n`` raises ``TypeError``.
     """
 
     def __init__(self, n: int, eps: float):
-        if n < 1:
+        self.n = operator.index(n)
+        if self.n < 1:
             raise ValueError("need at least one party")
-        self.n = n
         self.rounds = 2
         self.params = flip_bias_for(eps)
         self.keep_prob = self.params.keep_prob
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset((0, i) for i in range(1, self.n))
-
-    def _estimate(self, x_0: int, tape_0: bool, received: Tuple[Tuple, ...]) -> float:
-        count = self._report(x_0, tape_0) + sum(sym for _, sym in received[0])
-        return local_model.rr_debias(float(count), self.n, self.params)
+        return star_topology(self.n).channels
 
     def send(
         self, i: int, x_i: int, tape: bool, rnd: int, received: Tuple[Tuple, ...]
@@ -708,26 +692,46 @@ class RRStarProtocol(FlipTapeProtocol):
         if rnd == 1:
             return {} if i == 0 else {0: self._report(x_i, tape)}
         if i == 0:
-            estimate = self._estimate(x_i, tape, received)
+            estimate = self.output(x_i, tape, received)
             return {j: estimate for j in range(1, self.n)}
         return {}
 
     def output(self, x_i: int, tape: bool, received: Tuple[Tuple, ...]) -> float:
-        return self._estimate(x_i, tape, received)
+        """Party 0's debiased count of its own report and the round-1 reports it received."""
+        count = self._report(x_i, tape) + sum(sym for _, sym in received[0])
+        return local_model.rr_debias(float(count), self.n, self.params)
 
 
 def randomized_response_distributed(
     x: Bits, eps: float, rng: np.random.Generator, record: bool = True
 ) -> Execution:
-    """Run the star-topology randomized-response protocol."""
+    """Run the star-topology randomized-response protocol, vectorized.
+
+    It draws n uniforms, in party order, one per party's keep/swap tape, after
+    ``RRStarProtocol(n, eps)``, its engine reference on ``star_topology(n)``,
+    has checked the parameters.  Its ``Execution`` and ``rng``'s final state
+    equal that engine run's on tapes drawn one party at a time.
+    """
     bits = as_bits(x)
-    return run_protocol(RRStarProtocol(bits.size, eps), _star(bits.size), bits, rng, record=record)
+    n = bits.size
+    protocol = RRStarProtocol(n, eps)
+    keep = rng.random(n) < protocol.keep_prob
+    reports = bits ^ ~keep
+    estimate = local_model.rr_debias(float(np.count_nonzero(reports)), n, protocol.params)
+    transcript = _star_transcript(reports[1:].tolist(), estimate) if record else None
+    return _execution(2, bits, keep.tolist() if record else None, record, (estimate, 2 * (n - 1), transcript))
 
 
-@functools.lru_cache(maxsize=16)
-def _star(n: int) -> Topology:
-    """``star_topology(n)``, built once per n; a run does not change it."""
-    return star_topology(n)
+def _star_transcript(reports: Sequence[Any], announced: Any) -> Transcript:
+    """Round 1: party i sends ``reports[i - 1]`` to party 0.  Round 2: party 0 sends ``announced`` to each."""
+    m = len(reports)
+    parties = tuple(range(1, m + 1))
+    return Transcript(
+        (1,) * m + (2,) * m,
+        parties + (0,) * m,
+        (0,) * m + parties,
+        tuple(reports) + (announced,) * m,  # one announced object, whose text the writer makes once
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +781,7 @@ def gaussian_aggregator_sum(
     estimate = float(y.sum())
     transcript = tapes = None
     if record:
-        parties = tuple(range(1, n))  # each reports to party 0, which announces to each
-        transcript = Transcript(
-            (1,) * (n - 1) + (2,) * (n - 1),
-            parties + (0,) * (n - 1),
-            (0,) * (n - 1) + parties,
-            tuple(y[1:].tolist()) + (estimate,) * (n - 1),
-        )
+        transcript = _star_transcript(y[1:].tolist(), estimate)
         tapes = noise.tolist()
     return estimate, _execution(2, bits, tapes, record, (estimate, 2 * (n - 1), transcript))
 

@@ -62,13 +62,14 @@ class ExperimentDef:
 
 def _int_at_least(least: int):
     def check(v):
-        return int(v) if isinstance(v, (int, np.integer)) and v >= least else None
+        return int(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least else None
     return check
 
 
 def _float_between(lo: float, hi: float):
     def check(v):
-        v = float(v)
+        real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        v = float(v) if real else math.nan
         return v if lo < v < hi else None
     return check
 

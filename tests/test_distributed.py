@@ -42,7 +42,6 @@ from dpdist.distributed import (
     random_topology,
     randomized_response_distributed,
     read_execution_records,
-    run_protocol,
     run_protocol_with_tapes,
     share_mod_q,
     star_topology,
@@ -74,6 +73,12 @@ from dpdist.seeding import derive_rng
 def complete_topology(n):
     """Every pair of the n parties joined by a channel."""
     return Topology(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def run_drawn(protocol, topology, x, rng, record=True):
+    """The engine run on tapes drawn from ``rng`` one party at a time, in party order."""
+    tapes = [protocol.draw_tape(i, rng) for i in range(protocol.n)]
+    return run_protocol_with_tapes(protocol, topology, x, tapes, record=record)
 
 
 class TestTopology:
@@ -261,7 +266,7 @@ class TestEngine:
     )
     def test_parties_receive_python_ints(self, x):
         p = _RecordingRelay()
-        e = run_protocol(p, complete_topology(2), x, derive_rng(0))
+        e = run_drawn(p, complete_topology(2), x, derive_rng(0))
         assert output_distribution(p, complete_topology(2), x) == {(0, (((0, 1),),)): 1.0}
         assert p.seen and set(p.seen) == {int}
         assert e.inputs == (1, 0) and all(type(b) is int for b in e.inputs)
@@ -275,7 +280,7 @@ class TestEngine:
 
     def test_forwarding_transcript(self):
         p = RelayProtocol(keep_prob=1.0)
-        e = run_protocol(p, fixture_topology(p), [1, 0], derive_rng(0))
+        e = run_drawn(p, fixture_topology(p), [1, 0], derive_rng(0))
         assert e.transcript == (Message(1, 0, 1, 1),)
         assert e.output == 1
         assert e.n_messages == 1 and e.rounds == 1
@@ -283,24 +288,24 @@ class TestEngine:
     def test_replay_determinism(self):
         p = NoisyParityProtocol(flip_bias_for(1.0))
         topo = fixture_topology(p)
-        e1 = run_protocol(p, topo, [1, 0, 1], derive_rng(42))
-        e2 = run_protocol(p, topo, [1, 0, 1], derive_rng(42))
+        e1 = run_drawn(p, topo, [1, 0, 1], derive_rng(42))
+        e2 = run_drawn(p, topo, [1, 0, 1], derive_rng(42))
         assert e1.transcript == e2.transcript
         assert e1.output == e2.output
         assert e1.tapes == e2.tapes
 
     def test_undeclared_channel_rejected(self):
         with pytest.raises(ObliviousnessViolationError):
-            run_protocol(_UndeclaredSender(), complete_topology(2), [1, 0], derive_rng(0))
+            run_drawn(_UndeclaredSender(), complete_topology(2), [1, 0], derive_rng(0))
 
     def test_declared_but_unused_rejected(self):
         with pytest.raises(ObliviousnessViolationError):
-            run_protocol(_SilentDeclared(), complete_topology(2), [1, 0], derive_rng(0))
+            run_drawn(_SilentDeclared(), complete_topology(2), [1, 0], derive_rng(0))
 
     def test_protocol_needs_topology_channels(self):
         p = RelayProtocol()
         with pytest.raises(ValueError):
-            run_protocol(p, Topology(2, frozenset()), [1, 0], derive_rng(0))
+            run_drawn(p, Topology(2, frozenset()), [1, 0], derive_rng(0))
 
     @pytest.mark.parametrize("n_tapes", [2, 4], ids=["short", "long"])
     def test_tape_count_must_match_party_count(self, n_tapes):
@@ -310,7 +315,7 @@ class TestEngine:
         assert p.seen == []
 
     def test_empty_protocol_sends_nothing(self):
-        e = run_protocol(_Empty(), complete_topology(2), [1, 0], derive_rng(0))
+        e = run_drawn(_Empty(), complete_topology(2), [1, 0], derive_rng(0))
         assert e.n_messages == 0
         assert e.transcript == ()
 
@@ -319,7 +324,7 @@ class TestEngine:
         topo = fixture_topology(p)
         patterns = set()
         for seed in range(100):
-            e = run_protocol(p, topo, [1, 1, 0], derive_rng(seed))
+            e = run_drawn(p, topo, [1, 1, 0], derive_rng(seed))
             patterns.add(tuple((m.round, m.sender, m.receiver) for m in e.transcript))
         assert len(patterns) == 1
 
@@ -327,7 +332,7 @@ class TestEngine:
         # lower-index parties send first in each round; none of their round-r
         # messages may reach a higher-index party's round-r send
         p = _Broadcast()
-        e = run_protocol(p, complete_topology(3), [1, 0, 1], derive_rng(0))
+        e = run_drawn(p, complete_topology(3), [1, 0, 1], derive_rng(0))
         assert [(i, rnd) for i, rnd, _ in p.seen] == [(i, r) for r in (1, 2, 3) for i in range(3)]
         for i, rnd, received in p.seen:
             assert received == tuple(_broadcast_inbox(i, r) for r in range(1, rnd))
@@ -362,13 +367,13 @@ class TestTranscriptFactorization:
 class TestCoalitionViews:
     def test_empty_coalition(self):
         p = NoisyParityProtocol(flip_bias_for(1.0))
-        e = run_protocol(p, fixture_topology(p), [1, 0, 1], derive_rng(1))
+        e = run_drawn(p, fixture_topology(p), [1, 0, 1], derive_rng(1))
         view = coalition_view(e, [])
         assert view.inputs == () and view.tapes == () and view.received == ()
 
     def test_full_coalition_sees_all_receipts(self):
         p = NoisyParityProtocol(flip_bias_for(1.0))
-        e = run_protocol(p, fixture_topology(p), [1, 0, 1], derive_rng(2))
+        e = run_drawn(p, fixture_topology(p), [1, 0, 1], derive_rng(2))
         view = coalition_view(e, range(3))
         assert view.received == e.transcript
         assert view.inputs == e.inputs
@@ -381,7 +386,7 @@ class TestCoalitionViews:
     @pytest.mark.parametrize("member", [0.5, 1.9, 1.0, "1"], ids=["half", "one-point-nine", "float-one", "text"])
     def test_member_that_is_not_an_integer_raises(self, member):
         p = NoisyParityProtocol(flip_bias_for(1.0))
-        e = run_protocol(p, fixture_topology(p), [1, 0, 1], derive_rng(2))
+        e = run_drawn(p, fixture_topology(p), [1, 0, 1], derive_rng(2))
         with pytest.raises(TypeError):
             coalition_view(e, [member])
         with pytest.raises(TypeError):
@@ -390,7 +395,7 @@ class TestCoalitionViews:
     @pytest.mark.parametrize("member", [True, np.int64(1), np.uint8(1)], ids=["bool", "int64", "uint8"])
     def test_member_of_any_integer_type_accepted(self, member):
         p = NoisyParityProtocol(flip_bias_for(1.0))
-        e = run_protocol(p, fixture_topology(p), [1, 0, 1], derive_rng(2))
+        e = run_drawn(p, fixture_topology(p), [1, 0, 1], derive_rng(2))
         assert coalition_view(e, [member]) == coalition_view(e, [1])
         assert coalition_view(e, [member]).coalition == (1,)
         assert coalition_view_distribution(p, fixture_topology(p), [1, 0, 1], [member]) == (
@@ -958,6 +963,60 @@ class TestRRDistributed:
         params = flip_bias_for(1.0)
         assert e.output in (rr_debias(0.0, 1, params), rr_debias(1.0, 1, params))
 
+    @pytest.mark.parametrize("record", [False, True], ids=["lean", "recorded"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 1000])
+    def test_equals_the_engine_reference(self, n, record):
+        # the vectorized run against RRStarProtocol on the engine, tapes drawn per party
+        eps = 0.7
+        for seed in range(8):
+            x = np.random.default_rng([90, n, seed]).integers(0, 2, n).astype(np.uint8)
+            rng_v, rng_e = derive_rng(90, seed), derive_rng(90, seed)
+            e = randomized_response_distributed(x, eps, rng_v, record=record)
+            ref = run_drawn(RRStarProtocol(n, eps), star_topology(n), x, rng_e, record=record)
+            assert rng_v.bit_generator.state == rng_e.bit_generator.state
+            assert type(e.output) is float and e.output == ref.output
+            assert (e.n, e.rounds, e.n_messages) == (ref.n, ref.rounds, ref.n_messages) == (n, 2, 2 * (n - 1))
+            assert e.inputs == ref.inputs
+            if not record:
+                assert e.transcript is e.tapes is ref.transcript is ref.tapes is None
+                continue
+            assert type(e.tapes) is tuple and set(map(type, e.tapes)) <= {bool}
+            assert e.tapes == ref.tapes
+            for col, ref_col in zip(e.transcript.columns, ref.transcript.columns):
+                assert type(col) is tuple and col == ref_col
+                assert list(map(type, col)) == list(map(type, ref_col))
+            assert execution_records(e) == execution_records(ref)
+
+    def test_announcements_are_one_object(self):
+        # the writer makes one text per distinct symbol object
+        e = randomized_response_distributed([1, 0, 1, 1], 1.0, derive_rng(91))
+        announced = e.transcript.columns[3][3:]
+        assert len(announced) == 3 and all(y is e.output for y in announced)
+
+    @pytest.mark.parametrize(
+        "x, eps, message",
+        [
+            ([], 1.0, "need at least one party"),
+            ([2], 1.0, "every element must be 0 or 1"),
+            ([1, 0], 0.0, "eps must be positive"),
+            ([1, 0], -1.0, "eps must be positive"),
+            ([1, 0], math.nan, "eps must be positive"),
+        ],
+    )
+    def test_rejects_before_any_draw(self, x, eps, message):
+        rng = derive_rng(92)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            randomized_response_distributed(x, eps, rng)
+        assert rng.bit_generator.state == state
+
+    def test_party_count_goes_through_operator_index(self):
+        with pytest.raises(TypeError):
+            RRStarProtocol(2.5, 1.0)
+        p = RRStarProtocol(np.int64(4), 1.0)
+        assert type(p.n) is int and p.n == 4
+        assert p.channels() == star_topology(4).channels
+
 
 class TestGaussianAggregator:
     def test_message_count(self):
@@ -1361,7 +1420,7 @@ class TestSharedSumFixture:
     def test_output_is_sum_mod_q(self):
         protocol = SharedModularSumProtocol(modulus=5)
         topo = fixture_topology(protocol)
-        e = run_protocol(protocol, topo, [1, 1, 1], derive_rng(55))
+        e = run_drawn(protocol, topo, [1, 1, 1], derive_rng(55))
         assert e.output == 3
 
 
@@ -1631,7 +1690,7 @@ class TestTranscript:
         x = np.array([1, 0, 1, 1, 0, 1, 0, 0], dtype=np.uint8)
         parity = NoisyParityProtocol(flip_bias_for(1.0))
         runs = [
-            run_protocol(parity, fixture_topology(parity), x[:3], derive_rng(64)),
+            run_drawn(parity, fixture_topology(parity), x[:3], derive_rng(64)),
             randomized_response_distributed(x, 1.0, derive_rng(65)),
             gaussian_aggregator_sum(x, 1.0, derive_rng(66))[1],
             windowed_min_protocol(np.tile(x, 2), 1.0, 0.01, 1, 0.75, derive_rng(67))[1],

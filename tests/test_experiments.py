@@ -1,9 +1,11 @@
 """Experiment helpers against their references.
 
 The chunked randomized-response runs against the per-call loop they
-replace, and the chi-squared rows against ``scipy.stats.chi2_contingency``.
+replace, the chi-squared rows against ``scipy.stats.chi2_contingency``, and
+the knob checks against the values each knob must reject or accept.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dpdist.core import as_bits
-from dpdist.experiments import _BATCH, _chi2_rows, _half_ones, _rr_runs
+from dpdist.experiments import _BATCH, ExperimentConfig, _chi2_rows, _half_ones, _resolve, _rr_runs
 from dpdist.local_model import randomized_response_sum
 from dpdist.seeding import derive_rng
 
@@ -97,3 +99,42 @@ def test_chi2_rows_reject_what_scipy_rejects(table, match):
         scipy_stats.chi2_contingency(table[:, table.any(axis=0)])
     with pytest.raises(ValueError, match=match):
         _chi2_rows(0, table)
+
+
+@pytest.mark.parametrize(
+    "knob, value, what",
+    [
+        ("n", True, "a positive integer"),  # ran with n=1
+        ("n", 16.0, "a positive integer"),
+        ("trials", True, "a positive integer"),
+        ("trials", np.True_, "a positive integer"),
+        ("t", False, "a non-negative integer"),  # ran with t=0
+        ("t", "1", "a non-negative integer"),
+        ("eps", True, "a finite positive number"),  # ran with eps=1.0
+        ("eps", "abc", "a finite positive number"),  # raised float()'s own text
+        ("eps", np.True_, "a finite positive number"),
+        ("delta", "0.5", "a value in (0, 1)"),  # ran with delta=0.5
+        ("delta", [0.5], "a value in (0, 1)"),
+    ],
+)
+def test_knob_check_names_the_knob(knob, value, what):
+    cfg = ExperimentConfig(experiment="dist-alpha", **{knob: value})
+    message = f"{knob}: expected {what}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _resolve(cfg, **{knob: None})
+
+
+@pytest.mark.parametrize(
+    "knob, value, expected",
+    [
+        ("n", np.int64(16), 16),
+        ("trials", 3, 3),
+        ("t", np.uint8(0), 0),
+        ("eps", 2, 2.0),
+        ("eps", np.float32(0.5), 0.5),
+        ("delta", np.float64(0.01), 0.01),
+    ],
+)
+def test_knob_check_accepts_numbers(knob, value, expected):
+    params = _resolve(ExperimentConfig(experiment="dist-alpha", **{knob: value}), **{knob: None})
+    assert params[knob] == expected and type(params[knob]) is type(expected)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,44 +162,27 @@ class RatioStats:
         return float(self.log_ratios.sum())
 
 
-def _per_round_sanitizers(
-    sanitizers: Sequence, rounds: int
-) -> List[Tuple[SanitizerSpec, ...]]:
-    per_party = []
-    for s in sanitizers:
-        if isinstance(s, SanitizerSpec):
-            per_party.append((s,) * rounds)
-        else:
-            s = tuple(s)
-            if len(s) != rounds:
-                raise ValueError("need one sanitizer per round for each party")
-            per_party.append(s)
-    return per_party
-
-
 def likelihood_ratios(
-    sanitizers: Sequence, view: CuratorView, p: SparseBernoulli
+    sanitizers: Sequence[SanitizerSpec], view: CuratorView, p: SparseBernoulli
 ) -> RatioStats:
     """Score a curator view by its planted-vs-zero likelihood ratios.
 
     For each party the probability of its recorded messages is evaluated
-    under input 1 and input 0 through the exact oracles (multi-round
-    transcripts factor round by round); the planted-side probability mixes
-    the two with weight ``density`` on input 1.  A zero denominator with
-    positive numerator yields an infinite ratio, reported via the
-    ``infinite`` flag rather than clamped.
+    under input 1 and input 0 through its sanitizer's exact oracle, which
+    serves every round (multi-round transcripts factor round by round); the
+    planted-side probability mixes the two with weight ``density`` on input
+    1.  A zero denominator with positive numerator yields an infinite ratio,
+    reported via the ``infinite`` flag rather than clamped.
     """
     n, rounds = view.n, view.rounds
     if len(sanitizers) != n:
         raise ValueError("need sanitizers for every party")
-    per_party = _per_round_sanitizers(sanitizers, rounds)
     a = p.density
     ratios = np.empty(n)
     infinite = False
-    for i in range(n):
+    for i, spec in enumerate(sanitizers):
         prob1 = prob0 = 1.0
         for r in range(rounds):
-            spec = per_party[i][r]
             symbol = view.answers[r][i]
             prob1 *= spec.output_prob(1, symbol)
             prob0 *= spec.output_prob(0, symbol)

@@ -224,12 +224,13 @@ class Protocol:
     The protocol output must be computable from the output party's own
     view, so the curator compiler can have that party announce it.
 
-    Exact enumeration calls ``send`` once per distinct (party, tape, round,
-    ``received``) and reuses the sends.  Histories compare by value, so
-    symbols that compare equal (1, 1.0 and True; 0.0 and -0.0) must get the
-    same sends, as they already merge into one transcript.  Symbols must
-    hash: a list, say, raises ``TypeError`` from every exact enumeration,
-    while a single run keeps no cache and sends it.
+    Exact enumeration keys its memo on (party, tape, ``received``), whose
+    length gives the round: it calls ``send`` once per distinct key and
+    reuses the sends.  Tapes and histories compare by value, so ones that
+    compare equal (1, 1.0 and True; 0.0 and -0.0) must get the same sends,
+    as equal symbols already merge into one transcript.  Tapes and symbols
+    must hash: a list, say, raises ``TypeError`` from every exact
+    enumeration, while a single run keeps no memo and accepts it.
     """
 
     n: int = 0
@@ -243,7 +244,7 @@ class Protocol:
         return None
 
     def tape_space(self, i: int) -> Optional[List[Tuple[Any, float]]]:
-        """Finite (tape, probability) list for party ``i``, if enumerable."""
+        """Finite (tape, probability) list for party ``i``, if enumerable; every tape must hash."""
         return None
 
     def send(
@@ -351,17 +352,15 @@ def _replay(
     record: bool,
     tapes: Sequence[Any],
     memo: Optional[Dict[Tuple, Any]] = None,
-    ids: Sequence[int] = (),
 ) -> Tuple[Any, int, Optional[Transcript]]:
     """One run on fixed tapes after ``_check_run``: (output, message count, transcript).
 
     The per-run channel checks are made here; the transcript is None
     unless ``record``.
 
-    With ``memo``, sends are looked up and stored under (party, tape index in
-    ``ids``, round, history), as ``local_model._replay_joint_tapes``
-    describes; a stored send has passed the receiver checks, which depend on
-    it alone.
+    With ``memo``, sends are looked up and stored under (party, tape,
+    history), as ``Protocol`` describes; a stored send has passed the
+    receiver checks, which depend on it alone.
     """
     n = len(xs)
     received: List[Tuple[Tuple[Tuple[int, Any], ...], ...]] = [()] * n
@@ -374,13 +373,13 @@ def _replay(
         # round-rnd sends go to inboxes that ``received`` takes in only after every party has sent
         inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
         for i in range(n):
-            sends = _MISS if memo is None else memo.get((i, ids[i], rnd, received[i]), _MISS)
+            sends = _MISS if memo is None else memo.get((i, tapes[i], received[i]), _MISS)
             if sends is _MISS:
                 sends = send(i, xs[i], tapes[i], rnd, received[i])
                 if sends and not sends.keys() <= neighbours[i]:
                     _check_receivers(i, rnd, sends, declared)
                 if memo is not None:
-                    memo[i, ids[i], rnd, received[i]] = sends
+                    memo[i, tapes[i], received[i]] = sends
             if not sends:
                 continue
             used[i].update(sends)
@@ -445,16 +444,17 @@ def _tape_distribution(
     """Exact distribution of ``key(execution)`` over all joint tape assignments.
 
     The input and channel declarations are checked once; every joint tape is
-    then replayed, with its own channel checks, each party once per history.
-    With ``key`` None the runs are keyed by their output, unrecorded and
-    with no ``Execution`` built.
+    then replayed, with its own channel checks, each party once per (tape,
+    history) through one memo for the call.  With ``key`` None the runs are
+    keyed by their output, unrecorded and with no ``Execution`` built.
     """
     bits, checked = _check_run(protocol, topology, x)
     spaces = [protocol.tape_space(i) for i in range(protocol.n)]
     record = key is not None
-    replay = functools.partial(_replay, protocol, *checked, record)
+    memo: Dict[Tuple, Any] = {}
     out: Dict[Any, float] = {}
-    for tapes, run, prob in local_model._replay_joint_tapes(spaces, replay):
+    for tapes, prob in local_model.joint_tapes(spaces):
+        run = _replay(protocol, *checked, record, tapes, memo)
         k = key(_execution(protocol.rounds, bits, tapes, record, run)) if record else run[0]
         out[k] = out.get(k, 0.0) + prob
     return out
@@ -624,14 +624,11 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
                 return ("output", protocol.output(x_i, tape, received))
             return ()
 
+        space = protocol.tape_space(i)
         return InteractiveParty(
             answer=answer,
             draw_tape=lambda rng, i=i: protocol.draw_tape(i, rng),
-            tape_space=(
-                (lambda i=i: protocol.tape_space(i))
-                if protocol.tape_space(i) is not None
-                else None
-            ),
+            tape_space=None if space is None else lambda: space,
         )
 
     def query(j: int, answer_hist: Tuple[Any, ...]) -> Sequence[Any]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
@@ -69,7 +70,8 @@ def _int_at_least(least: int):
 def _float_between(lo: float, hi: float):
     def check(v):
         real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-        v = float(v) if real else math.nan
+        huge = isinstance(v, int) and abs(v) > sys.float_info.max  # float() would overflow
+        v = float(v) if real and not huge else math.nan
         return v if lo < v < hi else None
     return check
 

@@ -11,7 +11,6 @@ Includes the classic sum protocol: randomized response with debiasing.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -136,21 +135,25 @@ def enumerate_noninteractive(
 
 
 # ---------------------------------------------------------------------------
-# Finite tapes: joint enumeration and transcript replay
+# Finite tapes: joint enumeration
 # ---------------------------------------------------------------------------
 
 
 def joint_tapes(
-    spaces: Sequence[Iterable[Tuple[Any, float]]],
+    spaces: Sequence[Optional[Iterable[Tuple[Any, float]]]],
 ) -> Iterator[Tuple[Tuple[Any, ...], float]]:
     """Every joint assignment of independent finite tapes, with its probability.
 
     ``spaces[i]`` lists the (tape, probability) pairs of the i-th tape (a
-    party's, or one round's of a party).  Assignments
-    come in ``itertools.product`` order as (tapes, probability); the
-    probability is the product of the parties' probabilities taken left to
-    right from 1.0, and assignments of probability zero are skipped.
+    party's, or one round's of a party); None raises ``ValueError`` before
+    any assignment.  Assignments come in ``itertools.product`` order as
+    (tapes, probability); the probability is the product of the parties'
+    probabilities taken left to right from 1.0, and assignments of
+    probability zero are skipped.  Every exact enumeration replays these.
     """
+    for i, space in enumerate(spaces):
+        if space is None:
+            raise ValueError(f"party {i} has no finite tape space")
     spaces = [list(space) for space in spaces]  # a space may be a one-pass iterator
     tapes = itertools.product(*[[tape for tape, _ in space] for space in spaces])
     probs = itertools.product(*[[p for _, p in space] for space in spaces])
@@ -158,31 +161,6 @@ def joint_tapes(
         prob = math.prod(ps, start=1.0)
         if prob > 0.0:
             yield combo, prob
-
-
-def _replay_joint_tapes(
-    spaces: Sequence[Optional[Iterable[Tuple[Any, float]]]],
-    replay: Callable[[Sequence[Any], Optional[Dict[Tuple, Any]], Sequence[int]], Any],
-) -> Iterator[Tuple[Tuple[Any, ...], Any, float]]:
-    """Replay every joint tape of an exact enumeration: yields (tapes, run, probability).
-
-    ``spaces[i]`` is party i's finite tape space; None raises ``ValueError``.
-    ``replay(tapes, memo, ids)`` makes one run; ``ids`` names each tape by
-    its position in its space, so the memo keys on it whether or not the
-    tapes hash.  One memo serves the whole call, keyed by a party's tape
-    index and its history, so each party runs on each history once.  The
-    symbols in a history must hash: an unhashable one raises ``TypeError``
-    from the memo lookup, and a replay's error propagates as raised.
-    """
-    for i, space in enumerate(spaces):
-        if space is None:
-            raise ValueError(f"party {i} has no finite tape space")
-    spaces = [list(space) for space in spaces]  # a space may be a one-pass iterator
-    pools = [[tape for tape, _ in space] for space in spaces]
-    memo: Dict[Tuple, Any] = {}
-    for ids, prob in joint_tapes([[(k, p) for k, (_, p) in enumerate(space)] for space in spaces]):
-        tapes = tuple(map(list.__getitem__, pools, ids))
-        yield tapes, replay(tapes, memo, ids), prob
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +178,13 @@ class InteractiveParty:
     ``tape_space`` enumerates (tape, probability) pairs when the tape is
     finite, enabling exact audits.
 
-    Exact enumeration calls ``answer`` once per distinct (party, tape,
-    queries so far) and reuses the answer.  Queries compare by value, so
-    symbols that compare equal (1, 1.0 and True; 0.0 and -0.0) must get
-    the same answer, as they already give the same view key.  Queries and
-    answers must hash: an unhashable one raises ``TypeError``.
+    Exact enumeration keys its memo on (party, tape, queries so far): it
+    calls ``answer`` once per distinct key and reuses the answer.  Tapes and
+    queries compare by value, so ones that compare equal (1, 1.0 and True;
+    0.0 and -0.0) must get the same answer, as equal queries already give
+    the same view key.  Tapes, queries and answers must hash: a list, say,
+    raises ``TypeError`` from ``enumerate_interactive``, while a single run
+    keeps no memo and accepts it.
     """
 
     answer: Callable[[int, Tuple[Any, ...], Any], Any]
@@ -269,12 +249,11 @@ def _replay_interactive(
     rounds: int,
     tapes: Sequence[Any],
     memo: Optional[Dict[Tuple, Any]] = None,
-    ids: Sequence[int] = (),
 ) -> Tuple[Any, CuratorView]:
     """One run on fixed tapes, with ``_check_interactive``'s bits.
 
-    With ``memo``, answers are looked up and stored under (party, tape index
-    in ``ids``, queries so far), as ``_replay_joint_tapes`` describes.
+    With ``memo``, answers are looked up and stored under (party, tape,
+    queries so far), as ``InteractiveParty`` describes.
     """
     n = len(xs)
     answer_hist: Tuple[Tuple[Any, ...], ...] = ()
@@ -288,11 +267,11 @@ def _replay_interactive(
         answers = []
         for i, party in enumerate(parties):
             queries = per_party_queries[i] = per_party_queries[i] + (qs[i],)
-            a = _MISS if memo is None else memo.get((i, ids[i], queries), _MISS)
+            a = _MISS if memo is None else memo.get((i, tapes[i], queries), _MISS)
             if a is _MISS:
                 a = party.answer(xs[i], queries, tapes[i])
                 if memo is not None:
-                    memo[i, ids[i], queries] = a
+                    memo[i, tapes[i], queries] = a
             answers.append(a)
         answer_hist += (tuple(answers),)
     view = CuratorView(answers=answer_hist, queries=query_hist)
@@ -339,13 +318,14 @@ def enumerate_interactive(
     Returns ``{view.answers: (probability, output)}``.  Requires every party to
     declare a finite ``tape_space``.  The input, party count and ``rounds`` are
     checked once; every joint tape is then replayed, each party once per
-    history.
+    (tape, history) through one memo for the call.
     """
     xs = _check_interactive(parties, x, rounds)
     spaces = [None if party.tape_space is None else party.tape_space() for party in parties]
-    replay = functools.partial(_replay_interactive, parties, curator, xs, rounds)
+    memo: Dict[Tuple, Any] = {}
     out: Dict[Tuple, Tuple[float, Any]] = {}
-    for _, (output, view), prob in _replay_joint_tapes(spaces, replay):
+    for tapes, prob in joint_tapes(spaces):
+        output, view = _replay_interactive(parties, curator, xs, rounds, tapes, memo)
         seen = out.get(view.answers)
         out[view.answers] = (prob, output) if seen is None else (seen[0] + prob, seen[1])
     return out

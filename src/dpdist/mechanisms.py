@@ -57,11 +57,6 @@ class FlipParams:
     def keep_prob(self) -> float:
         return 0.5 + self.flip_bias
 
-    @property
-    def exact_epsilon(self) -> float:
-        """Worst-case log output ratio, ln((0.5+b)/(0.5-b))."""
-        return math.log((0.5 + self.flip_bias) / (0.5 - self.flip_bias))
-
 
 @dataclass(frozen=True)
 class SensitivitySpec:

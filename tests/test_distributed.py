@@ -844,21 +844,24 @@ class TestPerCallCaches:
         assert len(p.sends) == len(set(p.sends))
 
 
+_EXACT_ENUMERATIONS = pytest.mark.parametrize(
+    "enumerate_fn",
+    [
+        output_distribution,
+        enumerate_executions,
+        lambda p, topo, x: coalition_view_distribution(p, topo, x, [1]),
+        _enumerate_compiled_parties,
+        lambda p, topo, x: compile_to_local(p, topo).enumerate(x),
+        lambda p, topo, x: compile_to_local(p, topo).output_distribution(x),
+    ],
+    ids=["outputs", "executions", "coalition", "interactive", "compiled-enumerate", "compiled-outputs"],
+)
+
+
 class TestSymbolsMustHash:
     """Every exact enumeration keys its memo on histories, so a list symbol raises the same ``TypeError``."""
 
-    @pytest.mark.parametrize(
-        "enumerate_fn",
-        [
-            output_distribution,
-            enumerate_executions,
-            lambda p, topo, x: coalition_view_distribution(p, topo, x, [1]),
-            _enumerate_compiled_parties,
-            lambda p, topo, x: compile_to_local(p, topo).enumerate(x),
-            lambda p, topo, x: compile_to_local(p, topo).output_distribution(x),
-        ],
-        ids=["outputs", "executions", "coalition", "interactive", "compiled-enumerate", "compiled-outputs"],
-    )
+    @_EXACT_ENUMERATIONS
     def test_list_symbols_raise_after_the_round_1_sends(self, enumerate_fn):
         p = _CountingExchange(listed=True)
         with pytest.raises(TypeError) as caught:
@@ -874,6 +877,79 @@ class TestSymbolsMustHash:
         plain = run_protocol_with_tapes(_CountingExchange(), topo, x, tapes)
         assert listed.output == plain.output and listed.n_messages == plain.n_messages == 8
         assert list(listed.transcript.columns[3]) == [[b] for b in plain.transcript.columns[3]]
+
+
+class TestTapesMustHash:
+    """Every exact enumeration keys its memo on (party, tape, history), so tapes obey the symbols' rule."""
+
+    class _NoSpace(_CountingExchange):
+        def tape_space(self, i):
+            return None if i == 1 else super().tape_space(i)
+
+    class _ListTapes(_CountingExchange):
+        def tape_space(self, i):
+            return [([tape], prob) for tape, prob in super().tape_space(i)]
+
+        def send(self, i, x_i, tape, rnd, received):
+            return super().send(i, x_i, tape[0], rnd, received)
+
+    class _EqualTapes(_CountingExchange):
+        def tape_space(self, i):
+            return [(0, 0.5), (1, 0.25), (True, 0.25)]
+
+    @_EXACT_ENUMERATIONS
+    def test_missing_space_names_the_party_before_any_send(self, enumerate_fn):
+        p = self._NoSpace()
+        with pytest.raises(ValueError, match="^party 1 has no finite tape space$"):
+            enumerate_fn(p, complete_topology(3), [1, 0, 1])
+        assert p.sends == []
+
+    @_EXACT_ENUMERATIONS
+    def test_list_tapes_raise_before_any_send(self, enumerate_fn):
+        # party 0's first key holds its list tape
+        p = self._ListTapes()
+        with pytest.raises(TypeError) as caught:
+            enumerate_fn(p, complete_topology(3), [1, 0, 1])
+        assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"
+        assert p.sends == []
+
+    def test_a_single_run_takes_list_tapes(self):
+        topo, x = complete_topology(3), [1, 0, 1]
+        listed = run_protocol_with_tapes(self._ListTapes(), topo, x, [[0], [1], [2]])
+        plain = run_protocol_with_tapes(_CountingExchange(), topo, x, [0, 1, 2])
+        assert listed.output == plain.output and listed.transcript == plain.transcript
+        assert listed.tapes == ([0], [1], [2])
+        compiled = compile_to_local(self._ListTapes(), topo)
+        output, _ = run_interactive_with_tapes(compiled.parties, compiled.curator, x, compiled.rounds, [[0], [1], [2]])
+        assert output == plain.output
+
+    @pytest.mark.parametrize(
+        "enumerate_fn,key",
+        [(output_distribution, lambda e: e.output), (enumerate_executions, lambda e: e.transcript)],
+        ids=["outputs", "transcripts"],
+    )
+    def test_equal_tapes_share_an_entry(self, enumerate_fn, key):
+        # 1 and True compare and hash equal, so the tape True never sends: tape 1's entry serves it
+        topo, x = complete_topology(3), [1, 0, 1]
+        reference = self._EqualTapes()
+        expected = _per_tape_distribution(reference, topo, x, key)
+        assert any(tape is True for _, tape, _, _ in reference.sends)
+        p = self._EqualTapes()
+        got = enumerate_fn(p, topo, x)
+        assert list(got.items()) == list(expected.items())
+        assert all(type(tape) is int for _, tape, _, _ in p.sends)
+        assert len(p.sends) == len(set(p.sends))
+
+    def test_equal_tapes_share_an_answer(self):
+        compiled = compile_to_local(self._EqualTapes(), complete_topology(3))
+        x = [1, 0, 1]
+        calls, reference_calls = [], []
+        got = enumerate_interactive(_counted(compiled.parties, calls), compiled.curator, x, compiled.rounds)
+        expected = _per_tape_interactive(replace(compiled, parties=_counted(compiled.parties, reference_calls)), x)
+        assert list(got.items()) == list(expected.items())
+        assert any(tape is True for _, tape, _ in reference_calls)
+        assert all(type(tape) is int for _, tape, _ in calls)
+        assert len(calls) == len(set(calls))
 
 
 class TestConsistentProbabilityInput:

@@ -115,6 +115,10 @@ def test_chi2_rows_reject_what_scipy_rejects(table, match):
         ("eps", np.True_, "a finite positive number"),
         ("delta", "0.5", "a value in (0, 1)"),  # ran with delta=0.5
         ("delta", [0.5], "a value in (0, 1)"),
+        ("eps", 10**400, "a finite positive number"),  # raised OverflowError from float()
+        ("eps", -(10**400), "a finite positive number"),
+        ("nu", 2**1024, "a finite positive number"),
+        ("delta", -(10**400), "a value in (0, 1)"),
     ],
 )
 def test_knob_check_names_the_knob(knob, value, what):

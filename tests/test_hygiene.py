@@ -16,7 +16,9 @@ a bare ``except:``, so a party program's error propagates as raised.  The
 protocol layers (``core``, ``mechanisms``, ``seeding``, ``local_model``,
 ``distributed``, ``audit`` and ``fixtures``) hold no ``except`` clause at
 all: only ``cli`` (errors to exit status 2) and ``experiments._batched``
-(the ``sched_getaffinity`` platform fallback) handle exceptions.
+(the ``sched_getaffinity`` platform fallback) handle exceptions.  Under
+the suite's warning filters a failing Hypothesis test fails plainly and
+prints its falsifying example.
 """
 
 import ast
@@ -450,3 +452,30 @@ def _config_knob_reads(tree: ast.Module):
 def test_only_resolve_reads_experiment_knobs():
     tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
     assert _config_knob_reads(tree) == []
+
+
+_FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_given_reports_its_example(tmp_path):
+    # the suite's settings and warning filters, on a file of its own
+    (tmp_path / "test_fails.py").write_text(_FAILING_GIVEN)
+    (tmp_path / "conftest.py").write_text((REPO / "tests" / "conftest.py").read_text())
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out

@@ -11,7 +11,6 @@ from dpdist.fixtures import RelayProtocol
 from dpdist.local_model import (
     Curator,
     InteractiveParty,
-    _replay_joint_tapes,
     constant_sanitizer,
     enumerate_interactive,
     enumerate_noninteractive,
@@ -386,12 +385,9 @@ class TestJointTapes:
         assert _bits(joint_tapes(spaces)) == _bits(expected)
         assert _bits(joint_tapes([iter(space) for space in spaces])) == _bits(expected)
 
-    @given(_SPACES)
-    def test_indices_name_the_tapes(self, spaces):
-        replayed = list(_replay_joint_tapes([iter(space) for space in spaces], lambda tapes, memo, ids: ids))
-        assert [(tapes, prob) for tapes, _, prob in replayed] == list(joint_tapes(spaces))
-        for tapes, ids, _ in replayed:
-            assert tapes == tuple(space[k][0] for space, k in zip(spaces, ids))
+    def test_missing_space_raises_before_any_assignment(self):
+        with pytest.raises(ValueError, match="^party 1 has no finite tape space$"):
+            next(joint_tapes([[(0, 1.0)], None, None]))
 
     @given(st.lists(_FLIP_ROUNDS, min_size=1, max_size=3))
     def test_generator_spaces_match_the_loop(self, party_rounds):
@@ -404,52 +400,6 @@ class TestJointTapes:
         relay = RelayProtocol(keep_prob=1.0)
         spaces = [relay.tape_space(i) for i in range(relay.n)]
         assert list(joint_tapes(spaces)) == [((True, True), 1.0)]
-
-
-class TestReplayJointTapes:
-    @staticmethod
-    def _record(log, fail=()):
-        """A replay that logs (tapes, memo id, ids) and raises TypeError on the tapes in ``fail``."""
-
-        def replay(tapes, memo, ids):
-            log.append((tapes, None if memo is None else id(memo), ids))
-            if tapes in fail:
-                raise TypeError("unhashable history")
-            return sum(tapes)
-
-        return replay
-
-    _SPACES = [[(0, 0.5), (1, 0.5)], [(0, 0.1), (2, 0.9)]]
-
-    def test_yields_every_joint_tape_with_its_run(self):
-        log = []
-        got = list(_replay_joint_tapes(self._SPACES, self._record(log)))
-        assert [(tapes, prob) for tapes, _, prob in got] == list(joint_tapes(self._SPACES))
-        assert [run for _, run, _ in got] == [sum(tapes) for tapes, _, _ in got]
-        assert [ids for _, _, ids in log] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_one_memo_per_call(self):
-        first, second = [], []
-        list(_replay_joint_tapes(self._SPACES, self._record(first)))
-        list(_replay_joint_tapes(self._SPACES, self._record(second)))
-        assert len({memo for _, memo, _ in first}) == len({memo for _, memo, _ in second}) == 1
-        assert None not in {memo for _, memo, _ in first + second}
-
-    def test_type_error_propagates_from_the_memoized_attempt(self):
-        log = []
-        got = []
-        with pytest.raises(TypeError) as caught:
-            for _, run, _ in _replay_joint_tapes(self._SPACES, self._record(log, fail={(1, 0)})):
-                got.append(run)
-        assert type(caught.value) is TypeError and str(caught.value) == "unhashable history"
-        assert got == [0, 2]
-        assert [(tapes, memo is None) for tapes, memo, _ in log] == [((0, 0), False), ((0, 2), False), ((1, 0), False)]
-
-    def test_missing_space_raises_before_any_replay(self):
-        log = []
-        with pytest.raises(ValueError, match="party 1 has no finite tape space"):
-            next(_replay_joint_tapes([self._SPACES[0], None, None], self._record(log)))
-        assert log == []
 
 
 class TestMultiplicativeTranscriptLaw:

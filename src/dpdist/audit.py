@@ -107,8 +107,8 @@ def round_budget(ell: int) -> Tuple[float, float]:
     equals beta at every ell.  Callers needing other constants pass d and
     nu explicitly.
     """
-    if not 1 <= ell < math.inf:  # max(4.0, nan) would return 4.0
-        raise ValueError("ell must be finite and at least 1")
+    if not (1 <= ell < math.inf and ell == int(ell)):  # max(4.0, nan) would return 4.0; 1.5 is no round count
+        raise ValueError(f"ell must be a finite integer of at least 1; got {ell!r}")
     d = max(4.0, 16.0 * ell * ell * math.log(ell + 2))
     nu = 32.0 + math.sqrt(32.0 * d * math.log(ell / _ROUND_BUDGET_BETA))
     return d, nu

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice, repeat
@@ -328,20 +329,34 @@ def _declared(protocol: Protocol, topology: Topology) -> Tuple[FrozenSet[Tuple[i
     return declared, neighbours
 
 
-def _check_receivers(
-    i: int, rnd: int, receivers: Iterable[int], declared: FrozenSet[Tuple[int, int]]
-) -> None:
-    """Raise on the first receiver, in sorted order, that party ``i`` has no declared channel to."""
-    for receiver in sorted(receivers):
-        if _norm_pair(i, receiver) not in declared:
-            raise ObliviousnessViolationError(f"round {rnd}: undeclared channel {i}->{receiver}")
+def _checked_sends(
+    protocol: Protocol, i: int, x_i: int, tape: Any, rnd: int, received: Tuple[Tuple, ...],
+    declared: FrozenSet[Tuple[int, int]], neighbours: List[set],
+) -> Tuple[Tuple[int, Any], ...]:
+    """Party ``i``'s round-``rnd`` sends as sorted (receiver, symbol) pairs; raises on the first undeclared receiver."""
+    sends = protocol.send(i, x_i, tape, rnd, received)
+    if sends and not sends.keys() <= neighbours[i]:
+        for receiver in sorted(sends):
+            if _norm_pair(i, receiver) not in declared:
+                raise ObliviousnessViolationError(f"round {rnd}: undeclared channel {i}->{receiver}")
+    return tuple(sorted(sends.items()))
 
 
-def _check_all_used(used_pairs: set, declared: FrozenSet[Tuple[int, int]]) -> None:
-    if used_pairs != declared:
-        raise ObliviousnessViolationError(
-            f"declared channels never used: {sorted(declared - used_pairs)}"
-        )
+def _check_all_used(history: Sequence[Sequence[Tuple]], declared: FrozenSet[Tuple[int, int]]) -> None:
+    """Raise unless a run's sends, each round's ``_checked_sends`` tuples in party order, use every declared channel."""
+    # no party sent to itself, as ``_checked_sends`` checked
+    used = {(i, r) if i < r else (r, i) for sends in history for i, sent in enumerate(sends) for r, _ in sent}
+    if used != declared:
+        raise ObliviousnessViolationError(f"declared channels never used: {sorted(declared - used)}")
+
+
+def _deliver(n: int, sends: Iterable[Iterable[Tuple[int, Any]]]) -> Tuple[Tuple[Tuple[int, Any], ...], ...]:
+    """Every party's inbox of (sender, symbol) pairs, in sender order, from each sender's (receiver, symbol) pairs."""
+    inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
+    for sender, pairs in enumerate(sends):
+        for receiver, symbol in pairs:
+            inboxes[receiver].append((sender, symbol))
+    return tuple(map(tuple, inboxes))
 
 
 def _replay(
@@ -364,41 +379,29 @@ def _replay(
     """
     n = len(xs)
     received: List[Tuple[Tuple[Tuple[int, Any], ...], ...]] = [()] * n
-    columns: Tuple[List[Any], ...] = ([], [], [], [])  # round, sender, receiver, symbol
-    add_round, add_sender, add_receiver, add_symbol = (c.append for c in columns)
-    used: List[set] = [set() for _ in range(n)]  # receivers each party sent to
-    n_messages = 0
-    send = protocol.send
+    history = []  # each round's sends, one ``_checked_sends`` tuple per party
     for rnd in range(1, protocol.rounds + 1):
-        # round-rnd sends go to inboxes that ``received`` takes in only after every party has sent
-        inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
+        sends = []
         for i in range(n):
-            sends = _MISS if memo is None else memo.get((i, tapes[i], received[i]), _MISS)
-            if sends is _MISS:
-                sends = send(i, xs[i], tapes[i], rnd, received[i])
-                if sends and not sends.keys() <= neighbours[i]:
-                    _check_receivers(i, rnd, sends, declared)
+            sent = _MISS if memo is None else memo.get((i, tapes[i], received[i]), _MISS)
+            if sent is _MISS:
+                sent = _checked_sends(protocol, i, xs[i], tapes[i], rnd, received[i], declared, neighbours)
                 if memo is not None:
-                    memo[i, tapes[i], received[i]] = sends
-            if not sends:
-                continue
-            used[i].update(sends)
-            for receiver, symbol in sends.items():
-                inboxes[receiver].append((i, symbol))
-            if record:
-                for r in sorted(sends):
-                    add_round(rnd)
-                    add_sender(i)
-                    add_receiver(r)
-                    add_symbol(sends[r])
-            n_messages += len(sends)
-        received = [r + (tuple(box),) for r, box in zip(received, inboxes)]
-    # each party sending to all its neighbours uses every channel; otherwise collect the used pairs
-    if sum(map(len, used)) != 2 * len(declared):
-        _check_all_used({(i, j) if i < j else (j, i) for i, to in enumerate(used) for j in to}, declared)
+                    memo[i, tapes[i], received[i]] = sent
+            sends.append(sent)
+        history.append(sends)
+        # round-rnd sends reach ``received`` only after every party has sent
+        received = [r + (box,) for r, box in zip(received, _deliver(n, sends))]
+    counts = [sum(map(len, sends)) for sends in history]  # messages per round
+    # a round in which every party sends to all its neighbours uses every channel
+    if 2 * len(declared) not in counts:
+        _check_all_used(history, declared)
+    transcript = None
+    if record:
+        rows = [(rnd, i, r, y) for rnd, sends in enumerate(history, 1) for i, sent in enumerate(sends) for r, y in sent]
+        transcript = Transcript(*zip(*rows))
     p = protocol.output_party
-    transcript = Transcript(*columns) if record else None
-    return protocol.output(xs[p], tapes[p], received[p]), n_messages, transcript
+    return protocol.output(xs[p], tapes[p], received[p]), sum(counts), transcript
 
 
 def _execution(
@@ -483,8 +486,9 @@ def consistent_probability(
     The party is replayed against the messages the transcript delivers to
     it; tape probabilities are summed over tapes whose sends match the
     transcript in every round.  A party outside ``0..n-1``, an input bit
-    other than 0 or 1, or a message round outside ``1..rounds`` raises
-    ``ValueError``; a party index that is not an integer raises ``TypeError``.
+    other than 0 or 1, a message round outside ``1..rounds`` or a message
+    sender or receiver outside ``0..n-1`` raises ``ValueError``; a party
+    index that is not an integer raises ``TypeError``.
     """
     i = operator.index(i)
     if not 0 <= i < protocol.n:
@@ -500,6 +504,8 @@ def consistent_probability(
     for rnd, sender, receiver, symbol in rows:
         if not 1 <= rnd <= protocol.rounds:
             raise ValueError(f"message round {rnd} outside 1..{protocol.rounds}")
+        if not (0 <= sender < protocol.n and 0 <= receiver < protocol.n):
+            raise ValueError(f"message {sender}->{receiver} names a party outside 0..{protocol.n - 1}")
         if receiver == i:
             recv_by_round[rnd - 1].append((sender, symbol))
         if sender == i:
@@ -595,13 +601,14 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     ((sender, symbol), ...) tuple.  In the last round only the output party
     answers, with ("output", value).
 
-    The compiled run makes the engine's per-run channel checks and raises the
-    same errors.  Each party checks its own sends right after ``send``, as the
-    engine does, so a send to oneself or on an undeclared channel raises
-    before the next party answers.  The curator, which sees every answer,
-    raises on a declared channel left unused when it delivers the last round,
-    before the output party answers.  A party's own error propagates as
-    raised, and a topology of another size raises ``ValueError`` here.
+    The compiled run makes the engine's per-run channel checks with the
+    engine's own helpers, and raises the same errors.  Each party checks its
+    sends with ``_checked_sends``, so a send to oneself or on an undeclared
+    channel raises before the next party answers.  The curator delivers with
+    ``_deliver`` and, when it delivers the last round, raises through
+    ``_check_all_used`` on a declared channel left unused, before the output
+    party answers.  A party's own error propagates as raised, and a topology
+    of another size raises ``ValueError`` here.
     """
     declared, neighbours = _declared(protocol, topology)
     n = protocol.n
@@ -616,10 +623,7 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
             # queries[1:j].
             received = tuple(queries[1:j])
             if j <= ell:
-                sends = protocol.send(i, x_i, tape, j, received)
-                if sends and not sends.keys() <= neighbours[i]:
-                    _check_receivers(i, j, sends, declared)
-                return tuple(sorted(sends.items()))
+                return _checked_sends(protocol, i, x_i, tape, j, received, declared, neighbours)
             if i == out_party:
                 return ("output", protocol.output(x_i, tape, received))
             return ()
@@ -632,20 +636,11 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
         )
 
     def query(j: int, answer_hist: Tuple[Any, ...]) -> Sequence[Any]:
-        # round j delivers the round-(j-1) sends, none in round 1; senders are
-        # taken in order and each names a receiver at most once, so inboxes come sorted
-        inboxes: List[List[Tuple[int, Any]]] = [[] for _ in range(n)]
-        for sender, sent in enumerate(answer_hist[j - 2] if j > 1 else ()):
-            for receiver, symbol in sent:
-                inboxes[receiver].append((sender, symbol))
         # a round in which every party sends to all its neighbours uses every channel
-        if j == ell + 1 and all(sum(map(len, answers)) != 2 * len(declared) for answers in answer_hist):
-            _check_all_used(
-                {(s, r) if s < r else (r, s) for answers in answer_hist
-                 for s, sent in enumerate(answers) for r, _ in sent},
-                declared,
-            )
-        return tuple(map(tuple, inboxes))
+        if j == ell + 1 and 2 * len(declared) not in [sum(map(len, answers)) for answers in answer_hist]:
+            _check_all_used(answer_hist, declared)
+        # round j delivers the round-(j-1) sends, none in round 1
+        return _deliver(n, answer_hist[j - 2] if j > 1 else ())
 
     def output(view: CuratorView) -> Any:
         tag, value = view.answers[-1][out_party]
@@ -811,10 +806,21 @@ def _add_mod_q(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _as_residues(r: Any) -> np.ndarray:
-    r = np.asarray(r, dtype=np.uint64)
-    if r.size and r.max() >= _Q64:
+    """``r`` as a uint64 array; a value that is not an integer in [0, q) raises ``ValueError``.
+
+    A uint64 array costs one ``max``.  Other input is checked as exact Python
+    numbers, since numpy would truncate a float, wrap a negative int, or make
+    floats of Python ints on both sides of 2^63.
+    """
+    a = np.asarray(r)
+    if a.dtype == np.uint64:
+        ok = not a.size or a.max() < _Q64
+    else:
+        a = np.array(r, dtype=object)
+        ok = all(isinstance(v, numbers.Integral) and 0 <= v < DEFAULT_MODULUS for v in a.flat)
+    if not ok:
         raise ValueError(f"residues must lie in [0, {DEFAULT_MODULUS})")
-    return r
+    return a.astype(np.uint64, copy=False)
 
 
 def sum_mod_q(residues: Any, axis: int) -> np.ndarray:

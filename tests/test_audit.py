@@ -89,10 +89,13 @@ class TestSparseBernoulli:
         check = view_probability_transfer(np.zeros(1), nu, d, ell=ell)
         assert check.bound == pytest.approx(0.05, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("ell", [math.nan, math.inf])
+    @pytest.mark.parametrize("ell", [math.nan, math.inf, 1.5])
     def test_round_budget_rejects_non_finite(self, ell):
-        with pytest.raises(ValueError, match="finite"):
-            round_budget(ell)  # NaN used to give (4.0, 64.0)
+        with pytest.raises(ValueError, match="finite") as caught:
+            round_budget(ell)  # NaN used to give (4.0, 64.0), and 1.5 (45.10, 102.06)
+        with pytest.raises(ValueError) as transfer:
+            view_probability_transfer(np.zeros(1), 64.0, 4.0, ell=ell)
+        assert str(caught.value) == str(transfer.value)
 
     def test_validation(self):
         with pytest.raises(ValueError):

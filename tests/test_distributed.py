@@ -971,6 +971,14 @@ class TestConsistentProbabilityInput:
         with pytest.raises(ValueError, match=f"message round {rnd} outside 1..1"):
             consistent_probability(RelayProtocol(0.8), 0, 1, [Message(rnd, 0, 1, 1)])
 
+    @pytest.mark.parametrize(
+        "sender, receiver", [(7, 1), (0, 2), (-1, 0)], ids=["sender-past-n", "receiver-past-n", "negative-sender"]
+    )
+    def test_message_party_out_of_range_raises(self, sender, receiver):
+        # a message naming no party of the protocol was ignored, and party 1 reproduced the rest
+        with pytest.raises(ValueError, match=f"message {sender}->{receiver} names a party outside 0..1"):
+            consistent_probability(RelayProtocol(0.8), 1, 1, [Message(1, sender, receiver, 1)])
+
     @pytest.mark.parametrize("x_i", [2, -1, 0.5, math.nan], ids=["two", "minus-one", "half", "nan"])
     def test_non_bit_input_raises(self, x_i):
         with pytest.raises(ValueError, match="of party 0 is not 0 or 1"):
@@ -1094,6 +1102,34 @@ class TestRRDistributed:
         assert p.channels() == star_topology(4).channels
 
 
+class AggregatorTwin(Protocol):
+    """``gaussian_aggregator_sum`` on the engine: each party's tape is its recorded noise.
+
+    Round 1: party i > 0 sends x_i + tape to party 0.  Round 2: party 0 sums
+    its own value and those it received with numpy, in party order, as the
+    vectorized run sums ``y``, and announces the sum to everyone.
+    """
+
+    rounds = 2
+
+    def __init__(self, n):
+        self.n = n
+
+    def channels(self):
+        return star_topology(self.n).channels
+
+    def send(self, i, x_i, tape, rnd, received):
+        if rnd == 1:
+            return {} if i == 0 else {0: x_i + tape}
+        if i == 0:
+            estimate = self.output(x_i, tape, received)
+            return {j: estimate for j in range(1, self.n)}
+        return {}
+
+    def output(self, x_i, tape, received):
+        return float(np.array([x_i + tape] + [y for _, y in received[0]]).sum())
+
+
 class TestGaussianAggregator:
     def test_message_count(self):
         _, e = gaussian_aggregator_sum(np.ones(64, dtype=np.uint8), 1.0, derive_rng(0))
@@ -1117,6 +1153,21 @@ class TestGaussianAggregator:
         assert abs(np.var(total) - full_var) / full_var < 0.05
         # a coalition of n/2 parties can subtract its own noise, no more
         assert abs(np.var(residual) - full_var / 2) / (full_var / 2) < 0.05
+
+    @pytest.mark.parametrize("n", [2, 16, 256, 10_000])
+    def test_equals_its_engine_twin(self, n):
+        # the engine run on the recorded noise rebuilds the vectorized execution
+        for seed in range(5):
+            x = np.random.default_rng([93, n, seed]).integers(0, 2, n).astype(np.uint8)
+            estimate, e = gaussian_aggregator_sum(x, 1.0, derive_rng(93, seed))
+            twin = run_protocol_with_tapes(AggregatorTwin(n), star_topology(n), x, e.tapes)
+            assert type(twin.output) is float and twin.output == e.output == estimate
+            assert twin.n_messages == e.n_messages == 2 * (n - 1)
+            assert twin.transcript == e.transcript
+            for col, twin_col in zip(e.transcript.columns, twin.transcript.columns):
+                assert list(map(type, col)) == list(map(type, twin_col))
+            assert execution_records(twin) == execution_records(e)
+            assert coalition_view(twin, (0,)) == coalition_view(e, (0,))
 
     def test_coalition_sees_submissions_only(self):
         x = np.array([1, 0, 1, 1], dtype=np.uint8)
@@ -1215,6 +1266,17 @@ class TestAdditiveSharing:
             sum_mod_q(np.array([[1], [2**64 - 1]], dtype=np.uint64), 0)
         with pytest.raises(ValueError, match="parts"):
             share_mod_q(np.zeros(1, dtype=np.uint64), 0, derive_rng(0))
+        # a float was truncated by the uint64 cast, and a negative Python int raised OverflowError
+        for residues in ([1.7, 2], np.array([1.0, 2.0]), [-1, 2], np.array([-1, 2]), [1, 2**64]):
+            with pytest.raises(ValueError, match="residues must lie"):
+                sum_mod_q(residues, 0)
+        with pytest.raises(ValueError, match="residues must lie"):
+            share_mod_q([1.5], 2, derive_rng(0))
+
+    def test_python_int_residues_are_taken_exactly(self):
+        # numpy makes a float array of [1, 2**63]; the sum is exact all the same
+        assert sum_mod_q([1, 2**63], 0).tolist() == (1 + 2**63) % DEFAULT_MODULUS
+        assert sum_mod_q(np.array([[1, 2], [3, 4]]), 0).tolist() == [4, 6]
 
     def test_empty_sum_is_zero(self):
         assert sum_mod_q(np.zeros((0, 3), dtype=np.uint64), 0).tolist() == [0, 0, 0]

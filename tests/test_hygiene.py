@@ -10,7 +10,11 @@ experiments load on their first run.  The chi-squared rows hold the
 package's only scipy import, of ``scipy.special`` alone: it loads on the
 first experiment that runs a chi-squared test, ``scipy.stats`` never loads,
 and the CSVs are the same bytes in a process that has ``scipy.stats``.
-Only ``distributed._execution`` calls ``Execution(``.
+Only ``distributed._execution`` calls ``Execution(``.  Only
+``distributed._checked_sends`` and the transcript oracle
+``distributed.consistent_probability`` read ``.send``, and only
+``_checked_sends`` and ``_check_all_used``, which the engine and the
+curator compiler share, raise ``ObliviousnessViolationError``.
 No handler in the package catches ``Exception`` or ``BaseException`` or is
 a bare ``except:``, so a party program's error propagates as raised.  The
 protocol layers (``core``, ``mechanisms``, ``seeding``, ``local_model``,
@@ -191,21 +195,72 @@ def test_pending_names_are_still_unused():
     assert sorted(PENDING_USE.keys() - _unused_exports()) == [], "these names are used now: drop them from PENDING_USE"
 
 
-def _execution_builders():
-    """``module.function`` for each function in ``src/dpdist`` whose body calls ``Execution(``."""
+def _outermost_users(tree: ast.Module, is_use):
+    """Names of the functions of ``tree``, module-level ones and methods, holding a node for which ``is_use`` holds.
+
+    A use inside a nested function counts for the function around it.
+    """
+    found, nodes = set(), list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.ClassDef):
+            nodes.extend(node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(is_use, ast.walk(node))):
+            found.add(node.name)
+    return found
+
+
+def _users(is_use):
+    """``module.function`` for each function in ``src/dpdist`` that ``_outermost_users`` finds."""
     found = set()
     for stem in SUBMODULES:
         tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                calls = [n.func for n in ast.walk(fn) if isinstance(n, ast.Call)]
-                if any(getattr(f, "id", getattr(f, "attr", None)) == "Execution" for f in calls):
-                    found.add(f"{stem}.{fn.name}")
+        found |= {f"{stem}.{name}" for name in _outermost_users(tree, is_use)}
     return found
+
+
+def _calls(name):
+    """Whether a node calls ``name`` bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def _reads_send(node) -> bool:
+    """Whether a node reads a ``.send`` attribute, as a call or an alias does."""
+    return isinstance(node, ast.Attribute) and node.attr == "send"
+
+
+def _execution_builders():
+    """``module.function`` for each function in ``src/dpdist`` whose body calls ``Execution(``."""
+    return _users(_calls("Execution"))
 
 
 def test_only_one_function_builds_an_execution():
     assert _execution_builders() == {"distributed._execution"}, "build every Execution through distributed._execution"
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("def f():\n    def g():\n        p.send(1, 2)\n", {"f"}),
+        ("class C:\n    def m(self):\n        send = self.p.send\n        return send\n", {"m"}),
+        ("def f(send):\n    return send(1)\n\ndef g():\n    return p.sends\n", set()),
+    ],
+    ids=["nested", "alias-in-method", "bare-name-and-other-attribute"],
+)
+def test_send_readers_are_found(source, found):
+    assert _outermost_users(ast.parse(source), _reads_send) == found
+
+
+def test_only_the_checked_sends_call_send():
+    assert _users(_reads_send) == {"distributed._checked_sends", "distributed.consistent_probability"}, (
+        "call Protocol.send through distributed._checked_sends, which checks the receivers"
+    )
+
+
+def test_only_the_channel_checks_raise_obliviousness_violations():
+    assert _users(_calls("ObliviousnessViolationError")) == {
+        "distributed._checked_sends", "distributed._check_all_used"
+    }, "raise ObliviousnessViolationError from distributed._checked_sends or distributed._check_all_used"
 
 
 _CATCH_ALL = {"Exception", "BaseException"}

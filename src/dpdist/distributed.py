@@ -34,7 +34,9 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Nam
 import numpy as np
 
 from .core import Bits, as_bits
-from .local_model import _MISS, Curator, CuratorView, InteractiveParty, enumerate_interactive
+from .local_model import (
+    _SINGLE_RUN, Curator, CuratorView, InteractiveParty, _Histories, _InternedHistories, enumerate_interactive,
+)
 from .mechanisms import flip_bias_for
 from . import local_model
 
@@ -225,13 +227,16 @@ class Protocol:
     The protocol output must be computable from the output party's own
     view, so the curator compiler can have that party announce it.
 
-    Exact enumeration keys its memo on (party, tape, ``received``), whose
-    length gives the round: it calls ``send`` once per distinct key and
-    reuses the sends.  Tapes and histories compare by value, so ones that
-    compare equal (1, 1.0 and True; 0.0 and -0.0) must get the same sends,
-    as equal symbols already merge into one transcript.  Tapes and symbols
-    must hash: a list, say, raises ``TypeError`` from every exact
-    enumeration, while a single run keeps no memo and accepts it.
+    Exact enumeration memoizes on (party, tape, ``received``), whose length
+    gives the round: it calls ``send`` once per distinct triple, and
+    ``output`` once per (tape, ``received``) after the last round, and
+    reuses the results.  Tapes and histories compare by value, so ones that
+    compare equal (1, 1.0 and True; 0.0 and -0.0) must get the same sends
+    and output, as equal symbols already merge into one transcript; the
+    party receives the first-seen of equal histories.  Tapes and symbols,
+    the last round's included, must hash: a list, say, raises ``TypeError``
+    from every exact enumeration, while a single run keeps no memo and
+    accepts it.
     """
 
     n: int = 0
@@ -342,10 +347,13 @@ def _checked_sends(
     return tuple(sorted(sends.items()))
 
 
-def _check_all_used(history: Sequence[Sequence[Tuple]], declared: FrozenSet[Tuple[int, int]]) -> None:
-    """Raise unless a run's sends, each round's ``_checked_sends`` tuples in party order, use every declared channel."""
-    # no party sent to itself, as ``_checked_sends`` checked
-    used = {(i, r) if i < r else (r, i) for sends in history for i, sent in enumerate(sends) for r, _ in sent}
+def _channels(sends: Iterable[Tuple[int, Iterable[Tuple[int, Any]]]]) -> FrozenSet[Tuple[int, int]]:
+    """The normalized channels of (sender, ``_checked_sends`` pairs) items, which hold no self-send."""
+    return frozenset([(i, r) if i < r else (r, i) for i, sent in sends for r, _ in sent])
+
+
+def _check_all_used(used: FrozenSet[Tuple[int, int]], declared: FrozenSet[Tuple[int, int]]) -> None:
+    """Raise unless a run's ``used`` channels are every declared one."""
     if used != declared:
         raise ObliviousnessViolationError(f"declared channels never used: {sorted(declared - used)}")
 
@@ -366,42 +374,55 @@ def _replay(
     neighbours: List[set],
     record: bool,
     tapes: Sequence[Any],
-    memo: Optional[Dict[Tuple, Any]] = None,
-) -> Tuple[Any, int, Optional[Transcript]]:
-    """One run on fixed tapes after ``_check_run``: (output, message count, transcript).
+    table: _Histories = _SINGLE_RUN,
+) -> Tuple[Any, List[List[Tuple[Tuple[int, Any], ...]]], Optional[Transcript]]:
+    """One run on fixed tapes after ``_check_run``: (output, each round's sends, transcript).
 
-    The per-run channel checks are made here; the transcript is None
-    unless ``record``.
+    A round's sends are one ``_checked_sends`` tuple per party.  The per-run
+    channel checks are made here; the transcript is None unless ``record``.
 
-    With ``memo``, sends are looked up and stored under (party, tape,
-    history), as ``Protocol`` describes; a stored send has passed the
-    receiver checks, which depend on it alone.
+    With an enumeration's ``table``, each party's sends and the channels it
+    has used so far are looked up and stored under its key, once per (party,
+    tape, history), as ``Protocol`` describes, and the output under the
+    output party's key after the last round, which keys no send.  A stored
+    send has passed the receiver checks, which depend on it alone.
     """
     n = len(xs)
-    received: List[Tuple[Tuple[Tuple[int, Any], ...], ...]] = [()] * n
-    history = []  # each round's sends, one ``_checked_sends`` tuple per party
+    memo = table.memo
+    h: List[Any] = [None] * n  # each party's id
+    used: List[FrozenSet[Tuple[int, int]]] = [frozenset()] * n  # the channels each party has used so far
+    history = []
+    inboxes = None
     for rnd in range(1, protocol.rounds + 1):
         sends = []
         for i in range(n):
-            sent = _MISS if memo is None else memo.get((i, tapes[i], received[i]), _MISS)
-            if sent is _MISS:
-                sent = _checked_sends(protocol, i, xs[i], tapes[i], rnd, received[i], declared, neighbours)
-                if memo is not None:
-                    memo[i, tapes[i], received[i]] = sent
+            key = (i, tapes[i], ()) if inboxes is None else (h[i], inboxes[i])
+            entry = memo.get(key)
+            if entry is None:
+                k, received = table.add(key)
+                sent = _checked_sends(protocol, i, xs[i], tapes[i], rnd, received, declared, neighbours)
+                entry = memo[key] = (k, sent, used[i] | _channels([(i, sent)]))
+            h[i], sent, used[i] = entry
             sends.append(sent)
         history.append(sends)
-        # round-rnd sends reach ``received`` only after every party has sent
-        received = [r + (box,) for r, box in zip(received, _deliver(n, sends))]
-    counts = [sum(map(len, sends)) for sends in history]  # messages per round
-    # a round in which every party sends to all its neighbours uses every channel
-    if 2 * len(declared) not in counts:
-        _check_all_used(history, declared)
+        # round-rnd sends reach a party's history only after every party has sent
+        inboxes = _deliver(n, sends)
+    _check_all_used(frozenset().union(*used), declared)
+    p = protocol.output_party
+    if inboxes is None:
+        key = (p, tapes[p], ())
+    else:
+        table.hash(inboxes)  # every last-round symbol must hash, as in the compiled protocol's last queries
+        key = (h[p], inboxes[p])
+    entry = memo.get(key)
+    if entry is None:
+        k, received = table.add(key)
+        entry = memo[key] = (k, protocol.output(xs[p], tapes[p], received))
     transcript = None
     if record:
         rows = [(rnd, i, r, y) for rnd, sends in enumerate(history, 1) for i, sent in enumerate(sends) for r, y in sent]
         transcript = Transcript(*zip(*rows))
-    p = protocol.output_party
-    return protocol.output(xs[p], tapes[p], received[p]), sum(counts), transcript
+    return entry[1], history, transcript
 
 
 def _execution(
@@ -435,32 +456,35 @@ def run_protocol_with_tapes(
     """Deterministic synchronous execution with all tapes fixed, one per party."""
     bits, checked = _check_run(protocol, topology, x)
     local_model._check_tape_count(tapes, protocol.n)
-    return _execution(protocol.rounds, bits, tapes, record, _replay(protocol, *checked, record, tapes))
+    output, history, transcript = _replay(protocol, *checked, record, tapes)
+    n_messages = sum(map(len, chain.from_iterable(history)))
+    return _execution(protocol.rounds, bits, tapes, record, (output, n_messages, transcript))
 
 
 def _tape_distribution(
     protocol: Protocol,
     topology: Topology,
     x: Bits,
-    key: Optional[Callable[[Execution], Any]],
+    key: Optional[Callable[[Tuple[int, ...], Tuple[Any, ...], Transcript], Any]],
 ) -> Dict[Any, float]:
-    """Exact distribution of ``key(execution)`` over all joint tape assignments.
+    """Exact distribution of ``key(inputs, tapes, transcript)`` over all joint tape assignments.
 
     The input and channel declarations are checked once; every joint tape is
     then replayed, with its own channel checks, each party once per (tape,
-    history) through one memo for the call.  With ``key`` None the runs are
-    keyed by their output, unrecorded and with no ``Execution`` built.
+    history) through one ``_InternedHistories`` for the call, and each run's
+    probability is added to its key's with one hash of the key, in
+    ``joint_tapes`` order.  ``inputs`` are the bits as Python ints.  With
+    ``key`` None the runs are keyed by their output and unrecorded.
     """
-    bits, checked = _check_run(protocol, topology, x)
+    _, (xs, declared, neighbours) = _check_run(protocol, topology, x)
     spaces = [protocol.tape_space(i) for i in range(protocol.n)]
     record = key is not None
-    memo: Dict[Tuple, Any] = {}
-    out: Dict[Any, float] = {}
+    table = _InternedHistories()
+    out: Dict[Any, List[float]] = {}  # each key's probability, in a cell
     for tapes, prob in local_model.joint_tapes(spaces):
-        run = _replay(protocol, *checked, record, tapes, memo)
-        k = key(_execution(protocol.rounds, bits, tapes, record, run)) if record else run[0]
-        out[k] = out.get(k, 0.0) + prob
-    return out
+        output, _, transcript = _replay(protocol, xs, declared, neighbours, record, tapes, table)
+        out.setdefault(key(xs, tapes, transcript) if record else output, [0.0])[0] += prob
+    return {k: cell[0] for k, cell in out.items()}
 
 
 def enumerate_executions(protocol: Protocol, topology: Topology, x: Bits) -> Dict[Transcript, float]:
@@ -470,7 +494,7 @@ def enumerate_executions(protocol: Protocol, topology: Topology, x: Bits) -> Dic
     only the output, not the messages, collapse into the same transcript,
     so outputs are enumerated separately by ``output_distribution``.
     """
-    return _tape_distribution(protocol, topology, x, lambda e: e.transcript)
+    return _tape_distribution(protocol, topology, x, lambda xs, tapes, transcript: transcript)
 
 
 def output_distribution(protocol: Protocol, topology: Topology, x: Bits) -> Dict[Any, float]:
@@ -537,29 +561,42 @@ class CoalitionView:
     received: Transcript
 
 
-def coalition_view(e: Execution, coalition: Iterable[int]) -> CoalitionView:
-    """Extract the view of a coalition from a recorded execution; a non-integer member raises ``TypeError``."""
+def _members(coalition: Iterable[int], n: int) -> Tuple[int, ...]:
+    """Sorted distinct members; a non-integer raises ``TypeError``, one outside 0..n-1 ``ValueError``."""
     members = tuple(sorted(set(map(operator.index, coalition))))
     for i in members:
-        if not 0 <= i < e.n:
+        if not 0 <= i < n:
             raise ValueError(f"party {i} out of range")
-    if e.transcript is None or e.tapes is None:
-        raise ValueError("coalition views require a recorded execution")
-    selected = list(map(set(members).__contains__, e.transcript.columns[2]))  # by receiver
+    return members
+
+
+def _view(
+    members: Tuple[int, ...], inputs: Sequence[int], tapes: Sequence[Any], transcript: Transcript
+) -> CoalitionView:
+    """The ``CoalitionView`` of checked ``members`` in one recorded run, with the bits as Python ints."""
+    selected = list(map(set(members).__contains__, transcript.columns[2]))  # by receiver
     return CoalitionView(
         coalition=members,
-        inputs=tuple(map(e.bits.item, members)),
-        tapes=tuple(e.tapes[i] for i in members),
-        received=Transcript(*(compress(c, selected) for c in e.transcript.columns)),
+        inputs=tuple(inputs[i] for i in members),
+        tapes=tuple(tapes[i] for i in members),
+        received=Transcript(*(compress(c, selected) for c in transcript.columns)),
     )
+
+
+def coalition_view(e: Execution, coalition: Iterable[int]) -> CoalitionView:
+    """Extract the view of a coalition from a recorded execution; a non-integer member raises ``TypeError``."""
+    members = _members(coalition, e.n)
+    if e.transcript is None or e.tapes is None:
+        raise ValueError("coalition views require a recorded execution")
+    return _view(members, e.inputs, e.tapes, e.transcript)
 
 
 def coalition_view_distribution(
     protocol: Protocol, topology: Topology, x: Bits, coalition: Iterable[int]
 ) -> Dict[CoalitionView, float]:
-    """Exact distribution over coalition views, by tape enumeration."""
-    members = tuple(sorted(set(map(operator.index, coalition))))
-    return _tape_distribution(protocol, topology, x, lambda e: coalition_view(e, members))
+    """Exact distribution over coalition views, by tape enumeration; the coalition is checked before any party runs."""
+    members = _members(coalition, protocol.n)
+    return _tape_distribution(protocol, topology, x, functools.partial(_view, members))
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +651,7 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     n = protocol.n
     ell = protocol.rounds
     out_party = protocol.output_party
+    nothing = ((),) * n
 
     def make_party(i: int) -> InteractiveParty:
         def answer(x_i: int, queries: Tuple[Any, ...], tape: Any) -> Any:
@@ -638,9 +676,9 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     def query(j: int, answer_hist: Tuple[Any, ...]) -> Sequence[Any]:
         # a round in which every party sends to all its neighbours uses every channel
         if j == ell + 1 and 2 * len(declared) not in [sum(map(len, answers)) for answers in answer_hist]:
-            _check_all_used(answer_hist, declared)
+            _check_all_used(_channels(chain.from_iterable(map(enumerate, answer_hist))), declared)
         # round j delivers the round-(j-1) sends, none in round 1
-        return _deliver(n, answer_hist[j - 2] if j > 1 else ())
+        return _deliver(n, answer_hist[j - 2]) if j > 1 else nothing
 
     def output(view: CuratorView) -> Any:
         tag, value = view.answers[-1][out_party]

@@ -43,7 +43,58 @@ __all__ = [
 ]
 
 
-_MISS = object()  # marks a cache miss: a stored answer or send may be None
+class _NoMemo:
+    """A single run's memo: it keeps nothing, so no key is hashed."""
+
+    def get(self, key: Any) -> None:
+        return None
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        pass
+
+
+class _Histories:
+    """A single run's party histories, each its own id, and a memo that keeps nothing.
+
+    A key names a party's history: (party, tape, history) spells it out,
+    and (id, item) is id ``id``'s history followed by ``item``.
+    ``add(key)`` returns (id, history) for the history a key names.
+    """
+
+    memo: Any = _NoMemo()
+
+    def add(self, key: Tuple[Any, ...]) -> Tuple[Any, Tuple[Any, ...]]:
+        h = key[2] if len(key) == 3 else key[0] + (key[1],)
+        return h, h
+
+    def hash(self, items: Tuple[Any, ...]) -> None:
+        """Raise ``TypeError`` if an item does not hash, as one in a key would; a single run checks nothing."""
+
+
+class _InternedHistories(_Histories):
+    """One exact enumeration's histories as small int ids, in order of first sight, and its memo.
+
+    ``memo`` maps a key to (id, what the party returned there), so a lookup
+    hashes a tape only in round one and then an id and one round's item,
+    never a whole history.  A history is kept as the first-seen of equal
+    ones.
+    """
+
+    def __init__(self) -> None:
+        self.memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        self.histories: List[Tuple[Any, ...]] = []
+
+    def add(self, key: Tuple[Any, ...]) -> Tuple[int, Tuple[Any, ...]]:
+        histories = self.histories
+        h = key[2] if len(key) == 3 else histories[key[0]] + (key[1],)
+        histories.append(h)
+        return len(histories) - 1, h
+
+    def hash(self, items: Tuple[Any, ...]) -> None:
+        hash(items)
+
+
+_SINGLE_RUN = _Histories()
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +229,14 @@ class InteractiveParty:
     ``tape_space`` enumerates (tape, probability) pairs when the tape is
     finite, enabling exact audits.
 
-    Exact enumeration keys its memo on (party, tape, queries so far): it
-    calls ``answer`` once per distinct key and reuses the answer.  Tapes and
+    Exact enumeration memoizes on (party, tape, queries so far): it calls
+    ``answer`` once per distinct triple and reuses the answer.  Tapes and
     queries compare by value, so ones that compare equal (1, 1.0 and True;
     0.0 and -0.0) must get the same answer, as equal queries already give
-    the same view key.  Tapes, queries and answers must hash: a list, say,
-    raises ``TypeError`` from ``enumerate_interactive``, while a single run
-    keeps no memo and accepts it.
+    the same view key; the party receives the first-seen of equal query
+    histories.  Tapes, queries and answers must hash: a list, say, raises
+    ``TypeError`` from ``enumerate_interactive``, while a single run keeps
+    no memo and accepts it.
     """
 
     answer: Callable[[int, Tuple[Any, ...], Any], Any]
@@ -248,30 +300,32 @@ def _replay_interactive(
     xs: List[int],
     rounds: int,
     tapes: Sequence[Any],
-    memo: Optional[Dict[Tuple, Any]] = None,
+    table: _Histories = _SINGLE_RUN,
 ) -> Tuple[Any, CuratorView]:
     """One run on fixed tapes, with ``_check_interactive``'s bits.
 
-    With ``memo``, answers are looked up and stored under (party, tape,
-    queries so far), as ``InteractiveParty`` describes.
+    With an enumeration's ``table``, each answer is looked up and stored
+    under its party's key, once per (party, tape, queries so far), as
+    ``InteractiveParty`` describes.
     """
     n = len(xs)
+    memo = table.memo
     answer_hist: Tuple[Tuple[Any, ...], ...] = ()
     query_hist: Tuple[Tuple[Any, ...], ...] = ()
-    per_party_queries: List[Tuple[Any, ...]] = [()] * n
+    h: List[Any] = [None] * n  # each party's id
     for j in range(1, rounds + 1):
         qs = tuple(curator.query(j, answer_hist))
         if len(qs) != n:
             raise ValueError("curator must issue one query per party")
         query_hist += (qs,)
         answers = []
-        for i, party in enumerate(parties):
-            queries = per_party_queries[i] = per_party_queries[i] + (qs[i],)
-            a = _MISS if memo is None else memo.get((i, tapes[i], queries), _MISS)
-            if a is _MISS:
-                a = party.answer(xs[i], queries, tapes[i])
-                if memo is not None:
-                    memo[i, tapes[i], queries] = a
+        for i in range(n):
+            key = (i, tapes[i], (qs[i],)) if j == 1 else (h[i], qs[i])
+            entry = memo.get(key)
+            if entry is None:
+                k, queries = table.add(key)
+                entry = memo[key] = (k, parties[i].answer(xs[i], queries, tapes[i]))
+            h[i], a = entry
             answers.append(a)
         answer_hist += (tuple(answers),)
     view = CuratorView(answers=answer_hist, queries=query_hist)
@@ -318,17 +372,18 @@ def enumerate_interactive(
     Returns ``{view.answers: (probability, output)}``.  Requires every party to
     declare a finite ``tape_space``.  The input, party count and ``rounds`` are
     checked once; every joint tape is then replayed, each party once per
-    (tape, history) through one memo for the call.
+    (tape, history) through one ``_InternedHistories`` for the call, and each
+    run's probability is added to its view's with one hash of the view, in
+    ``joint_tapes`` order.
     """
     xs = _check_interactive(parties, x, rounds)
     spaces = [None if party.tape_space is None else party.tape_space() for party in parties]
-    memo: Dict[Tuple, Any] = {}
-    out: Dict[Tuple, Tuple[float, Any]] = {}
+    table = _InternedHistories()
+    out: Dict[Tuple, List[Any]] = {}  # each view's [probability, output]
     for tapes, prob in joint_tapes(spaces):
-        output, view = _replay_interactive(parties, curator, xs, rounds, tapes, memo)
-        seen = out.get(view.answers)
-        out[view.answers] = (prob, output) if seen is None else (seen[0] + prob, seen[1])
-    return out
+        output, view = _replay_interactive(parties, curator, xs, rounds, tapes, table)
+        out.setdefault(view.answers, [0.0, output])[0] += prob
+    return {answers: (prob, output) for answers, (prob, output) in out.items()}
 
 
 # ---------------------------------------------------------------------------

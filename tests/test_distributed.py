@@ -392,6 +392,12 @@ class TestCoalitionViews:
         with pytest.raises(TypeError):
             coalition_view_distribution(p, fixture_topology(p), [1, 0, 1], [member])
 
+    def test_coalition_checked_before_any_send(self):
+        p = _CountingExchange()
+        with pytest.raises(ValueError, match="^party 7 out of range$"):
+            coalition_view_distribution(p, complete_topology(3), [1, 0, 1], [1, 7])
+        assert p.sends == []
+
     @pytest.mark.parametrize("member", [True, np.int64(1), np.uint8(1)], ids=["bool", "int64", "uint8"])
     def test_member_of_any_integer_type_accepted(self, member):
         p = NoisyParityProtocol(flip_bias_for(1.0))
@@ -742,7 +748,7 @@ class TestTwoFaultsInOneRound:
 
 
 class _CountingExchange(Protocol):
-    """Three parties, two rounds, tapes 0, 1 and 2; records every ``send`` call.
+    """Three parties, two rounds, tapes 0, 1 and 2; records every ``send`` and ``output`` call.
 
     Round 1: every party sends (tape + x_i) mod 2 to both others.  Round 2:
     parties 1 and 2 send the xor of their round-1 inbox to party 0, which
@@ -756,6 +762,7 @@ class _CountingExchange(Protocol):
     def __init__(self, listed=False):
         self.wrap = (lambda b: [b]) if listed else (lambda b: b)
         self.sends = []
+        self.outputs = []
 
     def channels(self):
         return frozenset({(0, 1), (0, 2), (1, 2)})
@@ -774,8 +781,31 @@ class _CountingExchange(Protocol):
         return {} if i == 0 else {0: self.wrap(sum(self._bits(received[0])) % 2)}
 
     def output(self, x_i, tape, received):
+        self.outputs.append((tape, received))
         bits = [b for inbox in received for b in self._bits(inbox)]
         return sum(bits) % 2, len(bits)
+
+
+class _LastRoundList(Protocol):
+    """Two parties, one round: party 0 sends the list [x_i, tape] to party 1, which outputs its length.
+
+    Every run's output is 2, so only a key or history that holds the list
+    can fail; tapes 0 and 1 are equally likely.
+    """
+
+    n, rounds, output_party = 2, 1, 1
+
+    def channels(self):
+        return frozenset({(0, 1)})
+
+    def tape_space(self, i):
+        return [(0, 0.5), (1, 0.5)]
+
+    def send(self, i, x_i, tape, rnd, received):
+        return {1: [x_i, tape]} if i == 0 else {}
+
+    def output(self, x_i, tape, received):
+        return len(received[0][0][1])
 
 
 def _counted(parties, calls):
@@ -819,6 +849,44 @@ class TestPerCallCaches:
             assert len(reference_calls) > len(set(reference_calls))
             assert sorted(calls) == sorted(set(reference_calls))
             assert list(got.items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "enumerate_fn,key",
+        [(output_distribution, lambda e: e.output), (enumerate_executions, lambda e: e.transcript)],
+        ids=["outputs", "transcripts"],
+    )
+    def test_output_runs_once_per_final_history(self, enumerate_fn, key):
+        topo = complete_topology(3)
+        for bits in itertools.product((0, 1), repeat=3):
+            reference = _CountingExchange()
+            expected = _per_tape_distribution(reference, topo, bits, key)
+            histories = set(reference.outputs)
+            assert len(reference.outputs) > len(histories)  # the per-tape loop repeats (tape, history) pairs
+            p = _CountingExchange()
+            got = enumerate_fn(p, topo, bits)
+            assert sorted(p.outputs) == sorted(histories)  # every (tape, final history) once, and no other
+            assert list(got.items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "enumerate_fn",
+        [
+            output_distribution,
+            enumerate_executions,
+            # party 0's view holds no list, yet its history is not all the run hashes
+            lambda p, topo, x: coalition_view_distribution(p, topo, x, [0]),
+            lambda p, topo, x: compile_to_local(p, topo).output_distribution(x),
+            lambda p, topo, x: compile_to_local(p, topo).enumerate(x),
+        ],
+        ids=["outputs", "executions", "coalition", "compiled-outputs", "compiled-enumerate"],
+    )
+    def test_last_round_list_symbols_raise(self, enumerate_fn):
+        # the list never keys a send; it joins party 1's history after the last round
+        p, x = _LastRoundList(), [1, 0]
+        topo = fixture_topology(p)
+        assert run_protocol_with_tapes(p, topo, x, [0, 1]).output == 2
+        with pytest.raises(TypeError) as caught:
+            enumerate_fn(p, topo, x)
+        assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"
 
     def test_unhashable_symbols_raise(self):
         # a list symbol is a memo key in round 2, in the engine and in the compiled protocol alike

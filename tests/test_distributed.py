@@ -787,9 +787,9 @@ class _CountingExchange(Protocol):
 
 
 class _LastRoundList(Protocol):
-    """Two parties, one round: party 0 sends the list [x_i, tape] to party 1, which outputs its length.
+    """Two parties, one round: party 0 sends the list [x_i, tape] to party 1, which outputs its inbox's length.
 
-    Every run's output is 2, so only a key or history that holds the list
+    Every run's output is 1, so only a key or history that holds the list
     can fail; tapes 0 and 1 are equally likely.
     """
 
@@ -805,7 +805,7 @@ class _LastRoundList(Protocol):
         return {1: [x_i, tape]} if i == 0 else {}
 
     def output(self, x_i, tape, received):
-        return len(received[0][0][1])
+        return len(received[0])
 
 
 def _counted(parties, calls):
@@ -872,7 +872,7 @@ class TestPerCallCaches:
         [
             output_distribution,
             enumerate_executions,
-            # party 0's view holds no list, yet its history is not all the run hashes
+            # party 0's view holds no list; the list still joins party 1's history
             lambda p, topo, x: coalition_view_distribution(p, topo, x, [0]),
             lambda p, topo, x: compile_to_local(p, topo).output_distribution(x),
             lambda p, topo, x: compile_to_local(p, topo).enumerate(x),
@@ -883,7 +883,7 @@ class TestPerCallCaches:
         # the list never keys a send; it joins party 1's history after the last round
         p, x = _LastRoundList(), [1, 0]
         topo = fixture_topology(p)
-        assert run_protocol_with_tapes(p, topo, x, [0, 1]).output == 2
+        assert run_protocol_with_tapes(p, topo, x, [0, 1]).output == 1
         with pytest.raises(TypeError) as caught:
             enumerate_fn(p, topo, x)
         assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"

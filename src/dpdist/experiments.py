@@ -1,10 +1,13 @@
 """Named experiments reproducing the artifact's headline results at desk scale.
 
 Each experiment resolves its parameters from an ``ExperimentConfig``, runs
-deterministically from the master seed (trial k uses the generator derived
-from (seed, k); batched experiments derive one generator per batch and say
-so in their description), and yields (trial, metric, value) rows for the
-CSV writer in ``cli``.
+deterministically from the master seed, and yields (trial, metric, value)
+rows for the CSV writer in ``cli``.  Every generator is derived from the
+seed and a fixed path.  Per-trial experiments give trial k its own, (seed,
+k) or (seed, stage, k); batched experiments derive one per batch and say so
+in their description; ``symmetry``, ``phase-transition`` and
+``rr-distributed``'s local twin draw all their runs from one generator, in
+chunks taken in the order of one whole draw.
 """
 
 from __future__ import annotations
@@ -120,6 +123,11 @@ def _resolve(cfg: ExperimentConfig, **defaults) -> Dict[str, Any]:
 _T = TypeVar("_T")
 
 
+def _chunks(total: int, size: int) -> List[Tuple[int, int]]:
+    """(start, size) of each chunk of at most ``size`` of ``range(total)``, in order."""
+    return [(start, min(size, total - start)) for start in range(0, total, size)]
+
+
 def _batched(
     seed: int, trials: int, fn: Callable[[int, int, np.random.Generator], _T]
 ) -> List[_T]:
@@ -132,7 +140,7 @@ def _batched(
     should return a batch's rows or counts, not its arrays, so that at most
     one batch per worker holds arrays.
     """
-    sizes = [min(_BATCH, trials - start) for start in range(0, trials, _BATCH)]
+    sizes = [size for _, size in _chunks(trials, _BATCH)]
     rngs = [derive_rng(seed, b) for b in range(len(sizes))]
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -172,8 +180,7 @@ def _rr_runs(rows: np.ndarray, eps: float, runs: int, rng: np.random.Generator) 
     k, n = rows.shape
     m = max(1, _BATCH // (k * n))
     counts = np.empty((runs, k))
-    for start in range(0, runs, m):
-        size = min(m, runs - start)
+    for start, size in _chunks(runs, m):
         z = mechanisms.flip(np.broadcast_to(rows, (size, k, n)), p, rng)
         counts[start : start + size] = z.sum(axis=2)
     return local_model.rr_debias(counts, n, p)
@@ -352,6 +359,16 @@ def _chernoff_tail(cfg: ExperimentConfig):
 
 
 def _phase_transition(cfg: ExperimentConfig):
+    """Error rates of the gap protocol at each tau, from one pass of planted and all-zero runs.
+
+    All draws come from the one generator derived from (seed, 0), in the
+    order of whole-array draws: the planted sums, their report counts
+    (``rr_report_count_chunks``), then the all-zero runs' estimates.  They
+    are taken in ``_BATCH``-trial chunks, and each chunk is reduced at once
+    to per-tau counts; only each trial's sum and kept-report count are held
+    for the whole pass, in the smallest unsigned dtype that holds n.  Each
+    rate is its count over ``trials``, as the mean of a boolean array is.
+    """
     params, dist, flip = _planted(cfg, 10_000, tau=None)
     n, eps, trials = dist.n, dist.eps, params["trials"]
     tau = params.pop("tau")
@@ -360,22 +377,32 @@ def _phase_transition(cfg: ExperimentConfig):
     else:
         taus = [m * math.sqrt(n) / eps for m in (0.1, 0.3, 1.0, 3.0, 10.0)]
     params.update(density=dist.density, taus=taus)
-    # One batch of planted and all-zero runs, reused across the tau sweep.
+    chunks = _chunks(trials, _BATCH)
     rng = derive_rng(cfg.seed, 0)
-    s = audit.sample_sparse_sums(dist, trials, rng)
-    # the counts are freed before the all-zero draws, to keep the peak down
-    est_planted = local_model.rr_debias(local_model.rr_report_counts(n, s, flip, rng), n, flip)
-    est_zero = local_model.rr_estimate_batch(np.zeros(n, dtype=np.uint8), eps, trials, rng)
+    s = np.empty(trials, dtype=np.min_scalar_type(n))
+    sums = [s[start : start + size] for start, size in chunks]
+    for part in sums:
+        part[:] = audit.sample_sparse_sums(dist, part.size, rng)
+    qualifying, err_i, err_ii = ([0] * len(taus) for _ in range(3))
+    for part, counts in zip(sums, local_model.rr_report_count_chunks(n, sums, flip, rng)):
+        est = local_model.rr_debias(counts, n, flip)
+        for idx, tau in enumerate(taus):
+            planted = part >= tau
+            qualifying[idx] += int(np.count_nonzero(planted))
+            err_i[idx] += int(np.count_nonzero(planted & (est <= tau / 2.0)))
+    zeros = np.zeros(n, dtype=np.uint8)
+    for _, size in chunks:
+        est = local_model.rr_estimate_batch(zeros, eps, size, rng)
+        for idx, tau in enumerate(taus):
+            err_ii[idx] += int(np.count_nonzero(est > tau / 2.0))
     rows: List[Row] = []
     for idx, tau in enumerate(taus):
-        thr = tau / 2.0
-        err_i = float(np.mean((s >= tau) & (est_planted <= thr)))
-        err_ii = float(np.mean(est_zero > thr))
+        rate_i, rate_ii = err_i[idx] / trials, err_ii[idx] / trials
         rows.append((idx, "tau", tau))
-        rows.append((idx, "error_case_i", err_i))
-        rows.append((idx, "error_case_ii", err_ii))
-        rows.append((idx, "max_error", max(err_i, err_ii)))
-        rows.append((idx, "qualifying_rate", float(np.mean(s >= tau))))
+        rows.append((idx, "error_case_i", rate_i))
+        rows.append((idx, "error_case_ii", rate_ii))
+        rows.append((idx, "max_error", max(rate_i, rate_ii)))
+        rows.append((idx, "qualifying_rate", qualifying[idx] / trials))
     return params, rows
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "rr_debias",
     "rr_count_distribution",
     "rr_report_counts",
+    "rr_report_count_chunks",
     "rr_estimate_batch",
     "sum_to_gap",
 ]
@@ -440,6 +441,21 @@ def rr_report_counts(
     counts = rng.binomial(s, p.keep_prob, size=size)
     counts += rng.binomial(n - s, 1.0 - p.keep_prob, size=size)
     return counts
+
+
+def rr_report_count_chunks(
+    n: int, sums: Sequence[np.ndarray], p: FlipParams, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """``rr_report_counts`` of the concatenated ``sums``, one int64 chunk per array of sums.
+
+    The draws are those of the one call: Bin(s, keep) for every chunk at
+    once, here, kept in the dtype of its sums (a count never exceeds its
+    sum), then Bin(n-s, 1-keep) for one chunk per step of the iterator.  So
+    only one chunk's counts are held at a time.  Nothing else may draw from
+    ``rng`` until the iterator is spent.
+    """
+    kept = [rng.binomial(s, p.keep_prob).astype(s.dtype) for s in sums]
+    return (rng.binomial(n - s, 1.0 - p.keep_prob) + k for s, k in zip(sums, kept))
 
 
 def rr_estimate_batch(

@@ -1,8 +1,9 @@
 """Experiment helpers against their references.
 
 The chunked randomized-response runs against the per-call loop they
-replace, the chi-squared rows against ``scipy.stats.chi2_contingency``, and
-the knob checks against the values each knob must reject or accept.
+replace, ``phase-transition``'s chunked pass against the whole-array draws
+it replaces, the chi-squared rows against ``scipy.stats.chi2_contingency``,
+and the knob checks against the values each knob must reject or accept.
 """
 
 import re
@@ -12,9 +13,20 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from dpdist import audit
 from dpdist.core import as_bits
-from dpdist.experiments import _BATCH, ExperimentConfig, _chi2_rows, _half_ones, _resolve, _rr_runs
-from dpdist.local_model import randomized_response_sum
+from dpdist.experiments import (
+    _BATCH,
+    ExperimentConfig,
+    _chi2_rows,
+    _chunks,
+    _half_ones,
+    _phase_transition,
+    _resolve,
+    _rr_runs,
+)
+from dpdist.local_model import randomized_response_sum, rr_debias, rr_estimate_batch, rr_report_counts
+from dpdist.mechanisms import flip_bias_for
 from dpdist.seeding import derive_rng
 
 
@@ -59,6 +71,74 @@ def test_memory_stays_at_one_chunk():
         tracemalloc.stop()
     # one run's uniforms take 1.6 MB; all runs' at once would take 16 MB
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "total, size, want",
+    [
+        (10, 4, [(0, 4), (4, 4), (8, 2)]),
+        (8, 4, [(0, 4), (4, 4)]),
+        (3, 4, [(0, 3)]),
+        (0, 4, []),
+    ],
+)
+def test_chunks_cover_the_range_in_order(total, size, want):
+    assert _chunks(total, size) == want
+
+
+def _phase_transition_whole_array(params):
+    """``phase-transition``'s rows from whole-array draws: every trial's arrays held at once."""
+    n, eps, d, trials = params["n"], params["eps"], params["d"], params["trials"]
+    dist, flip = audit.SparseBernoulli(n=n, eps=eps, d=d), flip_bias_for(eps)
+    rng = derive_rng(params["seed"], 0)
+    s = audit.sample_sparse_sums(dist, trials, rng)
+    est_planted = rr_debias(rr_report_counts(n, s, flip, rng), n, flip)
+    est_zero = rr_estimate_batch(np.zeros(n, dtype=np.uint8), eps, trials, rng)
+    rows = []
+    for idx, tau in enumerate(params["taus"]):
+        err_i = float(np.mean((s >= tau) & (est_planted <= tau / 2.0)))
+        err_ii = float(np.mean(est_zero > tau / 2.0))
+        rows.append((idx, "tau", tau))
+        rows.append((idx, "error_case_i", err_i))
+        rows.append((idx, "error_case_ii", err_ii))
+        rows.append((idx, "max_error", max(err_i, err_ii)))
+        rows.append((idx, "qualifying_rate", float(np.mean(s >= tau))))
+    return rows
+
+
+def _bits(rows):
+    return [(trial, metric, float(value).hex()) for trial, metric, value in rows]
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        dict(trials=1000),  # one partial chunk
+        dict(trials=2 * _BATCH + 123),  # a ragged last chunk
+        dict(n=255, trials=3000),  # uint8 sums, at the top of their range
+        dict(n=100_000, trials=3000),  # uint32 sums
+        dict(tau=50.0, trials=3000),
+    ],
+)
+def test_phase_transition_equals_the_whole_array_draws(knobs):
+    params, rows = _phase_transition(ExperimentConfig(experiment="phase-transition", seed=5, **knobs))
+    assert _bits(rows) == _bits(_phase_transition_whole_array(params))  # float bits included
+    assert any(value not in (0.0, 1.0) for _, metric, value in rows if metric.startswith("error"))
+
+
+def test_phase_transition_memory_stays_at_one_chunk():
+    cfg = ExperimentConfig(experiment="phase-transition", seed=1, trials=1 << 19)
+    # a first call imports modules that stay loaded; they are not the run's memory
+    _phase_transition(ExperimentConfig(experiment="phase-transition", trials=1))
+    tracemalloc.start()
+    try:
+        _phase_transition(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each trial's sum and kept count, 2 bytes each, take 2.1 MB; the
+    # whole-array draws held about five 8-byte arrays, 16.9 MB
+    assert peak <= 6_000_000
 
 
 def test_half_ones_is_taken_uncopied():

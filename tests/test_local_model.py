@@ -21,6 +21,7 @@ from dpdist.local_model import (
     rr_count_distribution,
     rr_debias,
     rr_estimate_batch,
+    rr_report_count_chunks,
     rr_report_counts,
     run_interactive,
     run_interactive_with_tapes,
@@ -147,9 +148,57 @@ class TestRandomizedResponseSum:
         np.testing.assert_array_equal(got, want)
         assert rng.random() == twin.random()
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_report_count_chunks_equal_one_call(self, dtype):
+        p = flip_bias_for(1.0)
+        n = 200
+        whole = derive_rng(27).binomial(n, 0.3, size=1000)
+        sums = [whole[a:b].astype(dtype) for a, b in [(0, 400), (400, 800), (800, 1000)]]
+        rng, twin = derive_rng(28), derive_rng(28)
+        got = list(rr_report_count_chunks(n, sums, p, rng))
+        want = rr_report_counts(n, whole, p, twin)
+        assert [c.dtype for c in got] == [np.dtype(np.int64)] * 3
+        np.testing.assert_array_equal(np.concatenate(got), want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_view_symbols_are_bits(self):
         _, view = randomized_response_sum([1, 0, 1], 1.0, derive_rng(0))
         assert set(int(s) for r in view.answers for s in r) <= {0, 1}
+
+
+class TestBinomialStreams:
+    """The numpy stream facts that let chunked report counts equal whole-array ones.
+
+    ``phase-transition`` and ``rr_report_count_chunks`` draw in chunks what
+    the whole-array code drew in one call.  If numpy breaks a fact here,
+    these tests fail rather than the CSV bytes shifting.
+    """
+
+    # (n, p): inversion (n*p < 30), BTPE, and p > 1/2, which numpy draws as n - Bin(n, 1 - p)
+    CASES = [(10_000, 4e-4), (10_000, 0.4), (10_000, 0.6), (7, 0.9)]
+
+    @pytest.mark.parametrize("n, p", CASES)
+    def test_scalar_draws_split_across_calls_equal_one_call(self, n, p):
+        rng, twin = derive_rng(29, n), derive_rng(29, n)
+        split = np.concatenate([rng.binomial(n, p, size=300), rng.binomial(n, p, size=701)])
+        np.testing.assert_array_equal(split, twin.binomial(n, p, size=1001))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n, p", CASES)
+    def test_array_draws_split_in_order_equal_one_call(self, n, p):
+        ns = derive_rng(30, n).integers(0, n, size=1001, endpoint=True)
+        rng, twin = derive_rng(31, n), derive_rng(31, n)
+        compact = ns.astype(np.min_scalar_type(n))  # the dtype of the parameters does not matter
+        split = np.concatenate([rng.binomial(compact[:300], p), rng.binomial(compact[300:], p)])
+        np.testing.assert_array_equal(split, twin.binomial(ns, p))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("p", [4e-4, 0.4, 0.6])
+    def test_zero_trials_draw_nothing(self, p):
+        rng = derive_rng(32)
+        before = rng.bit_generator.state
+        assert rng.binomial(0, p, size=1000).tolist() == [0] * 1000
+        assert rng.bit_generator.state == before
 
 
 class TestSymmetry:

@@ -56,8 +56,9 @@ def render_csv(experiment: str, params: Dict[str, Any], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for trial, metric, value in rows:
-        writer.writerow([experiment, trial, param_json, metric, _format_value(value)])
+    writer.writerows(
+        (experiment, trial, param_json, metric, _format_value(value)) for trial, metric, value in rows
+    )
     return buf.getvalue()
 
 

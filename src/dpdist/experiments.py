@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from . import audit, distributed, fixtures, local_model, mechanisms
-from .core import _window_sums, min_window_weight, min_window_weight_gridded
+from .core import min_window_weight, min_window_weight_gridded
 from .mechanisms import SensitivitySpec, flip_bias_for, laplace_mechanism
 from .seeding import derive_rng
 
@@ -572,6 +572,38 @@ def _rr_distributed(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
+def _fair_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    x = (rng.random(n) < 0.5).astype(np.uint8)
+    x.setflags(write=False)  # so that as_bits takes it as it is
+    return x
+
+
+def _window_minima(gn: int, gw: int, gi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Full and gridded minimum window weights of every ``gn``-bit input, as uint8 arrays.
+
+    Entry c belongs to the input whose bit j is bit j of c (gn <= 16); the
+    gridded minimum takes only the starts s with s % gi == 0.  The window
+    sums of all inputs slide together over bit rows: row j is bit j of
+    every input, and the sum at start s adds row s+gw-1 and drops row s-1.
+    """
+    codes = np.arange(1 << gn, dtype=np.uint16)
+
+    def row(j: int) -> np.ndarray:
+        return ((codes >> j) & 1).astype(np.uint8)
+
+    wsum = row(0)
+    for j in range(1, gw):
+        wsum += row(j)
+    full, grid = wsum.copy(), wsum.copy()
+    for s in range(1, gn - gw + 1):
+        wsum += row(s + gw - 1)
+        wsum -= row(s - 1)  # never wraps: row s-1 was added in
+        np.minimum(full, wsum, out=full)
+        if s % gi == 0:
+            np.minimum(grid, wsum, out=grid)
+    return full, grid
+
+
 def _dist_alpha(cfg: ExperimentConfig):
     params = _resolve(cfg, n=4096, eps=1.0, delta=0.01, alpha_exp=0.75, t=7, trials=1000)
     n, eps, delta, t = params["n"], params["eps"], params["delta"], params["t"]
@@ -588,7 +620,7 @@ def _dist_alpha(cfg: ExperimentConfig):
     matches = 0
     for k in range(trials):
         rng = derive_rng(cfg.seed, 0, k)
-        x = (rng.random(n) < 0.5).astype(np.uint8)
+        x = _fair_bits(rng, n)
         est, _ = distributed.windowed_min_protocol(
             x, eps, delta, t, alpha_exp, rng, zero_noise=True, record=False
         )
@@ -597,25 +629,17 @@ def _dist_alpha(cfg: ExperimentConfig):
     rows.append((0, "zero_noise_matches", matches))
     rows.append((0, "zero_noise_trials", trials))
 
-    # exhaustive grid-vs-full comparison on every 16-bit input, as uint8
-    # bits (row c holds c's bits, least significant first) in 16 blocks
+    # exhaustive grid-vs-full comparison on every 16-bit input
     gn, gw, gi = 16, 4, 2
-    bits = np.unpackbits(
-        np.arange(1 << gn, dtype="<u2").view(np.uint8).reshape(-1, 2), axis=1, bitorder="little"
-    )
-    violations = 0
-    for block in np.split(bits, 16):
-        wsums = _window_sums(block, gw)
-        full = wsums.min(axis=1)
-        grid = wsums[:, ::gi].min(axis=1)
-        violations += int(np.count_nonzero((grid < full) | (grid > full + (gi - 1))))
+    full, grid = _window_minima(gn, gw, gi)
+    violations = int(np.count_nonzero((grid < full) | (grid > full + (gi - 1))))
     rows.append((1, "grid_bound_violations", violations))
     rows.append((1, "grid_inputs_checked", 1 << gn))
 
     within = 0
     for k in range(noise_trials):
         rng = derive_rng(cfg.seed, 1, k)
-        x = (rng.random(n) < 0.5).astype(np.uint8)
+        x = _fair_bits(rng, n)
         est, _ = distributed.windowed_min_protocol(
             x, eps, delta, t, alpha_exp, rng, record=False
         )

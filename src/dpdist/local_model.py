@@ -411,7 +411,7 @@ def randomized_response_sum(
     bits = as_bits(x)
     z = flip(bits, p, rng)
     view = CuratorView(answers=(z,))
-    return rr_debias(float(np.sum(z)), bits.size, p), view
+    return rr_debias(float(np.count_nonzero(z)), bits.size, p), view
 
 
 def rr_count_distribution(x: Bits, p: FlipParams) -> Dict[int, float]:

@@ -94,6 +94,9 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "name, size, digest",
         [
+            # benchmark sizes; each digest was recorded before the speed-up it pins
+            # (per-run randomized_response_sum calls, the blockwise cumsum grid check, np.sum counts)
+            #
             # the lean-trials size: eight chunks of randomized-response runs, the last partial
             (
                 "symmetry",
@@ -106,10 +109,20 @@ class TestRegistry:
                 dict(n=16, trials=5000),
                 "8830033a0e90be6dec4ce5c50279cef4d76ef83e21c536a5a8406a5c76135ae7",
             ),
+            # dist-alpha and rr-sum-error at their lean-trials sizes
+            (
+                "dist-alpha",
+                dict(n=4096, t=7, alpha_exp=0.75, trials=50),
+                "ffe17ca52de0906b2a29b3fbddd3a18c501a04b4eb697085760faeb104ed7e9a",
+            ),
+            (
+                "rr-sum-error",
+                dict(n=10_000, trials=1000),
+                "21b1792216d203f23afaf8bf73f4bd104c501e2c74e2ebb7b7a98e83089db24b",
+            ),
         ],
     )
     def test_chunked_sizes_pinned(self, name, size, digest):
-        # recorded with one randomized_response_sum call per run, before the runs were chunked
         params, rows = run_rows(ExperimentConfig(experiment=name, seed=3, **size))
         assert hashlib.sha256(render_csv(name, params, rows).encode()).hexdigest() == digest
 
@@ -374,6 +387,38 @@ class TestFormatting:
     )
     def test_format_value(self, value, text):
         assert cli._format_value(value) == text
+
+    @staticmethod
+    def render_row_by_row(experiment, params, rows):
+        """``render_csv`` with one ``writerow`` call per row."""
+        param_json = json.dumps(params, sort_keys=True, separators=(",", ":"))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cli.CSV_HEADER)
+        for trial, metric, value in rows:
+            writer.writerow([experiment, trial, param_json, metric, cli._format_value(value)])
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "experiment, params, rows",
+        [
+            ("demo", {"a": 1}, []),
+            (
+                'a,"b"\nc',
+                {"key,1": 'quote " and\nnewline', "n": 4},
+                [
+                    (0, "m,1", np.int64(7)),
+                    (np.int64(1), 'say "hi"', True),
+                    (2, "two\nlines", np.False_),
+                    (3, "nan", float("nan")),
+                    (4, "negative zero", -0.0),
+                    (5, "plain", 0.1 + 0.2),
+                ],
+            ),
+        ],
+    )
+    def test_rows_render_as_one_writerow_each(self, experiment, params, rows):
+        assert render_csv(experiment, params, rows) == self.render_row_by_row(experiment, params, rows)
 
 
 BATCHED = ["v-bounds", "hoeffding-tail", "chernoff-tail", "laplace-tails"]

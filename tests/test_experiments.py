@@ -2,7 +2,8 @@
 
 The chunked randomized-response runs against the per-call loop they
 replace, ``phase-transition``'s chunked pass against the whole-array draws
-it replaces, the chi-squared rows against ``scipy.stats.chi2_contingency``,
+it replaces, ``dist-alpha``'s grid kernel against the exact window
+weights, the chi-squared rows against ``scipy.stats.chi2_contingency``,
 and the knob checks against the values each knob must reject or accept.
 """
 
@@ -14,16 +15,18 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dpdist import audit
-from dpdist.core import as_bits
+from dpdist.core import _window_sums, as_bits, min_window_weight, min_window_weight_gridded
 from dpdist.experiments import (
     _BATCH,
     ExperimentConfig,
     _chi2_rows,
     _chunks,
+    _fair_bits,
     _half_ones,
     _phase_transition,
     _resolve,
     _rr_runs,
+    _window_minima,
 )
 from dpdist.local_model import randomized_response_sum, rr_debias, rr_estimate_batch, rr_report_counts
 from dpdist.mechanisms import flip_bias_for
@@ -145,6 +148,51 @@ def test_half_ones_is_taken_uncopied():
     x = _half_ones(7)
     assert x.tolist() == [1, 1, 1, 0, 0, 0, 0]
     assert as_bits(x) is x
+
+
+def test_fair_bits_are_taken_uncopied():
+    rng, twin = derive_rng(11), derive_rng(11)
+    x = _fair_bits(rng, 64)
+    np.testing.assert_array_equal(x, (twin.random(64) < 0.5).astype(np.uint8))
+    assert as_bits(x) is x
+
+
+def _input_bits(c, gn):
+    return np.array([(c >> j) & 1 for j in range(gn)], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("gn, gw, gi", [(10, 4, 2), (12, 6, 3), (8, 8, 4)])
+def test_window_minima_equal_the_exact_weights(gn, gw, gi):
+    full, grid = _window_minima(gn, gw, gi)
+    assert full.shape == grid.shape == (1 << gn,)
+    for c in range(1 << gn):
+        bits = _input_bits(c, gn)
+        assert full[c] == min_window_weight(bits, gw)
+        assert grid[c] == min_window_weight_gridded(bits, gw, gi)
+
+
+def test_window_minima_equal_cumsum_windows_on_every_16_bit_input():
+    gn, gw, gi = 16, 4, 2
+    # row c holds c's bits, least significant first
+    bits = np.unpackbits(
+        np.arange(1 << gn, dtype="<u2").view(np.uint8).reshape(-1, 2), axis=1, bitorder="little"
+    )
+    wsums = _window_sums(bits, gw)
+    full, grid = _window_minima(gn, gw, gi)
+    np.testing.assert_array_equal(full, wsums.min(axis=1))
+    np.testing.assert_array_equal(grid, wsums[:, ::gi].min(axis=1))
+
+
+def test_window_minima_memory():
+    tracemalloc.start()
+    try:
+        _window_minima(16, 4, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the uint16 codes, the window sum, both minima and one row's
+    # temporaries take 0.6 MB; the blockwise int64 cumsums took 2.7 MB
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("k", range(1, 26))

@@ -161,6 +161,17 @@ class TestRandomizedResponseSum:
         np.testing.assert_array_equal(np.concatenate(got), want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    @pytest.mark.parametrize("n", [0, 1, 100, 10_000])
+    def test_estimate_debiases_the_reported_ones(self, n):
+        p = flip_bias_for(1.0)
+        x = (derive_rng(29, n).random(n) < 0.5).astype(np.uint8)
+        rng, twin = derive_rng(30, n), derive_rng(30, n)
+        est, view = randomized_response_sum(x, 1.0, rng)
+        assert est == rr_debias(float(view.answers[0].sum()), n, p)
+        # one uniform per party, so the generator is where rng.random(n) leaves it
+        twin.random(n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_view_symbols_are_bits(self):
         _, view = randomized_response_sum([1, 0, 1], 1.0, derive_rng(0))
         assert set(int(s) for r in view.answers for s in r) <= {0, 1}

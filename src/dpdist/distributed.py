@@ -34,9 +34,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Nam
 import numpy as np
 
 from .core import Bits, as_bits
-from .local_model import (
-    _SINGLE_RUN, Curator, CuratorView, InteractiveParty, _Histories, _InternedHistories, enumerate_interactive,
-)
+from .local_model import _SINGLE_RUN, Curator, CuratorView, InteractiveParty, enumerate_interactive
 from .mechanisms import flip_bias_for
 from . import local_model
 
@@ -374,55 +372,55 @@ def _replay(
     neighbours: List[set],
     record: bool,
     tapes: Sequence[Any],
-    table: _Histories = _SINGLE_RUN,
+    memo: Any = _SINGLE_RUN,
 ) -> Tuple[Any, List[List[Tuple[Tuple[int, Any], ...]]], Optional[Transcript]]:
     """One run on fixed tapes after ``_check_run``: (output, each round's sends, transcript).
 
     A round's sends are one ``_checked_sends`` tuple per party.  The per-run
     channel checks are made here; the transcript is None unless ``record``.
 
-    With an enumeration's ``table``, each party's sends and the channels it
-    has used so far are looked up and stored under its key, once per (party,
-    tape, history), as ``Protocol`` describes, and the output under the
-    output party's key after the last round, which keys no send.  A stored
-    send has passed the receiver checks, which depend on it alone.
+    With an enumeration's ``memo``, laid out as ``local_model`` describes
+    above ``_NoMemo``, each party's sends are looked up and stored under its
+    key, once per (party, tape, history), as ``Protocol`` describes, and the
+    output under the output party's key after the last round, which keys no
+    send.  A stored send has passed the receiver checks, which depend on it
+    alone.
     """
     n = len(xs)
-    memo = table.memo
-    h: List[Any] = [None] * n  # each party's id
-    used: List[FrozenSet[Tuple[int, int]]] = [frozenset()] * n  # the channels each party has used so far
+    prev: List[Any] = [(None, (), (), frozenset())] * n  # each party's previous entry; before round one, an empty one
     history = []
     inboxes = None
     for rnd in range(1, protocol.rounds + 1):
         sends = []
         for i in range(n):
-            key = (i, tapes[i], ()) if inboxes is None else (h[i], inboxes[i])
+            key = (i, tapes[i], ()) if inboxes is None else (prev[i][0], inboxes[i])
             entry = memo.get(key)
             if entry is None:
-                k, received = table.add(key)
+                received = prev[i][1] if inboxes is None else prev[i][1] + (inboxes[i],)
                 sent = _checked_sends(protocol, i, xs[i], tapes[i], rnd, received, declared, neighbours)
-                entry = memo[key] = (k, sent, used[i] | _channels([(i, sent)]))
-            h[i], sent, used[i] = entry
-            sends.append(sent)
+                entry = memo[key] = (len(memo), received, sent, prev[i][3] | _channels([(i, sent)]))
+            prev[i] = entry
+            sends.append(entry[2])
         history.append(sends)
         # round-rnd sends reach a party's history only after every party has sent
         inboxes = _deliver(n, sends)
-    _check_all_used(frozenset().union(*used), declared)
+    _check_all_used(frozenset().union(*[entry[3] for entry in prev]), declared)
     p = protocol.output_party
     if inboxes is None:
         key = (p, tapes[p], ())
     else:
-        table.hash(inboxes)  # every last-round symbol must hash, as in the compiled protocol's last queries
-        key = (h[p], inboxes[p])
+        if memo is not _SINGLE_RUN:
+            hash(inboxes)  # every last-round symbol must hash, as in the compiled protocol's last queries
+        key = (prev[p][0], inboxes[p])
     entry = memo.get(key)
     if entry is None:
-        k, received = table.add(key)
-        entry = memo[key] = (k, protocol.output(xs[p], tapes[p], received))
+        received = prev[p][1] if inboxes is None else prev[p][1] + (inboxes[p],)
+        entry = memo[key] = (len(memo), received, protocol.output(xs[p], tapes[p], received))
     transcript = None
     if record:
         rows = [(rnd, i, r, y) for rnd, sends in enumerate(history, 1) for i, sent in enumerate(sends) for r, y in sent]
         transcript = Transcript(*zip(*rows))
-    return entry[1], history, transcript
+    return entry[2], history, transcript
 
 
 def _execution(
@@ -471,18 +469,18 @@ def _tape_distribution(
 
     The input and channel declarations are checked once; every joint tape is
     then replayed, with its own channel checks, each party once per (tape,
-    history) through one ``_InternedHistories`` for the call, and each run's
-    probability is added to its key's with one hash of the key, in
-    ``joint_tapes`` order.  ``inputs`` are the bits as Python ints.  With
-    ``key`` None the runs are keyed by their output and unrecorded.
+    history) through one memo for the call, and each run's probability is
+    added to its key's with one hash of the key, in ``joint_tapes`` order.
+    ``inputs`` are the bits as Python ints.  With ``key`` None the runs are
+    keyed by their output and unrecorded.
     """
     _, (xs, declared, neighbours) = _check_run(protocol, topology, x)
     spaces = [protocol.tape_space(i) for i in range(protocol.n)]
     record = key is not None
-    table = _InternedHistories()
+    memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
     out: Dict[Any, List[float]] = {}  # each key's probability, in a cell
     for tapes, prob in local_model.joint_tapes(spaces):
-        output, _, transcript = _replay(protocol, xs, declared, neighbours, record, tapes, table)
+        output, _, transcript = _replay(protocol, xs, declared, neighbours, record, tapes, memo)
         out.setdefault(key(xs, tapes, transcript) if record else output, [0.0])[0] += prob
     return {k: cell[0] for k, cell in out.items()}
 

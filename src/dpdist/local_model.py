@@ -44,8 +44,19 @@ __all__ = [
 ]
 
 
+# An exact enumeration replays every party through one memo, a dict that
+# ``enumerate_interactive`` or ``distributed._tape_distribution`` makes once
+# per call.  In round one a party's key is (party, tape, first history);
+# after that it is (id of the party's previous entry, this round's item).
+# An entry is (id, history, result): the id is the memo's size when the
+# entry is stored, and on a miss the history is the previous entry's plus
+# this round's item, so the party receives the first-seen of equal
+# histories.  The engine's send entries hold, fourth, the channels the party
+# has used so far.
+
+
 class _NoMemo:
-    """A single run's memo: it keeps nothing, so no key is hashed."""
+    """A single run's memo: it keeps nothing and stays empty, so no key is hashed."""
 
     def get(self, key: Any) -> None:
         return None
@@ -53,49 +64,11 @@ class _NoMemo:
     def __setitem__(self, key: Any, value: Any) -> None:
         pass
 
-
-class _Histories:
-    """A single run's party histories, each its own id, and a memo that keeps nothing.
-
-    A key names a party's history: (party, tape, history) spells it out,
-    and (id, item) is id ``id``'s history followed by ``item``.
-    ``add(key)`` returns (id, history) for the history a key names.
-    """
-
-    memo: Any = _NoMemo()
-
-    def add(self, key: Tuple[Any, ...]) -> Tuple[Any, Tuple[Any, ...]]:
-        h = key[2] if len(key) == 3 else key[0] + (key[1],)
-        return h, h
-
-    def hash(self, items: Tuple[Any, ...]) -> None:
-        """Raise ``TypeError`` if an item does not hash, as one in a key would; a single run checks nothing."""
+    def __len__(self) -> int:
+        return 0
 
 
-class _InternedHistories(_Histories):
-    """One exact enumeration's histories as small int ids, in order of first sight, and its memo.
-
-    ``memo`` maps a key to (id, what the party returned there), so a lookup
-    hashes a tape only in round one and then an id and one round's item,
-    never a whole history.  A history is kept as the first-seen of equal
-    ones.
-    """
-
-    def __init__(self) -> None:
-        self.memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
-        self.histories: List[Tuple[Any, ...]] = []
-
-    def add(self, key: Tuple[Any, ...]) -> Tuple[int, Tuple[Any, ...]]:
-        histories = self.histories
-        h = key[2] if len(key) == 3 else histories[key[0]] + (key[1],)
-        histories.append(h)
-        return len(histories) - 1, h
-
-    def hash(self, items: Tuple[Any, ...]) -> None:
-        hash(items)
-
-
-_SINGLE_RUN = _Histories()
+_SINGLE_RUN = _NoMemo()
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +274,19 @@ def _replay_interactive(
     xs: List[int],
     rounds: int,
     tapes: Sequence[Any],
-    table: _Histories = _SINGLE_RUN,
+    memo: Any = _SINGLE_RUN,
 ) -> Tuple[Any, CuratorView]:
     """One run on fixed tapes, with ``_check_interactive``'s bits.
 
-    With an enumeration's ``table``, each answer is looked up and stored
-    under its party's key, once per (party, tape, queries so far), as
-    ``InteractiveParty`` describes.
+    With an enumeration's ``memo``, laid out as described above
+    ``_NoMemo``, each answer is looked up and stored under its party's key,
+    once per (party, tape, queries so far), as ``InteractiveParty``
+    describes.
     """
     n = len(xs)
-    memo = table.memo
     answer_hist: Tuple[Tuple[Any, ...], ...] = ()
     query_hist: Tuple[Tuple[Any, ...], ...] = ()
-    h: List[Any] = [None] * n  # each party's id
+    prev: List[Any] = [(None, ())] * n  # each party's previous entry; before round one, an empty one
     for j in range(1, rounds + 1):
         qs = tuple(curator.query(j, answer_hist))
         if len(qs) != n:
@@ -321,13 +294,13 @@ def _replay_interactive(
         query_hist += (qs,)
         answers = []
         for i in range(n):
-            key = (i, tapes[i], (qs[i],)) if j == 1 else (h[i], qs[i])
+            key = (i, tapes[i], (qs[i],)) if j == 1 else (prev[i][0], qs[i])
             entry = memo.get(key)
             if entry is None:
-                k, queries = table.add(key)
-                entry = memo[key] = (k, parties[i].answer(xs[i], queries, tapes[i]))
-            h[i], a = entry
-            answers.append(a)
+                queries = prev[i][1] + (qs[i],)
+                entry = memo[key] = (len(memo), queries, parties[i].answer(xs[i], queries, tapes[i]))
+            prev[i] = entry
+            answers.append(entry[2])
         answer_hist += (tuple(answers),)
     view = CuratorView(answers=answer_hist, queries=query_hist)
     return curator.output(view), view
@@ -356,10 +329,12 @@ def run_interactive(
     """Run an interactive local protocol for the given number of rounds.
 
     Each round has two phases: the curator queries every party, then every
-    party answers.  Tapes are drawn once, before the first round.
+    party answers.  The input, party count and ``rounds`` are checked first;
+    then the tapes are drawn once, before the first round.
     """
+    xs = _check_interactive(parties, x, rounds)
     tapes = [p.draw_tape(rng) for p in parties]
-    return run_interactive_with_tapes(parties, curator, x, rounds, tapes)
+    return _replay_interactive(parties, curator, xs, rounds, tapes)
 
 
 def enumerate_interactive(
@@ -373,16 +348,16 @@ def enumerate_interactive(
     Returns ``{view.answers: (probability, output)}``.  Requires every party to
     declare a finite ``tape_space``.  The input, party count and ``rounds`` are
     checked once; every joint tape is then replayed, each party once per
-    (tape, history) through one ``_InternedHistories`` for the call, and each
-    run's probability is added to its view's with one hash of the view, in
+    (tape, history) through one memo for the call, and each run's
+    probability is added to its view's with one hash of the view, in
     ``joint_tapes`` order.
     """
     xs = _check_interactive(parties, x, rounds)
     spaces = [None if party.tape_space is None else party.tape_space() for party in parties]
-    table = _InternedHistories()
+    memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
     out: Dict[Tuple, List[Any]] = {}  # each view's [probability, output]
     for tapes, prob in joint_tapes(spaces):
-        output, view = _replay_interactive(parties, curator, xs, rounds, tapes, table)
+        output, view = _replay_interactive(parties, curator, xs, rounds, tapes, memo)
         out.setdefault(view.answers, [0.0, output])[0] += prob
     return {answers: (prob, output) for answers, (prob, output) in out.items()}
 

@@ -808,6 +808,38 @@ class _LastRoundList(Protocol):
         return len(received[0])
 
 
+class _FirstSeen(Protocol):
+    """Two parties, three rounds; party 0's tape is 0 or 1 and party 1's is None.
+
+    Party 0 sends party 1 the equal symbols 1 (tape 0) or True (tape 1) in
+    round 1, then its tape, which differs, in rounds 2 and 3.  Party 1
+    records the type of the round-1 symbol it receives in round 3 and at its
+    output, and outputs the last symbol.
+    """
+
+    n, rounds, output_party = 2, 3, 1
+
+    def __init__(self):
+        self.seen = []
+
+    def channels(self):
+        return frozenset({(0, 1)})
+
+    def tape_space(self, i):
+        return [(0, 0.5), (1, 0.5)] if i == 0 else [(None, 1.0)]
+
+    def send(self, i, x_i, tape, rnd, received):
+        if i == 1:
+            if rnd == 3:
+                self.seen.append(type(received[0][0][1]))
+            return {}
+        return {1: (True if tape else 1) if rnd == 1 else tape}
+
+    def output(self, x_i, tape, received):
+        self.seen.append(type(received[0][0][1]))
+        return received[-1][0][1]
+
+
 def _counted(parties, calls):
     """The parties, each recording (party, tape, queries) on every ``answer`` call."""
     def wrap(i, party):
@@ -898,6 +930,17 @@ class TestPerCallCaches:
                 compile_to_local(_CountingExchange(listed=True), topo).output_distribution(bits)
             assert type(original.value) is type(compiled.value) is TypeError
             assert str(original.value) == str(compiled.value) == "unhashable type: 'list'"
+
+    @pytest.mark.parametrize("enumerate_fn", [output_distribution, enumerate_executions], ids=["outputs", "executions"])
+    def test_a_miss_receives_the_first_seen_history(self, enumerate_fn):
+        # on tape 1 party 1 hits in round 2, on the history holding tape 0's 1, and misses in round 3
+        p, x = _FirstSeen(), [1, 0]
+        topo = fixture_topology(p)
+        assert run_protocol_with_tapes(p, topo, x, [1, None]).output == 1
+        assert p.seen == [bool, bool]  # a single run hands over its own symbol
+        p.seen.clear()
+        assert len(enumerate_fn(p, topo, x)) == 2
+        assert p.seen == [int, int, int, int]
 
     def test_equal_symbols_share_an_entry(self):
         # 1 and True compare and hash equal, so a history holding either is sent on once

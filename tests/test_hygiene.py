@@ -224,9 +224,9 @@ def _calls(name):
     return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
 
 
-def _reads_send(node) -> bool:
-    """Whether a node reads a ``.send`` attribute, as a call or an alias does."""
-    return isinstance(node, ast.Attribute) and node.attr == "send"
+def _reads(attr):
+    """Whether a node reads the attribute ``attr``, as a call or an alias does."""
+    return lambda node: isinstance(node, ast.Attribute) and node.attr == attr
 
 
 def _execution_builders():
@@ -248,12 +248,32 @@ def test_only_one_function_builds_an_execution():
     ids=["nested", "alias-in-method", "bare-name-and-other-attribute"],
 )
 def test_send_readers_are_found(source, found):
-    assert _outermost_users(ast.parse(source), _reads_send) == found
+    assert _outermost_users(ast.parse(source), _reads("send")) == found
 
 
 def test_only_the_checked_sends_call_send():
-    assert _users(_reads_send) == {"distributed._checked_sends", "distributed.consistent_probability"}, (
+    assert _users(_reads("send")) == {"distributed._checked_sends", "distributed.consistent_probability"}, (
         "call Protocol.send through distributed._checked_sends, which checks the receivers"
+    )
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("def f():\n    return [p.answer(1, (), None) for p in ps]\n", {"f"}),
+        ("class C:\n    def m(self):\n        answer = self.party.answer\n        return answer\n", {"m"}),
+        ("def f(answer):\n    return answer(1)\n\ndef g():\n    return view.answers\n", set()),
+    ],
+    ids=["comprehension", "alias-in-method", "bare-name-and-other-attribute"],
+)
+def test_answer_readers_are_found(source, found):
+    assert _outermost_users(ast.parse(source), _reads("answer")) == found
+
+
+def test_only_the_interactive_replay_calls_answer():
+    # with the .send guard, a third replay loop of either model fails here
+    assert _users(_reads("answer")) == {"local_model._replay_interactive"}, (
+        "call InteractiveParty.answer through local_model._replay_interactive"
     )
 
 

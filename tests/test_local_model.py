@@ -402,6 +402,53 @@ class TestInteractive:
             enumerate_interactive(parties, curator, [0, 2], 1)
         assert seen == []
 
+    @pytest.mark.parametrize(
+        "n,x,rounds,match",
+        [
+            (2, [0, 2], 1, "must be 0 or 1"),
+            (3, [1, 0], 1, "one party program per input bit"),
+            (2, [1, 0], 0, "rounds must be at least 1"),
+        ],
+        ids=["non-bit-input", "party-count", "zero-rounds"],
+    )
+    def test_bad_call_raises_before_any_draw(self, n, x, rounds, match):
+        parties = [flip_party([flip_bias_for(1.0)])] * n
+        curator = Curator(query=lambda j, hist: (None,) * n, output=lambda view: None)
+        rng = derive_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            run_interactive(parties, curator, x, rounds, rng)
+        assert rng.bit_generator.state == before
+
+    def test_a_miss_receives_the_first_seen_queries(self):
+        # party 0 answers its tape, 0 then 1; the curator asks party 1 the equal 1 or True in round 2
+        # and party 0's answer in round 3, so on tape 1 party 1 hits in round 2 and misses in round 3
+        seen = []
+
+        def record(x_i, queries, tape):
+            if len(queries) == 3:
+                seen.append(type(queries[1]))
+            return tape
+
+        def query(j, hist):
+            if j == 1:
+                return (None, None)
+            answer = hist[0][0]
+            return (None, (True if answer else 1) if j == 2 else answer)
+
+        parties = [
+            InteractiveParty(answer=lambda x_i, queries, tape: tape, tape_space=lambda: [(0, 0.5), (1, 0.5)]),
+            InteractiveParty(answer=record, tape_space=lambda: [(None, 1.0)]),
+        ]
+        curator = Curator(query=query, output=lambda view: view.answers[-1][0])
+        run_interactive_with_tapes(parties, curator, [1, 0], 3, [1, None])
+        assert seen == [bool]  # a single run hands over its own query
+        seen.clear()
+        assert enumerate_interactive(parties, curator, [1, 0], 3) == {
+            ((0, None), (0, None), (0, None)): (0.5, 0), ((1, None), (1, None), (1, None)): (0.5, 1)
+        }
+        assert seen == [int, int]
+
     def test_curator_query_count_enforced(self):
         parties = [InteractiveParty(answer=lambda x, q, t: x)] * 2
         curator = Curator(query=lambda j, hist: (None,), output=lambda view: None)

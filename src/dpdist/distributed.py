@@ -215,12 +215,13 @@ class Protocol:
     """Base class for fixed-communication synchronous protocols.
 
     Subclasses fix ``n`` and ``rounds``, declare their channels, and define
-    per-party behaviour through ``send``.  A party's behaviour must be a
-    deterministic function of (party, input bit, tape, round, messages
-    received in earlier rounds); all randomness lives in the tape, drawn
-    once before round one.  ``received`` is a tuple with one entry per
-    completed round, each a tuple of (sender, symbol) pairs sorted by
-    sender.
+    per-party behaviour through ``send``.  A run may send on declared
+    channels only, and must use each of them in some round and direction.
+    A party's behaviour must be a deterministic function of (party, input
+    bit, tape, round, messages received in earlier rounds); all randomness
+    lives in the tape, drawn once before round one.  ``received`` is a tuple
+    with one entry per completed round, each a tuple of (sender, symbol)
+    pairs sorted by sender.
 
     The protocol output must be computable from the output party's own
     view, so the curator compiler can have that party announce it.
@@ -228,13 +229,14 @@ class Protocol:
     Exact enumeration memoizes on (party, tape, ``received``), whose length
     gives the round: it calls ``send`` once per distinct triple, and
     ``output`` once per (tape, ``received``) after the last round, and
-    reuses the results.  Tapes and histories compare by value, so ones that
-    compare equal (1, 1.0 and True; 0.0 and -0.0) must get the same sends
-    and output, as equal symbols already merge into one transcript; the
-    party receives the first-seen of equal histories.  Tapes and symbols,
-    the last round's included, must hash: a list, say, raises ``TypeError``
-    from every exact enumeration, while a single run keeps no memo and
-    accepts it.
+    reuses the results; whether a run used every declared channel is
+    checked on that run's own sends.  Tapes and histories compare by value,
+    so ones that compare equal (1, 1.0 and True; 0.0 and -0.0) must get the
+    same sends and output, as equal symbols already merge into one
+    transcript; the party receives the first-seen of equal histories.  Tapes
+    and symbols, the last round's included, must hash: a list, say, raises
+    ``TypeError`` from every exact enumeration, while a single run keeps no
+    memo and accepts it.
     """
 
     n: int = 0
@@ -305,53 +307,46 @@ class Execution:
 
 def _check_run(
     protocol: Protocol, topology: Topology, x: Bits
-) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], FrozenSet[Tuple[int, int]], List[set]]]:
+) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], FrozenSet[Tuple[int, int]]]]:
     """Checks that depend on (protocol, topology, input) only, made once per call.
 
     Returns the validated input bits, and what every replay on these three
-    reads: the bits as Python ints, then the declared channels and each
-    party's declared neighbours as ``_declared`` returns them.
+    reads: the bits as Python ints and the declared channels.
     """
     bits = as_bits(x)
     if bits.size != protocol.n:
         raise ValueError("protocol, topology, and input sizes must agree")
-    return bits, (tuple(bits.tolist()), *_declared(protocol, topology))
+    return bits, (tuple(bits.tolist()), _declared(protocol, topology))
 
 
-def _declared(protocol: Protocol, topology: Topology) -> Tuple[FrozenSet[Tuple[int, int]], List[set]]:
-    """The protocol's declared channels, which must lie in the topology, and each party's declared neighbours."""
+def _declared(protocol: Protocol, topology: Topology) -> FrozenSet[Tuple[int, int]]:
+    """The protocol's declared channels, which must lie in the topology."""
     if topology.n != protocol.n:
         raise ValueError("protocol, topology, and input sizes must agree")
     declared = protocol.channels()
     if not declared <= topology.channels:
         raise ValueError("protocol uses channels missing from the topology")
-    neighbours: List[set] = [set() for _ in range(protocol.n)]
-    for a, b in declared:  # normalized and in range, as the topology's pairs are
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    return declared, neighbours
+    return declared
 
 
 def _checked_sends(
     protocol: Protocol, i: int, x_i: int, tape: Any, rnd: int, received: Tuple[Tuple, ...],
-    declared: FrozenSet[Tuple[int, int]], neighbours: List[set],
+    declared: FrozenSet[Tuple[int, int]],
 ) -> Tuple[Tuple[int, Any], ...]:
     """Party ``i``'s round-``rnd`` sends as sorted (receiver, symbol) pairs; raises on the first undeclared receiver."""
-    sends = protocol.send(i, x_i, tape, rnd, received)
-    if sends and not sends.keys() <= neighbours[i]:
-        for receiver in sorted(sends):
-            if _norm_pair(i, receiver) not in declared:
-                raise ObliviousnessViolationError(f"round {rnd}: undeclared channel {i}->{receiver}")
-    return tuple(sorted(sends.items()))
+    sent = tuple(sorted(protocol.send(i, x_i, tape, rnd, received).items()))
+    for receiver, _ in sent:
+        if _norm_pair(i, receiver) not in declared:
+            raise ObliviousnessViolationError(f"round {rnd}: undeclared channel {i}->{receiver}")
+    return sent
 
 
-def _channels(sends: Iterable[Tuple[int, Iterable[Tuple[int, Any]]]]) -> FrozenSet[Tuple[int, int]]:
-    """The normalized channels of (sender, ``_checked_sends`` pairs) items, which hold no self-send."""
-    return frozenset([(i, r) if i < r else (r, i) for i, sent in sends for r, _ in sent])
-
-
-def _check_all_used(used: FrozenSet[Tuple[int, int]], declared: FrozenSet[Tuple[int, int]]) -> None:
-    """Raise unless a run's ``used`` channels are every declared one."""
+def _check_all_used(rounds: Sequence[Sequence[Tuple]], declared: FrozenSet[Tuple[int, int]]) -> None:
+    """Raise unless a run uses every declared channel; each of its ``rounds`` is one ``_checked_sends`` tuple per party."""
+    # a round of 2|declared| checked sends goes both ways on every channel
+    if 2 * len(declared) in [sum(map(len, sends)) for sends in rounds]:
+        return
+    used = {(i, r) if i < r else (r, i) for sends in rounds for i, sent in enumerate(sends) for r, _ in sent}
     if used != declared:
         raise ObliviousnessViolationError(f"declared channels never used: {sorted(declared - used)}")
 
@@ -369,7 +364,6 @@ def _replay(
     protocol: Protocol,
     xs: Tuple[int, ...],
     declared: FrozenSet[Tuple[int, int]],
-    neighbours: List[set],
     record: bool,
     tapes: Sequence[Any],
     memo: Any = _SINGLE_RUN,
@@ -384,10 +378,10 @@ def _replay(
     key, once per (party, tape, history), as ``Protocol`` describes, and the
     output under the output party's key after the last round, which keys no
     send.  A stored send has passed the receiver checks, which depend on it
-    alone.
+    alone; whether the run used every channel is checked on every run.
     """
     n = len(xs)
-    prev: List[Any] = [(None, (), (), frozenset())] * n  # each party's previous entry; before round one, an empty one
+    prev: List[Any] = [(None, ())] * n  # each party's previous entry; before round one, an empty one
     history = []
     inboxes = None
     for rnd in range(1, protocol.rounds + 1):
@@ -397,14 +391,14 @@ def _replay(
             entry = memo.get(key)
             if entry is None:
                 received = prev[i][1] if inboxes is None else prev[i][1] + (inboxes[i],)
-                sent = _checked_sends(protocol, i, xs[i], tapes[i], rnd, received, declared, neighbours)
-                entry = memo[key] = (len(memo), received, sent, prev[i][3] | _channels([(i, sent)]))
+                sent = _checked_sends(protocol, i, xs[i], tapes[i], rnd, received, declared)
+                entry = memo[key] = (len(memo), received, sent)
             prev[i] = entry
             sends.append(entry[2])
         history.append(sends)
         # round-rnd sends reach a party's history only after every party has sent
         inboxes = _deliver(n, sends)
-    _check_all_used(frozenset().union(*[entry[3] for entry in prev]), declared)
+    _check_all_used(history, declared)
     p = protocol.output_party
     if inboxes is None:
         key = (p, tapes[p], ())
@@ -474,13 +468,13 @@ def _tape_distribution(
     ``inputs`` are the bits as Python ints.  With ``key`` None the runs are
     keyed by their output and unrecorded.
     """
-    _, (xs, declared, neighbours) = _check_run(protocol, topology, x)
+    _, (xs, declared) = _check_run(protocol, topology, x)
     spaces = [protocol.tape_space(i) for i in range(protocol.n)]
     record = key is not None
     memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
     out: Dict[Any, List[float]] = {}  # each key's probability, in a cell
     for tapes, prob in local_model.joint_tapes(spaces):
-        output, _, transcript = _replay(protocol, xs, declared, neighbours, record, tapes, memo)
+        output, _, transcript = _replay(protocol, xs, declared, record, tapes, memo)
         out.setdefault(key(xs, tapes, transcript) if record else output, [0.0])[0] += prob
     return {k: cell[0] for k, cell in out.items()}
 
@@ -645,7 +639,7 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
     party answers.  A party's own error propagates as raised, and a topology
     of another size raises ``ValueError`` here.
     """
-    declared, neighbours = _declared(protocol, topology)
+    declared = _declared(protocol, topology)
     n = protocol.n
     ell = protocol.rounds
     out_party = protocol.output_party
@@ -657,9 +651,9 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
             # queries[r] holds the original round-r deliveries (queries[0]
             # is the empty kick-off), so earlier-round receipts are
             # queries[1:j].
-            received = tuple(queries[1:j])
+            received = queries[1:j]
             if j <= ell:
-                return _checked_sends(protocol, i, x_i, tape, j, received, declared, neighbours)
+                return _checked_sends(protocol, i, x_i, tape, j, received, declared)
             if i == out_party:
                 return ("output", protocol.output(x_i, tape, received))
             return ()
@@ -672,9 +666,8 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
         )
 
     def query(j: int, answer_hist: Tuple[Any, ...]) -> Sequence[Any]:
-        # a round in which every party sends to all its neighbours uses every channel
-        if j == ell + 1 and 2 * len(declared) not in [sum(map(len, answers)) for answers in answer_hist]:
-            _check_all_used(_channels(chain.from_iterable(map(enumerate, answer_hist))), declared)
+        if j == ell + 1:
+            _check_all_used(answer_hist, declared)
         # round j delivers the round-(j-1) sends, none in round 1
         return _deliver(n, answer_hist[j - 2]) if j > 1 else nothing
 

@@ -467,7 +467,11 @@ def _compile_to_local(cfg: ExperimentConfig):
 def _lonely_parties(cfg: ExperimentConfig):
     params = _resolve(cfg, n=64, trials=100, t=None)
     n, trials, t = params["n"], params["trials"], params.pop("t")
-    t_values = params["t_values"] = [t] if t is not None else [1, 3, 7]
+    if t is not None and t >= n:  # checked before any topology is drawn
+        raise ValueError(f"t: expected a non-negative integer below n={n}, got {t!r}")
+    t_values = params["t_values"] = [t] if t is not None else [v for v in (1, 3, 7) if v < n]
+    if not t_values:
+        raise ValueError(f"t: none of the default values 1, 3 and 7 lies below n={n}; set t to 0")
     rows: List[Row] = []
     idx = 0
     for t in t_values:

@@ -31,14 +31,16 @@ def fixture_topology(protocol: Protocol) -> Topology:
 class RelayProtocol(FlipTapeProtocol):
     """Two parties, one round: party 0 sends its (noisy) bit to party 1.
 
-    Party 1 outputs the received bit.  With ``keep_prob=1`` this is plain
-    forwarding.
+    Party 1 outputs the received bit.  ``keep_prob`` must lie in [0, 1];
+    at 1 this is plain forwarding.
     """
 
     def __init__(self, keep_prob: float = 1.0):
         self.n = 2
         self.rounds = 1
         self.output_party = 1
+        if not 0.0 <= keep_prob <= 1.0:
+            raise ValueError(f"keep_prob must lie in [0, 1]; got {keep_prob!r}")
         self.keep_prob = keep_prob
 
     def channels(self) -> FrozenSet[Tuple[int, int]]:

@@ -51,8 +51,7 @@ __all__ = [
 # An entry is (id, history, result): the id is the memo's size when the
 # entry is stored, and on a miss the history is the previous entry's plus
 # this round's item, so the party receives the first-seen of equal
-# histories.  The engine's send entries hold, fourth, the channels the party
-# has used so far.
+# histories.
 
 
 class _NoMemo:

@@ -673,6 +673,61 @@ class TestPerTapeChannelChecks:
             assert type(caught.value) is error and str(caught.value) == message
 
 
+class _SendsOnKeep(Protocol):
+    """Two parties, one round, channel (0, 1): each sends its bit to the other on tape True only; tapes are fair."""
+
+    n, rounds, output_party = 2, 1, 1
+
+    def channels(self):
+        return frozenset({(0, 1)})
+
+    def tape_space(self, i):
+        return [(True, 0.5), (False, 0.5)]
+
+    def send(self, i, x_i, tape, rnd, received):
+        return {1 - i: x_i} if tape else {}
+
+    def output(self, x_i, tape, received):
+        return received
+
+
+def test_an_unused_channel_is_caught_in_a_run_of_memo_hits():
+    # (True, False) stores party 1's silent send and (False, True) party 0's, each in a clean run, so the
+    # last joint tape, (False, False), is made only of stored sends and is the one run that leaves (0, 1) unused
+    protocol, topo, x = _SendsOnKeep(), complete_topology(2), [1, 0]
+    spaces = [protocol.tape_space(i) for i in range(2)]
+    assert [tapes for tapes, _ in joint_tapes(spaces)] == [(True, True), (True, False), (False, True), (False, False)]
+    for tapes in [(True, True), (True, False), (False, True)]:
+        run_protocol_with_tapes(protocol, topo, x, tapes)
+    message = "declared channels never used: [(0, 1)]"
+    for run in (
+        lambda: run_protocol_with_tapes(protocol, topo, x, [False, False]),
+        lambda: output_distribution(protocol, topo, x),
+        lambda: enumerate_executions(protocol, topo, x),
+        lambda: coalition_view_distribution(protocol, topo, x, [1]),
+        lambda: compile_to_local(protocol, topo).enumerate(x),
+        lambda: compile_to_local(protocol, topo).output_distribution(x),
+    ):
+        with pytest.raises(ObliviousnessViolationError) as caught:
+            run()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("keep_prob", [1.5, -0.2, math.nan])
+def test_relay_rejects_a_keep_prob_outside_the_unit_interval(keep_prob):
+    # each would give its tapes probabilities outside [0, 1], so distributions whose mass is not 1
+    with pytest.raises(ValueError, match=r"^keep_prob must lie in \[0, 1\]"):
+        RelayProtocol(keep_prob)
+
+
+@pytest.mark.parametrize("keep_prob, output", [(0.0, 0), (1.0, 1)])
+def test_relay_takes_either_end_of_the_unit_interval(keep_prob, output):
+    p = RelayProtocol(keep_prob)
+    topo = fixture_topology(p)
+    assert output_distribution(p, topo, [1, 0]) == {output: 1.0}
+    assert compile_to_local(p, topo).output_distribution([1, 0]) == {output: 1.0}
+
+
 class _TwoFaults(Protocol):
     """Three parties, one round, declared channels (0, 1) and (1, 2).
 

@@ -27,6 +27,7 @@ from dpdist.experiments import (
     _resolve,
     _rr_runs,
     _window_minima,
+    run_rows,
 )
 from dpdist.local_model import randomized_response_sum, rr_debias, rr_estimate_batch, rr_report_counts
 from dpdist.mechanisms import flip_bias_for
@@ -270,3 +271,27 @@ def test_knob_check_names_the_knob(knob, value, what):
 def test_knob_check_accepts_numbers(knob, value, expected):
     params = _resolve(ExperimentConfig(experiment="dist-alpha", **{knob: value}), **{knob: None})
     assert params[knob] == expected and type(params[knob]) is type(expected)
+
+
+@pytest.mark.parametrize("n, t_values", [(2, [1]), (4, [1, 3]), (7, [1, 3]), (8, [1, 3, 7])])
+def test_lonely_parties_defaults_keep_the_t_values_below_n(n, t_values):
+    params, rows = run_rows(ExperimentConfig(experiment="lonely-parties", n=n, trials=3))
+    assert params["t_values"] == t_values
+    assert [value for _, metric, value in rows if metric == "t"] == [t for t in t_values for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_lonely_parties_rejects_t_of_n_before_any_draw(n, seed):
+    # the check comes before random_topology draws, so no seed can hit its channel-count check first
+    for t in (n, n + 1):
+        message = f"t: expected a non-negative integer below n={n}, got {t}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_rows(ExperimentConfig(experiment="lonely-parties", n=n, t=t, seed=seed, trials=3))
+
+
+def test_lonely_parties_needs_a_t_at_one_party():
+    with pytest.raises(ValueError, match="^t: "):
+        run_rows(ExperimentConfig(experiment="lonely-parties", n=1, trials=3))
+    params, rows = run_rows(ExperimentConfig(experiment="lonely-parties", n=1, t=0, trials=3))
+    assert params["t_values"] == [0] and len(rows) == 12

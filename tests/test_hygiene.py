@@ -277,6 +277,13 @@ def test_only_the_interactive_replay_calls_answer():
     )
 
 
+def test_only_the_two_replays_check_that_every_channel_is_used():
+    # a third used-channel mechanism, such as a verdict cached on memo entries, fails here
+    assert _users(_calls("_check_all_used")) == {"distributed._replay", "distributed.compile_to_local"}, (
+        "check that a run used every declared channel through distributed._check_all_used, once per run"
+    )
+
+
 def test_only_the_channel_checks_raise_obliviousness_violations():
     assert _users(_calls("ObliviousnessViolationError")) == {
         "distributed._checked_sends", "distributed._check_all_used"

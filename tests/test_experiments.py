@@ -4,9 +4,11 @@ The chunked randomized-response runs against the per-call loop they
 replace, ``phase-transition``'s chunked pass against the whole-array draws
 it replaces, ``dist-alpha``'s grid kernel against the exact window
 weights, the chi-squared rows against ``scipy.stats.chi2_contingency``,
-and the knob checks against the values each knob must reject or accept.
+their cephes p-value port against ``scipy.special.chdtrc``, and the knob
+checks against the values each knob must reject or accept.
 """
 
+import math
 import re
 import tracemalloc
 
@@ -19,6 +21,7 @@ from dpdist.core import _window_sums, as_bits, min_window_weight, min_window_wei
 from dpdist.experiments import (
     _BATCH,
     ExperimentConfig,
+    _chdtrc,
     _chi2_rows,
     _chunks,
     _fair_bits,
@@ -196,22 +199,83 @@ def test_window_minima_memory():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("k", range(1, 26))
+def _assert_chi2_rows_equal_scipy(table):
+    chi2, pvalue, _, _ = scipy_stats.chi2_contingency(table[:, table.any(axis=0)])
+    assert _chi2_rows(3, table) == [
+        (3, "chi2_stat", float(chi2)),
+        (3, "chi2_pvalue", float(pvalue)),
+        (3, "reject_at_0.001", float(pvalue < 0.001)),
+    ]
+    return chi2
+
+
+@pytest.mark.parametrize("k", [*range(1, 26), 41, 42, 60])
 def test_chi2_rows_equal_scipy_bit_for_bit(k):
     # k = 1 (or one non-empty column) has no degree of freedom; k = 2 takes
-    # Yates' correction; all-zero columns are dropped before either test runs
+    # Yates' correction; all-zero columns are dropped before either test runs.
+    # The wide tables keep every column, so that their dof is k - 1: 40 at
+    # k = 41, the last that _chdtrc computes, and past 40 at k = 42 and 60,
+    # where the p-value is scipy's chdtrc
     rng = np.random.default_rng([12, k])
     for top in (10, 1000, 10**6):
         for _ in range(30):
             table = rng.integers(0, top, size=(2, k), endpoint=True)
-            table[:, rng.random(k) < 0.2] = 0
+            if k <= 25:
+                table[:, rng.random(k) < 0.2] = 0
             table[:, 0] += 1  # no empty row
-            chi2, pvalue, _, _ = scipy_stats.chi2_contingency(table[:, table.any(axis=0)])
-            assert _chi2_rows(3, table) == [
-                (3, "chi2_stat", float(chi2)),
-                (3, "chi2_pvalue", float(pvalue)),
-                (3, "reject_at_0.001", float(pvalue < 0.001)),
-            ]
+            _assert_chi2_rows_equal_scipy(table)
+
+
+@pytest.mark.parametrize("k, size", [(2, 10), (3, 4), (41, 100), (42, 100)])
+def test_chi2_rows_equal_scipy_bit_for_bit_at_the_route_edges(k, size):
+    # _chi2_rows computes the p-value at dof <= 40 and chi2 > 2.2 and takes
+    # scipy's chdtrc elsewhere.  Columns of 1 to `size` counts split
+    # binomially give dof k - 1 and chi2 near it: on both sides of 2.2 at
+    # k = 2 and 3, and at k = 41 and 42 dof 40, the last that _chdtrc
+    # computes, and dof 41, where cephes' asymptotic series takes over
+    # around x = a
+    rng = np.random.default_rng([13, k])
+    chi2 = []
+    for _ in range(100):
+        totals = rng.integers(1, size, k, endpoint=True)
+        top = rng.binomial(totals, 0.5)
+        table = np.array([top, totals - top])
+        table[:, 0] += 1  # no empty row
+        chi2.append(_assert_chi2_rows_equal_scipy(table))
+    assert max(chi2) > 2.2
+    if k <= 3:
+        assert min(chi2) <= 2.2
+
+
+def _float_neighbours(v, ulps=4):
+    """v and the ``ulps`` floats on each side of it."""
+    down, up = [v], [v]
+    for _ in range(ulps):
+        down.append(math.nextafter(down[-1], 0.0))
+        up.append(math.nextafter(up[-1], math.inf))
+    return down[:0:-1] + up
+
+
+def test_chdtrc_port_equals_scipy_bit_for_bit():
+    """``_chdtrc`` is ``scipy.special.chdtrc`` under == on its whole domain, dof <= 40 and chi2 > 2.2.
+
+    Each dof gets a seeded log-uniform chi2 grid over (2.2, 5e6] and the
+    float neighbours of cephes' branch points: x = chi2 / 2 = 1.1, x = a
+    (series or continued fraction) and |a - x| = 0.4a (igam_fac's log or
+    Lanczos form), with a = dof / 2.
+    """
+    from scipy.special import chdtrc
+
+    rng = np.random.default_rng(33)
+    mismatches = []
+    for dof in range(1, 41):
+        grid = np.exp(rng.uniform(math.log(2.2), math.log(5e6), 1000)).tolist() + [5e6]
+        for point in (2.2, 0.6 * dof, dof, 1.4 * dof):
+            grid += _float_neighbours(point)
+        grid = [chi2 for chi2 in grid if chi2 > 2.2]
+        expected = chdtrc(dof, grid).tolist()
+        mismatches += [(dof, c, e) for c, e in zip(grid, expected) if _chdtrc(dof, c) != e]
+    assert mismatches == []
 
 
 @pytest.mark.parametrize(

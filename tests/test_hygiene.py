@@ -7,9 +7,10 @@ may import a name it never uses (``__init__.py`` imports only to re-export,
 so it is exempt from that check too).  Importing the package and its CLI loads numpy and
 the stdlib only, and not ``concurrent.futures``, which the batched
 experiments load on their first run.  The chi-squared rows hold the
-package's only scipy import, of ``scipy.special`` alone: it loads on the
-first experiment that runs a chi-squared test, ``scipy.stats`` never loads,
-and the CSVs are the same bytes in a process that has ``scipy.stats``.
+package's only scipy import, of ``scipy.special`` alone: it loads only for
+a table outside their own p-value's domain (dof past 40 or chi2 at most
+2.2), which no benchmark table is, ``scipy.stats`` never loads, and the
+CSVs are the same bytes in a process that has ``scipy.stats``.
 Only ``distributed._execution`` calls ``Execution(``.  Only
 ``distributed._checked_sends`` and the transcript oracle
 ``distributed.consistent_probability`` read ``.send``, and only
@@ -36,10 +37,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpdist.cli import run_experiment
-from dpdist.experiments import ExperimentConfig
+from dpdist.experiments import ExperimentConfig, _chi2_rows
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "dpdist"
@@ -410,31 +412,65 @@ def test_import_loads_numpy_and_stdlib_only():
 
 CHI2_CONFIGS = [
     dict(experiment="symmetry", n=40, trials=300, seed=5),
-    dict(experiment="rr-distributed", n=6, trials=300, seed=5),
+    dict(experiment="rr-distributed", n=6, trials=300, seed=5),  # its table's chi2 is 0.33, below 2.2
 ]
+# the benchmark's chi-squared jobs at seed 1 (bench/workloads.py)
+BENCH_CHI2_CONFIGS = [
+    dict(experiment="symmetry", n=100, trials=2500, seed=1100),
+    dict(experiment="rr-distributed", n=16, trials=1000, seed=1000),
+]
+DOF_41_TABLE = [list(range(1, 43)), list(range(42, 0, -1))]
+LOW_CHI2_TABLE = [[2, 5], [5, 2]]  # chi2 8/7 after Yates' correction
 
 
-def test_lazy_scipy_load_keeps_csv_bytes():
-    """A fresh interpreter loads scipy.special on its first chi-squared run and never scipy.stats.
+def _scipy_loads(steps):
+    """Run ``steps`` in a fresh interpreter; return (loaded, outputs).
 
-    Its CSVs match this process's, which has scipy.stats loaded.
+    A step is ("run", config kwargs), giving that run's CSV, or ("rows", a
+    table), giving its ``_chi2_rows(0, table)``.  ``loaded`` says whether
+    scipy.special and scipy.stats are loaded, before the steps and after each.
     """
     report = _fresh_python(
         "import json, sys\n"
+        "import numpy as np\n"
         "from dpdist.cli import run_experiment\n"
-        "from dpdist.experiments import ExperimentConfig\n"
+        "from dpdist.experiments import ExperimentConfig, _chi2_rows\n"
         "def loaded():\n"
         "    return ['scipy.special' in sys.modules, 'scipy.stats' in sys.modules]\n"
-        "seen = [loaded()]\n"
-        "texts = []\n"
-        f"for kw in {CHI2_CONFIGS!r}:\n"
-        "    texts.append(run_experiment(ExperimentConfig(**kw)))\n"
+        "seen, out = [loaded()], []\n"
+        f"for kind, arg in {steps!r}:\n"
+        "    out.append(run_experiment(ExperimentConfig(**arg)) if kind == 'run' else _chi2_rows(0, np.array(arg)))\n"
         "    seen.append(loaded())\n"
-        "print(json.dumps({'seen': seen, 'texts': texts}))\n"
+        "print(json.dumps({'seen': seen, 'out': out}))\n"
     )
-    assert report["seen"] == [[False, False], [True, False], [True, False]]
+    return report["seen"], report["out"]
+
+
+def _in_this_process(steps):
     importlib.import_module("scipy.stats")
-    assert report["texts"] == [run_experiment(ExperimentConfig(**kw)) for kw in CHI2_CONFIGS]
+    return [
+        run_experiment(ExperimentConfig(**arg)) if kind == "run" else [list(r) for r in _chi2_rows(0, np.array(arg))]
+        for kind, arg in steps
+    ]
+
+
+def test_lazy_scipy_load_keeps_csv_bytes():
+    """scipy.special loads only for a chi-squared table past dof 40 or at chi2 <= 2.2, and scipy.stats never.
+
+    In a fresh interpreter the benchmark's chi-squared jobs and the
+    ``symmetry`` config load neither; a dof-41 table then loads
+    scipy.special.  In a second one, a 2x2 table with chi2 <= 2.2 loads it.
+    The CSVs and rows match this process's, which has scipy.stats loaded.
+    """
+    first = [("run", kw) for kw in BENCH_CHI2_CONFIGS + CHI2_CONFIGS[:1]]
+    first += [("rows", DOF_41_TABLE), ("run", CHI2_CONFIGS[1])]
+    seen, out = _scipy_loads(first)
+    assert seen == [[False, False]] * 4 + [[True, False]] * 2
+    assert out == _in_this_process(first)
+    second = [("rows", LOW_CHI2_TABLE)]
+    seen, out = _scipy_loads(second)
+    assert seen == [[False, False], [True, False]]
+    assert out == _in_this_process(second)
 
 
 def _scipy_imports(tree: ast.Module):

@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-from .experiments import EXPERIMENTS, ExperimentConfig, run_rows
+from .experiments import EXPERIMENTS, ExperimentConfig, experiment_def, run_rows
 
 __all__ = ["main", "run_experiment", "list_experiments", "render_csv"]
 
@@ -143,11 +143,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        cfg = ExperimentConfig(**settings)
-        text = run_experiment(cfg)
+        experiment_def(settings["experiment"])
     except KeyError as exc:
         print(f"dpdist: {exc.args[0]}", file=sys.stderr)
         return 2
+    try:
+        cfg = ExperimentConfig(**settings)
+        text = run_experiment(cfg)
     except ValueError as exc:
         print(f"dpdist: invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -615,10 +615,7 @@ class CompiledLocalProtocol:
         return enumerate_interactive(self.parties, self.curator, x, self.rounds)
 
     def output_distribution(self, x: Bits) -> Dict[Any, float]:
-        dist: Dict[Any, float] = {}
-        for _, (prob, output) in self.enumerate(x).items():
-            dist[output] = dist.get(output, 0.0) + prob
-        return dist
+        return enumerate_interactive(self.parties, self.curator, x, self.rounds, by_output=True)
 
 
 def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalProtocol:

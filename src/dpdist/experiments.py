@@ -12,21 +12,47 @@ chunks taken in the order of one whole draw.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import os
 import sys
+import types
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from . import audit, distributed, fixtures, local_model, mechanisms
+from . import mechanisms
 from .core import min_window_weight, min_window_weight_gridded
 from .mechanisms import SensitivitySpec, flip_bias_for, laplace_mechanism
 from .seeding import derive_rng
 
-__all__ = ["ExperimentConfig", "ExperimentDef", "EXPERIMENTS", "run_rows"]
+__all__ = ["ExperimentConfig", "ExperimentDef", "EXPERIMENTS", "experiment_def", "run_rows"]
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """``dpdist.<name>``, registered now and executed when one of its attributes is first read.
+
+    The module goes into ``sys.modules`` and onto the package, so every
+    import form finds it; one already imported is returned as it is.  The
+    first read executes the module without a lock: it must happen on one
+    thread (see ``_batched``).  Building the registry reads none of these
+    modules, so ``import dpdist.cli`` and ``dpdist list`` execute none.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+audit, distributed, fixtures, local_model = map(_lazy, ["audit", "distributed", "fixtures", "local_model"])
 
 _BATCH = 1 << 16
 
@@ -138,7 +164,11 @@ def _batched(
     batch; numpy's samplers release the GIL.  Each batch draws from its own
     generator, so the results do not depend on the worker count.  ``fn``
     should return a batch's rows or counts, not its arrays, so that at most
-    one batch per worker holds arrays.
+    one batch per worker holds arrays.  ``fn`` must read only modules that
+    have already executed: the first read of a ``_lazy`` module executes it
+    unlocked, and on a pool thread another worker could read it half
+    executed.  The audit runners read ``audit`` in ``_planted``, on the
+    calling thread, and laplace-tails' batches use only ``mechanisms``.
     """
     sizes = [size for _, size in _chunks(trials, _BATCH)]
     rngs = [derive_rng(seed, b) for b in range(len(sizes))]
@@ -966,9 +996,14 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
 }
 
 
+def experiment_def(name: str) -> ExperimentDef:
+    """The registered experiment ``name``; ``KeyError`` naming the known ones if there is none."""
+    if name not in EXPERIMENTS:
+        known = ", ".join(sorted(EXPERIMENTS))
+        raise KeyError(f"unknown experiment {name!r}; known: {known}")
+    return EXPERIMENTS[name]
+
+
 def run_rows(cfg: ExperimentConfig) -> Tuple[Dict[str, Any], List[Row]]:
     """Resolve and run an experiment, returning (params, rows)."""
-    if cfg.experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(f"unknown experiment {cfg.experiment!r}; known: {known}")
-    return EXPERIMENTS[cfg.experiment].runner(cfg)
+    return experiment_def(cfg.experiment).runner(cfg)

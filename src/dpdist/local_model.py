@@ -341,24 +341,26 @@ def enumerate_interactive(
     curator: Curator,
     x: Bits,
     rounds: int,
-) -> Dict[Tuple, Tuple[float, Any]]:
+    by_output: bool = False,
+) -> Dict[Any, Any]:
     """Exact view distribution by enumerating all joint tape assignments.
 
-    Returns ``{view.answers: (probability, output)}``.  Requires every party to
-    declare a finite ``tape_space``.  The input, party count and ``rounds`` are
-    checked once; every joint tape is then replayed, each party once per
-    (tape, history) through one memo for the call, and each run's
-    probability is added to its view's with one hash of the view, in
-    ``joint_tapes`` order.
+    Returns ``{view.answers: (probability, output)}``, or with ``by_output``
+    ``{output: probability}``.  Requires every party to declare a finite
+    ``tape_space``.  The input, party count and ``rounds`` are checked once;
+    every joint tape is then replayed, each party once per (tape, history)
+    through one memo for the call, and each run's probability is added to
+    its view's (or output's) with one hash of the key, in ``joint_tapes``
+    order.
     """
     xs = _check_interactive(parties, x, rounds)
     spaces = [None if party.tape_space is None else party.tape_space() for party in parties]
     memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
-    out: Dict[Tuple, List[Any]] = {}  # each view's [probability, output]
+    out: Dict[Any, List[Any]] = {}  # each key's [probability, output]
     for tapes, prob in joint_tapes(spaces):
         output, view = _replay_interactive(parties, curator, xs, rounds, tapes, memo)
-        out.setdefault(view.answers, [0.0, output])[0] += prob
-    return {answers: (prob, output) for answers, (prob, output) in out.items()}
+        out.setdefault(output if by_output else view.answers, [0.0, output])[0] += prob
+    return {key: prob if by_output else (prob, output) for key, (prob, output) in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,19 @@ class TestConfigSchema:
 class TestErrors:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "--experiment", "nope"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        known = ", ".join(sorted(EXPERIMENTS))
+        assert capsys.readouterr().err == f"dpdist: unknown experiment 'nope'; known: {known}\n"
+
+    def test_runner_key_error_propagates(self, monkeypatch):
+        """A KeyError raised inside a run is a program fault, not an unknown experiment."""
+
+        def broken(cfg):
+            raise KeyError("missing")
+
+        broken_def = dataclasses.replace(EXPERIMENTS["rr-sum-error"], runner=broken)
+        monkeypatch.setitem(EXPERIMENTS, "rr-sum-error", broken_def)
+        with pytest.raises(KeyError, match="missing"):
+            main(["run", "--experiment", "rr-sum-error"])
 
     def test_invalid_param_names_field(self, capsys):
         assert main(["run", "--experiment", "rr-sum-error", "--trials", "-5"]) == 2

@@ -6,7 +6,11 @@ unused; an ``__init__.py`` re-export is not a use.  No module or test file
 may import a name it never uses (``__init__.py`` imports only to re-export,
 so it is exempt from that check too).  Importing the package and its CLI loads numpy and
 the stdlib only, and not ``concurrent.futures``, which the batched
-experiments load on their first run.  The chi-squared rows hold the
+experiments load on their first run.  It registers ``audit``,
+``distributed``, ``fixtures`` and ``local_model`` without executing them;
+each entry point executes only the ones it reads, each imports in every
+form, and the thread-pooled experiments give the same CSVs as their first
+run in a fresh interpreter.  The chi-squared rows hold the
 package's only scipy import, of ``scipy.special`` alone: it loads only for
 a table outside their own p-value's domain (dof past 40 or chi2 at most
 2.2), which no benchmark table is, ``scipy.stats`` never loads, and the
@@ -41,7 +45,7 @@ import numpy as np
 import pytest
 
 from dpdist.cli import run_experiment
-from dpdist.experiments import ExperimentConfig, _chi2_rows
+from dpdist.experiments import _BATCH, ExperimentConfig, _chi2_rows
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "dpdist"
@@ -392,22 +396,103 @@ def test_no_unused_imports_in_tests(name):
     assert _unused_imports(tree) == [], f"tests/{name} imports names it never uses"
 
 
+# The modules that `experiments` registers at import and executes on first
+# use, each after the ones it executes by importing from them.
+LAZY = ["local_model", "audit", "distributed", "fixtures"]
+# A fresh interpreter's `executed()`: which of LAZY have executed (type()
+# reads no attribute, so it loads nothing); KeyError if one is unregistered.
+EXECUTED = (
+    "import types\n"
+    "def executed():\n"
+    f"    return [m for m in {LAZY!r} if type(sys.modules['dpdist.' + m]) is types.ModuleType]\n"
+)
+
+
 def test_import_loads_numpy_and_stdlib_only():
+    """``import dpdist.cli`` loads numpy and the stdlib, and registers the LAZY modules without executing them."""
     report = _fresh_python(
         "import json, sys\n"
-        "before = set(sys.modules)\n"
+        + EXECUTED
+        + "before = set(sys.modules)\n"
         "import dpdist, dpdist.cli\n"
         "print(json.dumps({'file': dpdist.__file__,\n"
         "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
         "    'futures': 'concurrent.futures' in sys.modules,\n"
+        "    'executed': executed(),\n"
         "    'new': sorted({m.split('.')[0] for m in set(sys.modules) - before})}))\n"
     )
     assert Path(report["file"]).parent == SRC
     assert report["scipy"] == []
     assert not report["futures"], "import dpdist.cli loads concurrent.futures; the batched experiments load it"
+    assert report["executed"] == [], "import dpdist.cli executes modules the registry does not read"
     assert "numpy" in report["new"]
     foreign = [m for m in report["new"] if m not in ("dpdist", "numpy") and m not in sys.stdlib_module_names]
     assert foreign == [], f"import dpdist.cli loads third-party modules {foreign}"
+
+
+def test_entry_points_execute_only_the_modules_they_read():
+    """``dpdist list`` and a laplace-tails run execute no LAZY module; an rr-sum-error run only ``local_model``."""
+    report = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        + EXECUTED
+        + "from dpdist.cli import main\n"
+        "seen = []\n"
+        "for argv in (['list'], ['run', '--experiment', 'laplace-tails', '--trials', '2000'],\n"
+        "             ['run', '--experiment', 'rr-sum-error', '--n', '100', '--trials', '50']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    seen.append(executed())\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert report == [[], [], ["local_model"]]
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        "import dpdist.{m}\nmod = dpdist.{m}\n",
+        "from dpdist import {m} as mod\n",
+        "mod = importlib.import_module('dpdist.{m}')\n",
+    ],
+    ids=["import-attribute", "from-import", "import_module"],
+)
+def test_lazy_modules_import_in_every_form(form):
+    """After ``import dpdist.cli`` each LAZY module, still unexecuted, imports in ``form`` as the registered module.
+
+    Taken in LAZY's order, each module is unexecuted when it is imported.
+    """
+    steps = "".join(
+        f"lazy = '{m}' not in executed()\n"
+        + form.format(m=m)
+        + f"found.append([lazy, mod is sys.modules['dpdist.{m}'] is dpdist.{m}, "
+        "sorted(n for n in mod.__all__ if hasattr(mod, n))])\n"
+        for m in LAZY
+    )
+    report = _fresh_python(
+        "import importlib, json, sys\n" + EXECUTED + "import dpdist.cli\nfound = []\n" + steps
+        + "print(json.dumps(found))\n"
+    )
+    assert report == [[True, True, sorted(importlib.import_module(f"dpdist.{m}").__all__)] for m in LAZY]
+
+
+@pytest.mark.parametrize("experiment", ["v-bounds", "hoeffding-tail", "chernoff-tail", "laplace-tails"])
+def test_batched_first_run_matches_this_process(experiment):
+    """Each thread-pooled experiment, run first after ``import dpdist.cli``, writes this process's CSV.
+
+    Its trials span two batches, so on a host with two or more CPUs the
+    batches run on pool threads while the LAZY modules are in the state
+    the first run leaves them.
+    """
+    kw = dict(experiment=experiment, seed=3, trials=_BATCH + 1000)
+    if experiment != "laplace-tails":
+        kw["n"] = 400
+    report = _fresh_python(
+        "import json\n"
+        "import dpdist.cli\n"
+        "from dpdist.experiments import ExperimentConfig\n"
+        f"print(json.dumps(dpdist.cli.run_experiment(ExperimentConfig(**{kw!r}))))\n"
+    )
+    assert report == run_experiment(ExperimentConfig(**kw))
 
 
 CHI2_CONFIGS = [
@@ -434,7 +519,7 @@ def _scipy_loads(steps):
         "import json, sys\n"
         "import numpy as np\n"
         "from dpdist.cli import run_experiment\n"
-        "from dpdist.experiments import ExperimentConfig, _chi2_rows\n"
+        "from dpdist.experiments import _BATCH, ExperimentConfig, _chi2_rows\n"
         "def loaded():\n"
         "    return ['scipy.special' in sys.modules, 'scipy.stats' in sys.modules]\n"
         "seen, out = [loaded()], []\n"

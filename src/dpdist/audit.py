@@ -157,10 +157,6 @@ class RatioStats:
     total_ratio: float
     infinite: bool
 
-    @property
-    def log_total(self) -> float:
-        return float(self.log_ratios.sum())
-
 
 def likelihood_ratios(
     sanitizers: Sequence[SanitizerSpec], view: CuratorView, p: SparseBernoulli

@@ -72,14 +72,13 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     return text
 
 
-def list_experiments(file=None) -> None:
+def list_experiments() -> None:
     """Print the experiment registry with what each run reproduces."""
-    file = file or sys.stdout
     width = max(len(name) for name in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
         e = EXPERIMENTS[name]
-        print(f"{name:<{width}}  {e.description}", file=file)
-        print(f"{'':<{width}}  reproduces: {e.reproduces}", file=file)
+        print(f"{name:<{width}}  {e.description}")
+        print(f"{'':<{width}}  reproduces: {e.reproduces}")
 
 
 def parse_config_file(path: str) -> Dict[str, Any]:

@@ -611,9 +611,6 @@ class CompiledLocalProtocol:
     curator: Curator
     rounds: int
 
-    def enumerate(self, x: Bits):
-        return enumerate_interactive(self.parties, self.curator, x, self.rounds)
-
     def output_distribution(self, x: Bits) -> Dict[Any, float]:
         return enumerate_interactive(self.parties, self.curator, x, self.rounds, by_output=True)
 

@@ -342,10 +342,10 @@ def enumerate_interactive(
     x: Bits,
     rounds: int,
     by_output: bool = False,
-) -> Dict[Any, Any]:
+) -> Dict[Any, float]:
     """Exact view distribution by enumerating all joint tape assignments.
 
-    Returns ``{view.answers: (probability, output)}``, or with ``by_output``
+    Returns ``{view.answers: probability}``, or with ``by_output``
     ``{output: probability}``.  Requires every party to declare a finite
     ``tape_space``.  The input, party count and ``rounds`` are checked once;
     every joint tape is then replayed, each party once per (tape, history)
@@ -356,11 +356,11 @@ def enumerate_interactive(
     xs = _check_interactive(parties, x, rounds)
     spaces = [None if party.tape_space is None else party.tape_space() for party in parties]
     memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
-    out: Dict[Any, List[Any]] = {}  # each key's [probability, output]
+    out: Dict[Any, List[float]] = {}  # each key's probability, in a cell
     for tapes, prob in joint_tapes(spaces):
         output, view = _replay_interactive(parties, curator, xs, rounds, tapes, memo)
-        out.setdefault(output if by_output else view.answers, [0.0, output])[0] += prob
-    return {key: prob if by_output else (prob, output) for key, (prob, output) in out.items()}
+        out.setdefault(output if by_output else view.answers, [0.0])[0] += prob
+    return {key: cell[0] for key, cell in out.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ class TestVStatistics:
             ratio = pa / flip_output_prob(0, sym, flip_params)
             exact_ev += pa * math.log(ratio)
         exact_total = n * exact_ev
-        general_mean = float(np.mean([st.log_total for st in stats]))
+        general_mean = float(np.mean([st.log_ratios.sum() for st in stats]))
         se = 3 * math.sqrt(2.0 / trials) * abs(exact_total) + 3 * panel.log_total_se()
         assert abs(general_mean - exact_total) < 5 * panel.log_total_se()
         assert abs(panel.mean_log_total() - exact_total) < 5 * panel.log_total_se()

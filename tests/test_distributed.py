@@ -433,18 +433,15 @@ _FIXTURE_IDS = ["relay", "parity", "chain", "shared-sum"]
 class TestCompileToLocal:
     @pytest.mark.parametrize("protocol", _ENUMERATION_FIXTURES, ids=_FIXTURE_IDS)
     def test_output_distribution_preserved_exactly(self, protocol):
-        # the original's law, key order and float bits too; equal by ``==`` to the views summed by output
+        # the original's law, and the compiled runs' outputs one tape at a time: keys, order and float bits
         topo = fixture_topology(protocol)
         compiled = compile_to_local(protocol, topo)
         assert compiled.rounds == protocol.rounds + 1
         for bits in itertools.product((0, 1), repeat=protocol.n):
             x = np.array(bits, dtype=np.uint8)
-            local = compiled.output_distribution(x)
-            view_sums = {}
-            for prob, output in compiled.enumerate(x).values():
-                view_sums[output] = view_sums.get(output, 0.0) + prob
-            assert list(local.items()) == list(output_distribution(protocol, topo, x).items())
-            assert local == view_sums
+            local = list(compiled.output_distribution(x).items())
+            assert local == list(output_distribution(protocol, topo, x).items())
+            assert local == list(_per_tape_interactive(compiled, x, by_output=True).items())
 
     def test_every_message_travels_twice(self):
         protocol = NoisyParityProtocol(flip_bias_for(1.0))
@@ -482,9 +479,8 @@ class TestCompileToLocal:
         xp = np.array([1, 1, 0, 1], dtype=np.uint8)
         coalition = (1,)
 
-        compiled = compile_to_local(protocol, topo)
-        local_a = compiled.enumerate(x)
-        local_b = compiled.enumerate(xp)
+        local_a = _enumerate_compiled_parties(protocol, topo, x)
+        local_b = _enumerate_compiled_parties(protocol, topo, xp)
         assert set(local_a) == set(local_b)
 
         def embedded_transcript(view_key):
@@ -500,7 +496,7 @@ class TestCompileToLocal:
             transcript = embedded_transcript(key)
             alpha_x = consistent_probability(protocol, 0, 0, transcript)
             alpha_xp = consistent_probability(protocol, 0, 1, transcript)
-            ratio = local_a[key][0] / local_b[key][0]
+            ratio = local_a[key] / local_b[key]
             assert ratio == pytest.approx(alpha_x / alpha_xp, rel=1e-9)
             local_ratios.add(round(ratio, 9))
 
@@ -536,13 +532,13 @@ def _per_tape_distribution(protocol, topology, x, key):
     return out
 
 
-def _per_tape_interactive(compiled, x):
-    """Reference: one public ``run_interactive_with_tapes`` call per joint tape."""
+def _per_tape_interactive(compiled, x, by_output=False):
+    """Reference: one public ``run_interactive_with_tapes`` call per joint tape, keyed by view or by output."""
     out = {}
     for tapes, prob in joint_tapes([party.tape_space() for party in compiled.parties]):
         output, view = run_interactive_with_tapes(compiled.parties, compiled.curator, x, compiled.rounds, tapes)
-        key = view.answers
-        out[key] = (out[key][0] + prob, out[key][1]) if key in out else (prob, output)
+        key = output if by_output else view.answers
+        out[key] = out.get(key, 0.0) + prob
     return out
 
 
@@ -565,7 +561,10 @@ class TestEnumerationMatchesPerTapeRuns:
             pairs = [
                 (output_distribution(protocol, topo, x), _per_tape_distribution(protocol, topo, x, lambda e: e.output)),
                 (enumerate_executions(protocol, topo, x), _per_tape_distribution(protocol, topo, x, lambda e: e.transcript)),
-                (compiled.enumerate(x), _per_tape_interactive(compiled, x)),
+                (
+                    enumerate_interactive(compiled.parties, compiled.curator, x, compiled.rounds),
+                    _per_tape_interactive(compiled, x),
+                ),
             ]
             for members in coalitions:
                 pairs.append((
@@ -665,7 +664,7 @@ class TestPerTapeChannelChecks:
             output_distribution,
             enumerate_executions,
             lambda p, t, x: coalition_view_distribution(p, t, x, [1]),
-            lambda p, t, x: compile_to_local(p, t).enumerate(x),
+            _enumerate_compiled_parties,
             lambda p, t, x: compile_to_local(p, t).output_distribution(x),
         ):
             with pytest.raises(error) as caught:
@@ -705,7 +704,7 @@ def test_an_unused_channel_is_caught_in_a_run_of_memo_hits():
         lambda: output_distribution(protocol, topo, x),
         lambda: enumerate_executions(protocol, topo, x),
         lambda: coalition_view_distribution(protocol, topo, x, [1]),
-        lambda: compile_to_local(protocol, topo).enumerate(x),
+        lambda: _enumerate_compiled_parties(protocol, topo, x),
         lambda: compile_to_local(protocol, topo).output_distribution(x),
     ):
         with pytest.raises(ObliviousnessViolationError) as caught:
@@ -769,7 +768,7 @@ class TestTwoFaultsInOneRound:
         for run in (
             lambda: output_distribution(protocol, topo, x),
             lambda: compile_to_local(protocol, topo).output_distribution(x),
-            lambda: compile_to_local(protocol, topo).enumerate(x),
+            lambda: _enumerate_compiled_parties(protocol, topo, x),
         ):
             with pytest.raises(ObliviousnessViolationError) as caught:
                 run()
@@ -781,7 +780,7 @@ class TestTwoFaultsInOneRound:
         for run in (
             lambda: output_distribution(protocol, topo, x),
             lambda: compile_to_local(protocol, topo).output_distribution(x),
-            lambda: compile_to_local(protocol, topo).enumerate(x),
+            lambda: _enumerate_compiled_parties(protocol, topo, x),
         ):
             with pytest.raises(RuntimeError) as caught:
                 run()
@@ -793,7 +792,6 @@ class TestTwoFaultsInOneRound:
         for run in (
             lambda p: output_distribution(p, topo, x),
             lambda p: _enumerate_compiled_parties(p, topo, x),
-            lambda p: compile_to_local(p, topo).enumerate(x),
         ):
             protocol = _TwoFaults(undeclared=False, error=TypeError)
             with pytest.raises(TypeError) as caught:
@@ -961,10 +959,10 @@ class TestPerCallCaches:
             enumerate_executions,
             # party 0's view holds no list; the list still joins party 1's history
             lambda p, topo, x: coalition_view_distribution(p, topo, x, [0]),
+            _enumerate_compiled_parties,
             lambda p, topo, x: compile_to_local(p, topo).output_distribution(x),
-            lambda p, topo, x: compile_to_local(p, topo).enumerate(x),
         ],
-        ids=["outputs", "executions", "coalition", "compiled-outputs", "compiled-enumerate"],
+        ids=["outputs", "executions", "coalition", "interactive", "compiled-outputs"],
     )
     def test_last_round_list_symbols_raise(self, enumerate_fn):
         # the list never keys a send; it joins party 1's history after the last round
@@ -1017,10 +1015,9 @@ _EXACT_ENUMERATIONS = pytest.mark.parametrize(
         enumerate_executions,
         lambda p, topo, x: coalition_view_distribution(p, topo, x, [1]),
         _enumerate_compiled_parties,
-        lambda p, topo, x: compile_to_local(p, topo).enumerate(x),
         lambda p, topo, x: compile_to_local(p, topo).output_distribution(x),
     ],
-    ids=["outputs", "executions", "coalition", "interactive", "compiled-enumerate", "compiled-outputs"],
+    ids=["outputs", "executions", "coalition", "interactive", "compiled-outputs"],
 )
 
 

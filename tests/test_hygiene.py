@@ -2,7 +2,9 @@
 
 Every name a module exports through ``__all__`` must exist and be used
 outside its own definition and outside any definition that is itself
-unused; an ``__init__.py`` re-export is not a use.  No module or test file
+unused; an ``__init__.py`` re-export is not a use.  Every method and
+property of an exported class must be read as an attribute outside its own
+body by the package, ``bench/`` or the acceptance suite.  No module or test file
 may import a name it never uses (``__init__.py`` imports only to re-export,
 so it is exempt from that check too).  Importing the package and its CLI loads numpy and
 the stdlib only, and not ``concurrent.futures``, which the batched
@@ -132,6 +134,19 @@ def _dead_exports(trees, exports, texts=()):
 
 
 @functools.lru_cache(maxsize=None)
+def _live_sources():
+    """The submodules' ASTs and ``__all__`` lists by stem, and the texts that count as live uses.
+
+    The texts are ``bench/``'s scripts, the acceptance suite and ``pyproject.toml``.
+    """
+    trees = {stem: ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")) for stem in SUBMODULES}
+    exports = {stem: importlib.import_module(f"dpdist.{stem}").__all__ for stem in SUBMODULES}
+    texts = [p.read_text(encoding="utf-8") for p in sorted((REPO / "bench").glob("*.py"))]
+    texts += [(REPO / f).read_text(encoding="utf-8") for f in ("tests/test_acceptance.py", "pyproject.toml")]
+    return trees, exports, texts
+
+
+@functools.lru_cache(maxsize=None)
 def _unused_exports():
     """``module.name`` for each ``__all__`` name of a submodule that nothing live uses.
 
@@ -139,11 +154,7 @@ def _unused_exports():
     ``__init__`` re-export is not one), or the name as a word in ``bench/``,
     the acceptance suite or ``pyproject.toml``.
     """
-    trees = {stem: ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8")) for stem in SUBMODULES}
-    exports = {stem: importlib.import_module(f"dpdist.{stem}").__all__ for stem in SUBMODULES}
-    texts = [p.read_text(encoding="utf-8") for p in sorted((REPO / "bench").glob("*.py"))]
-    texts += [(REPO / f).read_text(encoding="utf-8") for f in ("tests/test_acceptance.py", "pyproject.toml")]
-    return _dead_exports(trees, exports, texts)
+    return _dead_exports(*_live_sources())
 
 
 @pytest.mark.parametrize("stem", SUBMODULES)
@@ -199,6 +210,90 @@ def test_dead_exports_follows_a_chain():
 
 def test_pending_names_are_still_unused():
     assert sorted(PENDING_USE.keys() - _unused_exports()) == [], "these names are used now: drop them from PENDING_USE"
+
+
+def _unread_methods(trees, exports, texts=(), dead=frozenset()):
+    """``stem.Class.method`` for each method or property of a class in ``exports`` that nothing live reads.
+
+    A read is an attribute load of the method's name in ``trees``, outside
+    the method's own body and the top-level definitions in ``dead``, or
+    ``.name`` in one of ``texts`` (a bare word would match builtins such as
+    ``enumerate``).  Dataclass fields are not methods, and Python itself
+    calls the dunder methods.
+    """
+    attrs = [
+        (node.attr, id(node))
+        for stem, tree in trees.items()
+        for top in tree.body
+        if not (isinstance(top, _DEFS) and f"{stem}.{top.name}" in dead)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+    ]
+    found = set()
+    for stem, names in exports.items():
+        for cls in trees[stem].body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in names):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or method.name.startswith("__"):
+                    continue
+                own = {id(node) for node in ast.walk(method)}
+                if not any(attr == method.name and i not in own for attr, i in attrs) and not any(
+                    re.search(rf"\.{method.name}\b", t) for t in texts
+                ):
+                    found.add(f"{stem}.{cls.name}.{method.name}")
+    return found
+
+
+def test_every_exported_method_is_read():
+    unread = sorted(_unread_methods(*_live_sources(), dead=_unused_exports()))
+    assert unread == [], "only tests, or nothing, read these methods: delete them or wire them in"
+
+
+PLANTED_CLASS = """
+@dataclass
+class K:
+    field: int
+
+    def __len__(self):
+        return 0
+
+    def again(self):
+        return self.again()
+
+    @property
+    def size(self):
+        return 1
+
+    def used(self):
+        return 2
+
+
+def user(k):
+    return k.used()
+
+
+def dead_user(k):
+    return k.size
+"""
+
+
+@pytest.mark.parametrize(
+    "texts,dead,unread",
+    [
+        ((), (), {"again"}),
+        (("k.again()",), (), set()),
+        (("again is a bare word",), (), {"again"}),
+        ((), ("planted.user",), {"again", "used"}),
+        ((), ("planted.dead_user",), {"again", "size"}),
+    ],
+    ids=["own-body-read", "read-in-text", "bare-word", "dead-reader", "dead-property-reader"],
+)
+def test_unread_methods_are_found(texts, dead, unread):
+    # again's read of itself never counts; field and __len__ are never candidates
+    trees = {"planted": ast.parse(PLANTED_CLASS)}
+    found = _unread_methods(trees, {"planted": ["K"]}, texts, frozenset(dead))
+    assert found == {f"planted.K.{name}" for name in unread}
 
 
 def _outermost_users(tree: ast.Module, is_use):

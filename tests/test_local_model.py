@@ -247,7 +247,7 @@ class TestInteractive:
             output=lambda view: sum(view.answers[-1]),
         )
         dist = {}
-        for key, (prob, _) in enumerate_interactive(parties, curator, x, 1).items():
+        for key, prob in enumerate_interactive(parties, curator, x, 1).items():
             symbols = key[0]
             dist[symbols] = dist.get(symbols, 0.0) + prob
         expected = enumerate_noninteractive([flip_sanitizer(params)] * n, x)
@@ -326,7 +326,7 @@ class TestInteractive:
         parties = self._recording_parties(2, seen)
         curator = Curator(query=lambda j, hist: (None, None), output=lambda v: v.answers[-1])
         output, _ = run_interactive(parties, curator, x, 2, derive_rng(0))
-        ((_, (prob, enumerated)),) = enumerate_interactive(parties, curator, x, 2).items()
+        ((enumerated, prob),) = enumerate_interactive(parties, curator, x, 2, by_output=True).items()
         assert output == enumerated == (1, 0) and prob == 1.0
         assert len(seen) == 8 and set(seen) == {int}
 
@@ -374,7 +374,7 @@ class TestInteractive:
         parties = [InteractiveParty(answer=answer, tape_space=lambda: [(0, 0.5), (1, 0.5)])] * 2
         curator = Curator(query=lambda j, hist: (j, j), output=lambda view: view.rounds)
         got = enumerate_interactive(parties, curator, [1, 0], 2)
-        assert got == {((None, None), (None, None)): (1.0, 2)}
+        assert got == {((None, None), (None, None)): 1.0}
         assert len(calls) == len(set(calls)) == 8
 
     def test_list_answers_raise_at_the_view_key(self):
@@ -392,7 +392,7 @@ class TestInteractive:
             enumerate_interactive(parties(list, calls), curator, [1, 0], 2)
         assert type(caught.value) is TypeError and str(caught.value) == "unhashable type: 'list'"
         assert len(calls) == 4  # the first joint tape's 2 rounds x 2 parties
-        assert sum(prob for prob, _ in enumerate_interactive(parties(tuple, []), curator, [1, 0], 2).values()) == 1.0
+        assert sum(enumerate_interactive(parties(tuple, []), curator, [1, 0], 2).values()) == 1.0
 
     def test_invalid_input_rejected_before_any_tape_runs(self):
         seen = []
@@ -444,9 +444,7 @@ class TestInteractive:
         run_interactive_with_tapes(parties, curator, [1, 0], 3, [1, None])
         assert seen == [bool]  # a single run hands over its own query
         seen.clear()
-        assert enumerate_interactive(parties, curator, [1, 0], 3) == {
-            ((0, None), (0, None), (0, None)): (0.5, 0), ((1, None), (1, None), (1, None)): (0.5, 1)
-        }
+        assert enumerate_interactive(parties, curator, [1, 0], 3, by_output=True) == {0: 0.5, 1: 0.5}
         assert seen == [int, int]
 
     def test_curator_query_count_enforced(self):
@@ -517,7 +515,7 @@ class TestMultiplicativeTranscriptLaw:
         x = [1, 0, 1]
         parties = [flip_party([params, params]) for _ in range(n)]
         curator = Curator(query=lambda j, hist: (None,) * n, output=lambda v: None)
-        for key, (prob, _) in enumerate_interactive(parties, curator, x, rounds).items():
+        for key, prob in enumerate_interactive(parties, curator, x, rounds).items():
             product = 1.0
             for i in range(n):
                 answers = [key[r][i] for r in range(rounds)]

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .local_model import CuratorView, SanitizerSpec, enumerate_noninteractive, rr_report_counts
+from .local_model import CuratorView, SanitizerSpec, enumerate_noninteractive, flip_sanitizer, rr_report_counts
 from .mechanisms import FlipParams
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "sample_sparse",
     "sample_sparse_sums",
     "round_budget",
+    "privacy_loss",
     "exact_epsilon",
     "RatioStats",
     "likelihood_ratios",
@@ -119,6 +120,21 @@ def round_budget(ell: int) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def privacy_loss(p: Dict[Any, float], q: Dict[Any, float]) -> Dict[Any, float]:
+    """ln(p[k] / q[k]) over the keys ``p`` or ``q`` makes positive, ``p``'s first; +inf if only p, -inf if only q."""
+    loss = {}
+    for k, pk in p.items():
+        qk = q.get(k, 0.0)
+        if pk > 0.0:
+            loss[k] = math.log(pk / qk) if qk > 0.0 else math.inf
+        elif qk > 0.0:
+            loss[k] = -math.inf
+    for k, qk in q.items():
+        if qk > 0.0 and k not in p:
+            loss[k] = -math.inf
+    return loss
+
+
 def exact_epsilon(s: SanitizerSpec) -> float:
     """Worst-case log probability ratio of a finite binary-input sanitizer.
 
@@ -126,16 +142,7 @@ def exact_epsilon(s: SanitizerSpec) -> float:
     +inf when some output is possible under one input but not the other
     (infinite loss is a valid return, not an error).
     """
-    d0, d1 = s.distribution(0), s.distribution(1)
-    worst = 0.0
-    for c in s.alphabet:
-        p0, p1 = d0[c], d1[c]
-        if p0 == 0.0 and p1 == 0.0:
-            continue
-        if p0 == 0.0 or p1 == 0.0:
-            return math.inf
-        worst = max(worst, abs(math.log(p1 / p0)))
-    return worst
+    return max(map(abs, privacy_loss(s.distribution(1), s.distribution(0)).values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +247,10 @@ def flip_panel(
 ) -> FlipPanel:
     """Sample ``trials`` planted-input views of the flip protocol and score them."""
     a, n = p.density, p.n
-    keep = flip.keep_prob
-    # exact per-report log ratios, from the flip oracle
-    r_one = (a * keep + (1.0 - a) * (1.0 - keep)) / (1.0 - keep)
-    r_zero = (a * (1.0 - keep) + (1.0 - a) * keep) / keep
-    v_one, v_zero = math.log(r_one), math.log(r_zero)
+    # exact per-report log ratios of the planted law against input 0, from the flip oracle
+    d0, d1 = map(flip_sanitizer(flip).distribution, (0, 1))
+    loss = privacy_loss({c: a * d1[c] + (1.0 - a) * d0[c] for c in d0}, d0)
+    v_one, v_zero = loss[1], loss[0]
 
     k = rr_report_counts(n, sample_sparse_sums(p, trials, rng), flip, rng)
     log_totals = k * v_one + (n - k) * v_zero
@@ -445,15 +451,6 @@ def definition_equivalence_check(sanitizers: Sequence[SanitizerSpec]) -> Equival
         bits: enumerate_noninteractive(sanitizers, np.array(bits, dtype=np.uint8))
         for bits in np.ndindex(*((2,) * n))
     }
-    collective = 0.0
-    for bits, dist_x in dists.items():
-        for i in range(n):
-            dist_y = dists[bits[:i] + (1 - bits[i],) + bits[i + 1 :]]
-            for c in set(dist_x) | set(dist_y):
-                px, py = dist_x.get(c, 0.0), dist_y.get(c, 0.0)
-                if px == 0.0:
-                    continue
-                if py == 0.0:
-                    return EquivalenceReport(collective=math.inf, individual=individual)
-                collective = max(collective, math.log(px / py))
+    pairs = ((x, dists[bits[:i] + (1 - bits[i],) + bits[i + 1 :]]) for bits, x in dists.items() for i in range(n))
+    collective = max([0.0, *(loss for x, y in pairs for loss in privacy_loss(x, y).values())])
     return EquivalenceReport(collective=collective, individual=individual)

@@ -652,11 +652,10 @@ def compile_to_local(protocol: Protocol, topology: Topology) -> CompiledLocalPro
                 return ("output", protocol.output(x_i, tape, received))
             return ()
 
-        space = protocol.tape_space(i)
         return InteractiveParty(
             answer=answer,
             draw_tape=lambda rng, i=i: protocol.draw_tape(i, rng),
-            tape_space=None if space is None else lambda: space,
+            tape_space=lambda space=protocol.tape_space(i): space,
         )
 
     def query(j: int, answer_hist: Tuple[Any, ...]) -> Sequence[Any]:

@@ -199,8 +199,8 @@ class InteractiveParty:
     ``answer(x_i, queries, tape)`` produces the answer for round
     ``len(queries)``; it may depend only on the input bit, the queries
     received so far, and the random tape drawn once before round one.
-    ``tape_space`` enumerates (tape, probability) pairs when the tape is
-    finite, enabling exact audits.
+    ``tape_space()`` enumerates (tape, probability) pairs when the tape is
+    finite, enabling exact audits, and returns None (the default) otherwise.
 
     Exact enumeration memoizes on (party, tape, queries so far): it calls
     ``answer`` once per distinct triple and reuses the answer.  Tapes and
@@ -214,7 +214,7 @@ class InteractiveParty:
 
     answer: Callable[[int, Tuple[Any, ...], Any], Any]
     draw_tape: Callable[[np.random.Generator], Any] = lambda rng: None
-    tape_space: Optional[Callable[[], Iterable[Tuple[Any, float]]]] = None
+    tape_space: Callable[[], Optional[Iterable[Tuple[Any, float]]]] = lambda: None
 
 
 @dataclass(frozen=True)
@@ -354,7 +354,7 @@ def enumerate_interactive(
     order.
     """
     xs = _check_interactive(parties, x, rounds)
-    spaces = [None if party.tape_space is None else party.tape_space() for party in parties]
+    spaces = [party.tape_space() for party in parties]
     memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
     out: Dict[Any, List[float]] = {}  # each key's probability, in a cell
     for tapes, prob in joint_tapes(spaces):

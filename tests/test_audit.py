@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpdist.audit import (
     SparseBernoulli,
@@ -14,6 +16,7 @@ from dpdist.audit import (
     hoeffding_bound,
     hoeffding_tail_check,
     likelihood_ratios,
+    privacy_loss,
     round_budget,
     sample_sparse,
     sample_sparse_sums,
@@ -138,6 +141,34 @@ class TestSparseBernoulli:
         assert check.bound == pytest.approx(math.exp(-6.25), rel=1e-12)
 
 
+def _privacy_loss_loop(p, q):
+    """Reference: ln(p/q) key by key over p's keys then q's others, both-zero keys skipped."""
+    out = {}
+    for k in list(p) + [k for k in q if k not in p]:
+        pk, qk = p.get(k, 0.0), q.get(k, 0.0)
+        if pk == 0.0 and qk == 0.0:
+            continue
+        out[k] = math.inf if qk == 0.0 else -math.inf if pk == 0.0 else math.log(pk / qk)
+    return out
+
+
+_LAW = st.dictionaries(
+    st.integers(0, 6), st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 0.1, 1 / 3])), max_size=5
+)
+
+
+class TestPrivacyLoss:
+    @given(_LAW, _LAW)
+    def test_matches_the_loop_bit_for_bit(self, p, q):
+        assert list(privacy_loss(p, q).items()) == list(_privacy_loss_loop(p, q).items())
+
+    def test_one_sided_zero_and_empty_keys(self):
+        loss = privacy_loss({"a": 0.5, "b": 0.5, "z": 0.0}, {"c": 0.25, "b": 0.25, "a": 0.0, "y": 0.0, "z": 0.5})
+        assert loss == {"a": math.inf, "b": math.log(2.0), "z": -math.inf, "c": -math.inf}
+        assert list(loss) == ["a", "b", "z", "c"]
+        assert privacy_loss({}, {}) == {} and privacy_loss({0: 0.0}, {}) == {}
+
+
 class TestExactEpsilon:
     def test_flip_at_eps_one(self):
         s = flip_sanitizer(flip_bias_for(1.0))
@@ -157,6 +188,22 @@ class TestExactEpsilon:
     def test_constant_and_identity_extremes(self):
         assert exact_epsilon(constant_sanitizer(1)) == 0.0
         assert exact_epsilon(identity_sanitizer()) == math.inf
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 1.0])
+    def test_bits_are_the_one_over_zero_ratio(self, eps):
+        params = flip_bias_for(eps)
+        ratios = [flip_output_prob(1, c, params) / flip_output_prob(0, c, params) for c in (0, 1)]
+        assert exact_epsilon(flip_sanitizer(params)) == max(abs(math.log(r)) for r in ratios)
+
+    def test_the_larger_of_two_directions_moves_the_last_bit(self):
+        # ln(p1/p0) and ln(p0/p1) round apart at eps = 0.1, so folding the
+        # loss as the larger direction would change pinned output bytes
+        params = flip_bias_for(0.1)
+        spec = flip_sanitizer(params)
+        p0, p1 = spec.distribution(0), spec.distribution(1)
+        both_ways = max(max(math.log(p1[c] / p0[c]), math.log(p0[c] / p1[c])) for c in (0, 1))
+        assert exact_epsilon(spec) == 0.09531017980432502
+        assert both_ways == 0.09531017980432493
 
 
 class TestLikelihoodRatios:
@@ -257,6 +304,14 @@ class TestVStatistics:
         # mean bound: each party's mean log ratio, up to three standard errors
         se = logs.std(axis=0, ddof=1) / math.sqrt(len(stats))
         assert np.all(logs.mean(axis=0) <= 32.0 * (p.density * p.eps) ** 2 + 3.0 * se)
+
+    @pytest.mark.parametrize("eps, n", [(0.1, 10_000), (0.5, 2_000), (1.0, 50), (2.0, 400)])
+    def test_panel_ratios_are_the_closed_forms(self, eps, n):
+        p, flip_params = SparseBernoulli(n=n, eps=eps, d=4.0), flip_bias_for(eps)
+        a, keep = p.density, flip_params.keep_prob
+        panel = flip_panel(p, flip_params, 10, derive_rng(68))
+        assert panel.v_one == math.log((a * keep + (1.0 - a) * (1.0 - keep)) / (1.0 - keep))
+        assert panel.v_zero == math.log((a * (1.0 - keep) + (1.0 - a) * keep) / keep)
 
     def test_vectorized_panel_agrees_with_general_path(self):
         n, eps, d, trials = 50, 1.0, 4.0, 1500

@@ -278,6 +278,17 @@ def test_chdtrc_port_equals_scipy_bit_for_bit():
     assert mismatches == []
 
 
+def test_chdtrc_rescale_keeps_a_long_fraction_finite():
+    """At dof 1 and chi2 = 2.2447370769435904 the continued fraction runs 179 iterations.
+
+    Unrescaled, its terms would pass 2^1132 and the p-value would be NaN;
+    the 2^-52 rescale keeps them finite and the port equal to scipy.
+    """
+    from scipy.special import chdtrc
+
+    assert _chdtrc(1, 2.2447370769435904) == chdtrc(1, 2.2447370769435904) == 0.13406969490729473
+
+
 @pytest.mark.parametrize(
     "table, match",
     [

@@ -21,7 +21,9 @@ Only ``distributed._execution`` calls ``Execution(``.  Only
 ``distributed._checked_sends`` and the transcript oracle
 ``distributed.consistent_probability`` read ``.send``, and only
 ``_checked_sends`` and ``_check_all_used``, which the engine and the
-curator compiler share, raise ``ObliviousnessViolationError``.
+curator compiler share, raise ``ObliviousnessViolationError``.  In
+``audit`` only ``privacy_loss`` takes the log of a quotient of
+probabilities (``round_budget``'s ln(ell / beta) is no probability ratio).
 No handler in the package catches ``Exception`` or ``BaseException`` or is
 a bare ``except:``, so a party program's error propagates as raised.  The
 protocol layers (``core``, ``mechanisms``, ``seeding``, ``local_model``,
@@ -375,6 +377,32 @@ def test_only_the_interactive_replay_calls_answer():
     # with the .send guard, a third replay loop of either model fails here
     assert _users(_reads("answer")) == {"local_model._replay_interactive"}, (
         "call InteractiveParty.answer through local_model._replay_interactive"
+    )
+
+
+def _logs_a_quotient(node):
+    """Whether a node calls ``log`` (bare or as ``math.log``) on a division."""
+    return _calls("log")(node) and bool(node.args) and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Div)
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("def f(p, q):\n    return {k: math.log(p[k] / q[k]) for k in p}\n", {"f"}),
+        ("class C:\n    def m(self):\n        return log(self.a / self.b)\n", {"m"}),
+        ("def f(r):\n    return math.log(r)\n\ndef g(a, b):\n    return math.log(a) / b\n", set()),
+    ],
+    ids=["comprehension", "bare-log-in-method", "log-of-a-name-and-quotient-of-a-log"],
+)
+def test_log_quotients_are_found(source, found):
+    assert _outermost_users(ast.parse(source), _logs_a_quotient) == found
+
+
+def test_only_privacy_loss_takes_a_log_ratio_in_audit():
+    # round_budget's ln(ell / beta) is a round count over a tail bound, not a probability ratio
+    tree = ast.parse((SRC / "audit.py").read_text(encoding="utf-8"))
+    assert _outermost_users(tree, _logs_a_quotient) == {"privacy_loss", "round_budget"}, (
+        "take exact log probability ratios through audit.privacy_loss"
     )
 
 

@@ -447,6 +447,14 @@ class TestInteractive:
         assert enumerate_interactive(parties, curator, [1, 0], 3, by_output=True) == {0: 0.5, 1: 0.5}
         assert seen == [int, int]
 
+    def test_party_without_a_tape_space_is_named(self):
+        no_space = InteractiveParty(answer=lambda x_i, queries, tape: x_i)
+        assert no_space.tape_space() is None
+        parties = [InteractiveParty(answer=lambda x_i, queries, tape: x_i, tape_space=lambda: [(None, 1.0)]), no_space]
+        curator = Curator(query=lambda j, hist: (None, None), output=lambda view: view.answers[-1])
+        with pytest.raises(ValueError, match="^party 1 has no finite tape space$"):
+            enumerate_interactive(parties, curator, [1, 0], 1)
+
     def test_curator_query_count_enforced(self):
         parties = [InteractiveParty(answer=lambda x, q, t: x)] * 2
         curator = Curator(query=lambda j, hist: (None,), output=lambda view: None)
